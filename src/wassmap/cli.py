@@ -54,7 +54,7 @@ from wassmap.synth import (
     loop_path,
     simulate_scan,
 )
-from wassmap.voxel_map import GmmMap, blended_gaussian_update, build_map, group_points_by_voxel
+from wassmap.voxel_map import build_map
 from wassmap.wasserstein import (
     InvalidCovarianceError,
     NoComparableVoxelsError,
@@ -84,7 +84,6 @@ class RunConfig:
     min_points: int = 5
     agg: str = "affected"
     commit: str = "keyframes"
-    threads: int = 1
     seed: int = 0
     max_dt: float = 0.05
 
@@ -104,10 +103,7 @@ class RunConfig:
 
 
 def _read_config_file(path) -> dict:
-    valid = {f.name: f.type for f in fields(RunConfig)}
-    casts = {"tau": float, "voxel_size": float, "radius": float, "estimator": str,
-             "min_points": int, "agg": str, "commit": str, "threads": int,
-             "seed": int, "max_dt": float}
+    casts = {f.name: type(f.default) for f in fields(RunConfig)}
     out = {}
     path = Path(path)
     if not path.exists():
@@ -120,7 +116,7 @@ def _read_config_file(path) -> dict:
             raise UsageError(f"{path}:{line_no}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in valid:
+        if key not in casts:
             raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
         try:
             out[key] = casts[key](value.strip())
@@ -138,10 +134,7 @@ def resolve_config(args) -> RunConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    cfg = RunConfig(**values)
-    if cfg.threads < 1:
-        raise UsageError("threads must be >= 1")
-    return cfg
+    return RunConfig(**values)
 
 
 def _echo_config(out_dir: Path, command: str, cfg: RunConfig) -> None:
@@ -187,7 +180,9 @@ def cmd_keyframes(args) -> int:
     score_lines += ["%d,%.9g" % (d.frame_index, d.dw) for d in decisions]
     (out / "scores.csv").write_text("\n".join(score_lines) + "\n")
 
-    print(f"frames={len(decisions)} keyframes={len(selected)} dropped={dropped}")
+    errors = sum(d.flag == "error" for d in decisions)
+    print(f"frames={len(decisions)} keyframes={len(selected)} dropped={dropped} "
+          f"errors={errors}")
     print(f"wrote {out / 'decisions.csv'}")
     return 0
 
@@ -352,25 +347,19 @@ def _bench_frame_cloud(rng, k: int, n_points: int) -> np.ndarray:
 
 def run_bench(map_points: int, frame_points: int, n_frames: int,
               cfg: RunConfig) -> dict:
-    """Timing and accuracy comparison of the map-update strategies.
+    """Timing comparison of incremental map updates with a batch rebuild.
 
-    Returns a dict of scalars; the caller formats them. The exact path
-    stages, scores, commits, and prunes like the selector does. The blend
-    variant keeps per-voxel (n, mean, covariance) and folds new points in
-    directly; the batch variant rebuilds the whole map from raw points.
+    Returns a dict of scalars; the caller formats them. The incremental path
+    stages, scores, commits, and prunes like the selector does; the batch
+    variant rebuilds the whole map from raw points.
     """
     rng = np.random.default_rng(cfg.seed)
     base_cloud = rng.uniform([0, 0, 0], [160, 160, 40], size=(map_points, 3))
     grid = build_map(base_cloud, cfg.voxel_size)
     initial_voxels = len(grid)
 
-    blend = {
-        key: (stats.n, stats.mean(), stats.covariance("population"))
-        for key, stats in grid.items()
-    }
-
     stage_ms, score_ms, commit_ms, prune_ms, total_ms = [], [], [], [], []
-    blend_ms, batch_ms = [], []
+    batch_ms = []
     peak_voxels = initial_voxels
     all_points = [base_cloud]
 
@@ -398,29 +387,10 @@ def run_bench(map_points: int, frame_points: int, n_frames: int,
         total_ms.append(1e3 * (t4 - t0))
         peak_voxels = max(peak_voxels, len(grid))
 
-        t0 = time.perf_counter()
-        groups, _ = group_points_by_voxel(cloud, cfg.voxel_size)
-        for key, pts in groups:
-            n_old, mu_old, sigma_old = blend.get(
-                key, (0, np.zeros(3), np.zeros((3, 3))))
-            blend[key] = blended_gaussian_update(n_old, mu_old, sigma_old, pts)
-        blend_ms.append(1e3 * (time.perf_counter() - t0))
-
         all_points.append(cloud)
         t0 = time.perf_counter()
         build_map(np.concatenate(all_points), cfg.voxel_size)
         batch_ms.append(1e3 * (time.perf_counter() - t0))
-
-    # per-voxel covariance divergence of the blend shortcut from the exact
-    # accumulator state; both compared with population normalization, which
-    # is what the blend produces, so the gap measures only re-centering drift
-    divergence = 0.0
-    for key, stats in grid.items():
-        entry = blend.get(key)
-        if entry is None or stats.n < 2 or entry[0] < 2:
-            continue
-        gap = np.linalg.norm(stats.covariance("population") - entry[2])
-        divergence = max(divergence, float(gap))
 
     median = float(np.median(total_ms))
     return {
@@ -434,9 +404,7 @@ def run_bench(map_points: int, frame_points: int, n_frames: int,
         "score_ms": float(np.median(score_ms)),
         "commit_ms": float(np.median(commit_ms)),
         "prune_ms": float(np.median(prune_ms)),
-        "blend_ms": float(np.median(blend_ms)),
         "batch_rebuild_ms": float(np.median(batch_ms)),
-        "blend_sigma_divergence": divergence,
         "realtime_target_met": median < 100.0,
     }
 
@@ -474,8 +442,6 @@ def _add_shared_flags(sub):
     sub.add_argument("--min-points", dest="min_points", type=int, default=None)
     sub.add_argument("--agg", choices=["affected", "all", "mass"], default=None)
     sub.add_argument("--commit", choices=["keyframes", "always"], default=None)
-    sub.add_argument("--threads", type=int, default=None,
-                     help="parallelism cap; outputs never depend on it")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--config", default=None, help="key=value config file")
     sub.add_argument("--out", default=None, help="output directory")

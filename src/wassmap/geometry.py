@@ -187,7 +187,9 @@ class Pose:
 
     def transform_points(self, pts: np.ndarray) -> np.ndarray:
         """R p + t for an (N, 3) array."""
-        return np.asarray(pts, dtype=float) @ self.rotation.as_matrix().T + self.translation
+        out = np.asarray(pts, dtype=float) @ self.rotation.as_matrix().T
+        out += self.translation
+        return out
 
 
 def _v_matrix(rotvec: np.ndarray) -> np.ndarray:

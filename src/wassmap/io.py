@@ -375,7 +375,7 @@ def pair_frames(clouds, trajectory, max_dt: float = 0.05):
 # ---------------------------------------------------------------------------
 # Decision CSV
 
-DECISIONS_HEADER = "frame,timestamp,dw,keyframe,affected,new,skipped,ms"
+DECISIONS_HEADER = "frame,timestamp,dw,keyframe,flag,affected,new,skipped,ms"
 
 
 def write_decisions_csv(path, decisions) -> None:
@@ -384,8 +384,8 @@ def write_decisions_csv(path, decisions) -> None:
     for d in decisions:
         timestamp = "" if d.timestamp is None else "%.9g" % d.timestamp
         lines.append(
-            "%d,%s,%.9g,%d,%d,%d,%d,%.9g"
-            % (d.frame_index, timestamp, d.dw, int(d.keyframe),
+            "%d,%s,%.9g,%d,%s,%d,%d,%d,%.9g"
+            % (d.frame_index, timestamp, d.dw, int(d.keyframe), d.flag,
                d.affected_count, d.new_count, d.skipped_count, d.millis)
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

@@ -11,7 +11,9 @@ beyond the pruning radius of the current pose are dropped.
 The first frame always bootstraps the map and is a keyframe by definition;
 its score is reported as +inf. Frames that share no usable voxel with the
 map (no overlap, or all shared voxels under the point floor) are decided by
-``no_comparable_policy`` and flagged, with the score recorded as NaN.
+``no_comparable_policy`` and flagged, with the score recorded as NaN. In
+`KeyframeSelector.run_sequence` a frame that fails (no finite point, bad
+pose, numerical error) is flagged ``error`` instead of vanishing.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ logger = logging.getLogger(__name__)
 
 COMMIT_POLICIES = ("keyframes-only", "always")
 NO_COMPARABLE_POLICIES = ("keyframe", "non-keyframe")
-DECISION_FLAGS = ("bootstrap", "scored", "no_comparable")
+DECISION_FLAGS = ("bootstrap", "scored", "no_comparable", "error")
 
 
 class EmptyFrameError(ValueError):
-    """Frame contains no points."""
+    """Frame contains no finite point."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ class SelectorConfig:
 class FrameDecision:
     frame_index: int          # 1-based position in the input sequence
     pose: Pose
-    dw: float                 # +inf for bootstrap, NaN when nothing compared
+    dw: float                 # +inf for bootstrap, NaN when nothing compared or on error
     keyframe: bool
     flag: str                 # one of DECISION_FLAGS
     affected_count: int = 0
@@ -169,6 +171,8 @@ class KeyframeSelector:
         cfg = self.config
 
         stage = self.map.stage_frame(pose.transform_points(pts))
+        if stage.point_count == 0:
+            raise EmptyFrameError("frame contains no finite points")
         try:
             report = map_dissimilarity(
                 self.map,
@@ -208,8 +212,11 @@ class KeyframeSelector:
     def run_sequence(self, frames) -> list[FrameDecision]:
         """Process an ordered sequence of (points, pose[, timestamp]) frames.
 
-        Per-frame errors skip that frame with a warning instead of aborting;
-        frame indices still count every offered frame.
+        A frame that raises `ValueError` (empty frame, bad pose, invalid
+        covariance, voxel out of range) does not abort the run: it gets an
+        ``error`` decision, is not a keyframe and leaves the map as it was.
+        A frame that fails at bootstrap leaves the selector unbootstrapped,
+        so the next frame bootstraps.
         """
         out = []
         for entry in frames:
@@ -217,7 +224,11 @@ class KeyframeSelector:
             timestamp = rest[0] if rest else None
             step = self.process_frame if self.bootstrapped else self.bootstrap
             try:
-                out.append(step(points, pose, timestamp))
-            except (EmptyFrameError, ValueError) as err:
-                logger.warning("frame %d skipped: %s", self._frames_seen, err)
+                decision = step(points, pose, timestamp)
+            except ValueError as err:
+                logger.warning("frame %d failed: %s", self._frames_seen, err)
+                decision = FrameDecision(self._frames_seen, pose, math.nan, False,
+                                         "error", timestamp=timestamp)
+                self.decisions.append(decision)
+            out.append(decision)
         return out

@@ -1,18 +1,36 @@
-"""Voxelized Gaussian map kept as a hash grid of per-voxel moment accumulators.
+"""Voxelized Gaussian map stored as one set of sorted parallel arrays.
 
-Each stored voxel carries sufficient statistics (point count ``n``, point sum
-``s``, outer-product sum ``q``) from which the mean and covariance are derived
-on demand. Accumulators make the per-point update O(1) and keep incremental
-and batch construction consistent to floating-point reassociation error.
+Row r of a `GmmMap` describes one occupied voxel:
 
-Candidate frames are staged as a copy-on-write overlay (`StagedUpdate`) so the
-base map stays untouched until the caller decides to commit. Single writer per
-map; reads of base statistics during an open stage are fine.
+    keys[r]  packed int64 cell index; rows are sorted by key
+    n[r]     point count
+    s[r]     sum of (p - c) over the voxel's points, shape (3,)
+    q[r]     sum of (p - c)(p - c)^T, upper triangle xx xy xz yy yz zz, shape (6,)
+
+where c = (cell + 0.5) * voxel_size is the voxel's centre and
+cell = floor(p / voxel_size) per axis. Anchoring the sums at the centre keeps
+them small at georeferenced coordinates (UTM northings near 1e6 m), where raw
+sums of p and p p^T cancel catastrophically once the covariance is formed
+(Chan, Golub & LeVeque 1983). The anchor depends only on the key, so
+incremental and batch builds agree to floating-point reassociation error.
+
+Keys are packed relative to the origin, the cell of the first point the map
+receives, at 21 bits per axis: each relative index must lie in
+[-2^20, 2^20), about +-524 km from the first voxel at 0.5 m voxels. A point
+outside that range raises `ValueError` naming its voxel; keys never wrap.
+Packed order is lexicographic (i, j, k) order.
+
+Every point set is grouped once (`np.unique` plus `np.bincount`). A stage
+joins the frame's keys against the map's with one `searchsorted` and leaves
+the map untouched; commit adds the matched rows in place and merges the new
+keys in with one sorted insert; pruning keeps the rows whose cell centre lies
+within the radius. Single writer per map; reads of the base during an open
+stage are fine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,260 +39,221 @@ VoxelKey = tuple[int, int, int]
 Estimator = str  # 'sample' | 'population'
 _ESTIMATORS = ("sample", "population")
 
+_AXIS_BITS = 21
+_KEY_BIAS = 1 << (_AXIS_BITS - 1)
+_AXIS_MASK = (1 << _AXIS_BITS) - 1
+# entry (a, b) of a 3x3 outer product lives in column _UPPER[a, b] of q
+_UPPER = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_UPPER_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
 
 class InsufficientPointsError(ValueError):
-    """Sample covariance requested for a voxel with fewer than two points."""
+    """Moments requested for a voxel with too few points for the estimator."""
 
 
 class StaleStageError(RuntimeError):
     """Commit of a stage whose base map has changed since staging."""
 
 
-def voxel_index(p, voxel_size: float) -> VoxelKey:
-    """Grid cell of a point: floor(coordinate / size) per axis.
+def moments(n, s, q, estimator: Estimator = "sample") -> tuple[np.ndarray, np.ndarray]:
+    """Batched means and covariances from per-voxel count and anchored sums.
 
-    Floor, not truncation, so negative coordinates land in the cell below
-    zero and each point belongs to exactly one half-open cube.
+    ``n`` (M,), ``s`` (M,3) and ``q`` (M,6) as a `GmmMap` stores them.
+    Returns ``mu`` (M,3), relative to the anchor the sums were taken about,
+    and ``sigma`` (M,3,3), which does not depend on the anchor. 'sample'
+    divides by n-1 and needs n >= 2; 'population' divides by n.
     """
-    if voxel_size <= 0.0:
-        raise ValueError("voxel_size must be positive")
-    p = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p)):
-        raise ValueError("non-finite point")
-    i, j, k = np.floor(p / voxel_size).astype(np.int64)
-    return int(i), int(j), int(k)
+    if estimator not in _ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    n = np.asarray(n, dtype=float)
+    floor = 2 if estimator == "sample" else 1
+    if n.size and n.min() < floor:
+        raise InsufficientPointsError(
+            f"{estimator} covariance needs at least {floor} points per voxel")
+    mu = np.asarray(s, dtype=float) / n[:, None]
+    # forming the outer product before scaling keeps sigma exactly symmetric
+    centered = np.asarray(q, dtype=float)[:, _UPPER] - n[:, None, None] * (
+        mu[:, :, None] * mu[:, None, :])
+    denom = n - 1.0 if estimator == "sample" else n
+    return mu, centered / denom[:, None, None]
 
 
-@dataclass
-class VoxelStats:
-    """Sufficient statistics of the points in one voxel."""
+def _group(points, voxel_size: float, origin):
+    """Reduce a point set to per-voxel deltas with sorted packed keys.
 
-    n: int = 0
-    s: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    q: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
-
-    @staticmethod
-    def from_points(pts: np.ndarray) -> "VoxelStats":
-        pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-        return VoxelStats(len(pts), pts.sum(axis=0), pts.T @ pts)
-
-    def add_point(self, p: np.ndarray) -> None:
-        self.n += 1
-        self.s = self.s + p
-        self.q = self.q + np.outer(p, p)
-
-    def merged(self, other: "VoxelStats") -> "VoxelStats":
-        return VoxelStats(self.n + other.n, self.s + other.s, self.q + other.q)
-
-    def copy(self) -> "VoxelStats":
-        return VoxelStats(self.n, self.s.copy(), self.q.copy())
-
-    def mean(self) -> np.ndarray:
-        if self.n < 1:
-            raise InsufficientPointsError("empty voxel has no mean")
-        return self.s / self.n
-
-    def covariance(self, estimator: Estimator = "sample") -> np.ndarray:
-        """Covariance about the mean; symmetrized before return.
-
-        'sample' divides by n-1 and needs n >= 2; 'population' divides by n.
-        """
-        if estimator not in _ESTIMATORS:
-            raise ValueError(f"unknown estimator {estimator!r}")
-        if self.n < 1:
-            raise InsufficientPointsError("empty voxel has no covariance")
-        mu = self.s / self.n
-        centered = self.q - self.n * np.outer(mu, mu)
-        if estimator == "sample":
-            if self.n < 2:
-                raise InsufficientPointsError("sample covariance needs at least 2 points")
-            cov = centered / (self.n - 1)
-        else:
-            cov = centered / self.n
-        return 0.5 * (cov + cov.T)
-
-    def gaussian(self, estimator: Estimator = "sample") -> tuple[np.ndarray, np.ndarray]:
-        return self.mean(), self.covariance(estimator)
-
-
-def _accumulate_by_voxel(points, voxel_size: float):
-    """Group points by voxel and reduce to (keys, counts, sums, outer sums).
-
-    Non-finite rows are dropped and counted. Returns (keys (M,3) int array,
-    counts (M,), sums (M,3), qsums (M,3,3), rejected).
+    Non-finite rows are dropped and counted. ``origin`` is the map's origin
+    cell, or None for a map that has none yet, in which case the cell of the
+    first finite point becomes the origin. Returns
+    (origin, keys (K,), n (K,), s (K,3), q (K,6), rejected).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    finite = np.isfinite(pts).all(axis=1)
-    rejected = int(len(pts) - int(finite.sum()))
-    if rejected:
+    rejected = 0
+    if not np.isfinite(pts).all():
+        finite = np.isfinite(pts).all(axis=1)
+        rejected = len(pts) - int(finite.sum())
         pts = pts[finite]
-    if len(pts) == 0:
-        return (
-            np.empty((0, 3), dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty((0, 3)),
-            np.empty((0, 3, 3)),
-            rejected,
-        )
-    keys = np.floor(pts / voxel_size).astype(np.int64)
-    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-    keys = keys[order]
-    pts = pts[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-    starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, len(keys)))
-    sums = np.add.reduceat(pts, starts, axis=0)
-    outers = (pts[:, :, None] * pts[:, None, :]).reshape(len(pts), 9)
-    qsums = np.add.reduceat(outers, starts, axis=0).reshape(-1, 3, 3)
-    return keys[starts], counts, sums, qsums, rejected
-
-
-def group_points_by_voxel(points, voxel_size: float):
-    """Partition finite points into per-voxel arrays.
-
-    Returns (groups, rejected) where groups is a list of (key, points)
-    pairs in sorted key order. Shares the grid convention with GmmMap.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    finite = np.isfinite(pts).all(axis=1)
-    rejected = int(len(pts) - int(finite.sum()))
-    if rejected:
-        pts = pts[finite]
-    if len(pts) == 0:
-        return [], rejected
-    if not (np.isfinite(voxel_size) and voxel_size > 0):
-        raise ValueError("voxel size must be positive and finite")
-    keys = np.floor(pts / voxel_size).astype(np.int64)
-    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-    keys = keys[order]
-    pts = pts[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-    starts = np.flatnonzero(first)
-    ends = np.append(starts[1:], len(keys))
-    groups = [
-        (tuple(int(v) for v in keys[a]), pts[a:b]) for a, b in zip(starts, ends)
-    ]
-    return groups, rejected
+    if not len(pts):
+        none = np.empty(0, dtype=np.int64)
+        return origin, none, none, np.empty((0, 3)), np.empty((0, 6)), rejected
+    # One (3, N) buffer, a contiguous row per axis, holds the cell indices and
+    # then each point's offset from its cell centre. Every frame-sized
+    # temporary saved here is memory the allocator need not take from the
+    # kernel again on the next frame.
+    cells = np.empty((3, len(pts)))
+    np.floor(np.divide(pts.T, voxel_size, out=cells), out=cells)
+    if origin is None:
+        origin = cells[:, 0].copy()
+    lo, hi = cells.min(axis=1) - origin, cells.max(axis=1) - origin
+    if (lo < -_KEY_BIAS).any() or (hi >= _KEY_BIAS).any():
+        rel = cells.T - origin
+        row = ((rel < -_KEY_BIAS) | (rel >= _KEY_BIAS)).any(axis=1).argmax()
+        raise ValueError(
+            f"voxel {tuple(int(v) for v in cells[:, row])} is 2^20 or more cells "
+            f"from the map origin voxel {tuple(int(v) for v in origin)}")
+    rel = np.empty((3, len(pts)), dtype=np.int64)
+    np.subtract(cells, origin[:, None], out=rel, casting="unsafe")
+    rel += _KEY_BIAS
+    packed = rel[0] << (2 * _AXIS_BITS)
+    packed |= rel[1] << _AXIS_BITS
+    packed |= rel[2]
+    del rel
+    keys, inverse, n = np.unique(packed, return_inverse=True, return_counts=True)
+    d = cells
+    d += 0.5
+    d *= voxel_size
+    np.subtract(pts.T, d, out=d)
+    sums = np.empty((len(keys), 9))
+    for c in range(3):
+        sums[:, c] = np.bincount(inverse, weights=d[c], minlength=len(keys))
+    for c, (i, j) in enumerate(_UPPER_PAIRS, start=3):
+        sums[:, c] = np.bincount(inverse, weights=d[i] * d[j], minlength=len(keys))
+    return origin, keys, n, sums[:, :3], sums[:, 3:], rejected
 
 
 @dataclass
 class StagedUpdate:
-    """Copy-on-write overlay of one candidate frame over a base map."""
+    """One candidate frame's per-voxel deltas, joined against a base map.
+
+    ``keys``, ``hit``, ``n``, ``s`` and ``q`` are aligned: one entry per voxel
+    the frame touches, in key order. ``rows`` holds the base-map row of each
+    hit voxel, in the same order. ``origin`` is the base map's origin, or the
+    one this stage chose if the base map had none.
+    """
 
     base: "GmmMap"
     base_version: int
-    overlay: dict[VoxelKey, VoxelStats]
-    new_voxel_keys: set[VoxelKey]
-    point_count: int
+    origin: np.ndarray | None
+    keys: np.ndarray
+    hit: np.ndarray
+    rows: np.ndarray
+    n: np.ndarray
+    s: np.ndarray
+    q: np.ndarray
     rejected: int
+
+    @property
+    def point_count(self) -> int:
+        return int(self.n.sum())
 
 
 class GmmMap:
-    """Hash grid from integer voxel key to per-voxel statistics."""
+    """Sorted packed voxel keys with parallel count, sum and outer-sum rows."""
 
     def __init__(self, voxel_size: float = 4.0):
         if voxel_size <= 0.0:
             raise ValueError("voxel_size must be positive")
         self.voxel_size = float(voxel_size)
-        self._table: dict[VoxelKey, VoxelStats] = {}
+        self.origin: np.ndarray | None = None
+        self._keys = np.empty(0, dtype=np.int64)
+        self.n = np.empty(0, dtype=np.int64)
+        self.s = np.empty((0, 3))
+        self.q = np.empty((0, 6))
         self.version = 0
         self.total_points = 0
         self.rejected_points = 0
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._keys)
 
-    def __contains__(self, key: VoxelKey) -> bool:
-        return key in self._table
+    def cells(self, rows=None) -> np.ndarray:
+        """(M,3) float array of each row's cell index (i, j, k), or of ``rows``."""
+        if self.origin is None:
+            return np.empty((0, 3))
+        k = self._keys if rows is None else self._keys[rows]
+        b = np.stack([k >> (2 * _AXIS_BITS), (k >> _AXIS_BITS) & _AXIS_MASK,
+                      k & _AXIS_MASK], axis=1)
+        return (b - _KEY_BIAS) + self.origin
 
-    def keys(self):
-        return self._table.keys()
+    def centres(self) -> np.ndarray:
+        """(M,3) centre of each row's cell, the anchor of its sums."""
+        return (self.cells() + 0.5) * self.voxel_size
 
-    def items(self):
-        return self._table.items()
-
-    def get(self, key: VoxelKey) -> VoxelStats | None:
-        return self._table.get(key)
-
-    def insert_point(self, p) -> bool:
-        """Add one point; returns False (and counts it) if non-finite."""
-        p = np.asarray(p, dtype=float).reshape(3)
-        if not np.all(np.isfinite(p)):
-            self.rejected_points += 1
-            return False
-        key = voxel_index(p, self.voxel_size)
-        stats = self._table.get(key)
-        if stats is None:
-            stats = VoxelStats()
-            self._table[key] = stats
-        stats.add_point(p)
-        self.total_points += 1
-        self.version += 1
-        return True
+    def keys(self) -> list[VoxelKey]:
+        """Cell index (i, j, k) of each row, in row order."""
+        return [tuple(c) for c in self.cells().astype(np.int64).tolist()]
 
     def insert_points(self, points) -> int:
-        """Vectorized bulk insert; returns the number of accepted points."""
-        keys, counts, sums, qsums, rejected = _accumulate_by_voxel(points, self.voxel_size)
-        for idx in range(len(keys)):
-            key = (int(keys[idx, 0]), int(keys[idx, 1]), int(keys[idx, 2]))
-            delta = VoxelStats(int(counts[idx]), sums[idx], qsums[idx])
-            stats = self._table.get(key)
-            self._table[key] = delta if stats is None else stats.merged(delta)
-        accepted = int(counts.sum()) if len(counts) else 0
-        self.total_points += accepted
-        self.rejected_points += rejected
-        self.version += 1
-        return accepted
+        """Bulk insert; returns the number of accepted points."""
+        # not stage_frame/commit: a bulk insert is neither a staged frame nor
+        # a commit decision, and the benchmark trace counts those
+        stage = self._stage(points)
+        self._apply(stage)
+        return stage.point_count
 
     def stage_frame(self, points) -> StagedUpdate:
-        """Overlay with post-insertion stats for every voxel the frame touches.
+        """Group a frame's points and join them against the map.
 
         Points must already be in the map frame. The base map is not modified.
         """
-        keys, counts, sums, qsums, rejected = _accumulate_by_voxel(points, self.voxel_size)
-        overlay: dict[VoxelKey, VoxelStats] = {}
-        new_keys: set[VoxelKey] = set()
-        for idx in range(len(keys)):
-            key = (int(keys[idx, 0]), int(keys[idx, 1]), int(keys[idx, 2]))
-            delta = VoxelStats(int(counts[idx]), sums[idx], qsums[idx])
-            base_stats = self._table.get(key)
-            if base_stats is None:
-                overlay[key] = delta
-                new_keys.add(key)
-            else:
-                overlay[key] = base_stats.merged(delta)
-        accepted = int(counts.sum()) if len(counts) else 0
-        return StagedUpdate(self, self.version, overlay, new_keys, accepted, rejected)
+        return self._stage(points)
 
     def commit(self, stage: StagedUpdate) -> None:
-        """Adopt a stage's overlay. Rejects stages from another map state."""
+        """Adopt a stage's deltas. Rejects stages from another map state."""
         if stage.base is not self or stage.base_version != self.version:
             raise StaleStageError("stage was built against a different map state")
-        self._table.update(stage.overlay)
-        self.total_points += stage.point_count
-        self.rejected_points += stage.rejected
-        self.version += 1
+        self._apply(stage)
 
     def prune_outside(self, center, radius: float) -> int:
         """Drop voxels whose cell center is farther than radius from center."""
         if radius <= 0.0:
             raise ValueError("radius must be positive")
-        if not self._table:
+        if not len(self):
             return 0
         center = np.asarray(center, dtype=float).reshape(3)
-        keys = np.array(list(self._table.keys()), dtype=float)
-        centers = (keys + 0.5) * self.voxel_size
-        outside = np.linalg.norm(centers - center, axis=1) > radius
-        removed = 0
-        for idx in np.flatnonzero(outside):
-            key = (int(keys[idx, 0]), int(keys[idx, 1]), int(keys[idx, 2]))
-            self.total_points -= self._table.pop(key).n
-            removed += 1
+        outside = np.linalg.norm(self.centres() - center, axis=1) > radius
+        removed = int(outside.sum())
         if removed:
+            self.total_points -= int(self.n[outside].sum())
+            keep = ~outside
+            self._keys, self.n = self._keys[keep], self.n[keep]
+            self.s, self.q = self.s[keep], self.q[keep]
             self.version += 1
         return removed
+
+    def _stage(self, points) -> StagedUpdate:
+        origin, keys, n, s, q, rejected = _group(points, self.voxel_size, self.origin)
+        at = np.searchsorted(self._keys, keys)
+        hit = at < len(self._keys)
+        hit[hit] = self._keys[at[hit]] == keys[hit]
+        return StagedUpdate(self, self.version, origin, keys, hit, at[hit],
+                            n, s, q, rejected)
+
+    def _apply(self, stage: StagedUpdate) -> None:
+        hit, rows = stage.hit, stage.rows
+        self.n[rows] += stage.n[hit]
+        self.s[rows] += stage.s[hit]
+        self.q[rows] += stage.q[hit]
+        new = ~hit
+        if new.any():
+            at = np.searchsorted(self._keys, stage.keys[new])
+            self._keys = np.insert(self._keys, at, stage.keys[new])
+            self.n = np.insert(self.n, at, stage.n[new])
+            self.s = np.insert(self.s, at, stage.s[new], axis=0)
+            self.q = np.insert(self.q, at, stage.q[new], axis=0)
+        self.origin = stage.origin  # chosen by the stage when the map had none
+        self.total_points += stage.point_count
+        self.rejected_points += stage.rejected
+        self.version += 1
 
 
 def build_map(points, voxel_size: float = 4.0) -> GmmMap:
@@ -282,25 +261,3 @@ def build_map(points, voxel_size: float = 4.0) -> GmmMap:
     grid = GmmMap(voxel_size)
     grid.insert_points(points)
     return grid
-
-
-def blended_gaussian_update(
-    n_old: int, mu_old: np.ndarray, sigma_old: np.ndarray, new_points: np.ndarray
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Approximate incremental update that stores (n, mean, covariance) directly.
-
-    Blends the previous covariance, which was centered at the previous mean,
-    with the new points' scatter about the updated mean, dividing by the
-    combined count. Not equal to recomputing from all points; retained as a
-    benchmark strategy so the divergence from the exact accumulator path can
-    be measured.
-    """
-    new_points = np.asarray(new_points, dtype=float).reshape(-1, 3)
-    m = len(new_points)
-    if m == 0:
-        return n_old, mu_old, sigma_old
-    total = n_old + m
-    mu_new = (n_old * mu_old + new_points.sum(axis=0)) / total
-    centered = new_points - mu_new
-    sigma_new = (n_old * sigma_old + centered.T @ centered) / total
-    return total, mu_new, sigma_new

@@ -12,8 +12,8 @@ vanishes identically and the distance is returned as the plain mean offset,
 which keeps d(g, g) exactly zero instead of sqrt(rounding noise).
 
 Map-level dissimilarity compares a staged frame against its base map voxel by
-voxel and averages under a selectable policy. Keys are sorted before the
-reduction so the result is bit-stable regardless of hash order.
+voxel and averages under a selectable policy. Voxels are reduced in key
+order, so the result is bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from wassmap.voxel_map import GmmMap, StagedUpdate, VoxelKey
+from wassmap.voxel_map import GmmMap, StagedUpdate, StaleStageError, VoxelKey, moments
 
 AGGREGATION_POLICIES = ("affected", "all", "mass")
 
@@ -143,19 +143,6 @@ def w2(g1: GaussianComponent, g2: GaussianComponent) -> float:
     )
 
 
-def _batch_moments(stats_list, estimator: str):
-    """Means and covariances for a list of voxel statistics, batched."""
-    n = np.array([st.n for st in stats_list], dtype=float)
-    s = np.array([st.s for st in stats_list])
-    q = np.array([st.q for st in stats_list])
-    mu = s / n[:, None]
-    centered = q - n[:, None, None] * (mu[:, :, None] * mu[:, None, :])
-    denom = (n - 1.0) if estimator == "sample" else n
-    cov = centered / denom[:, None, None]
-    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    return mu, cov
-
-
 def map_dissimilarity(
     base: GmmMap,
     stage: StagedUpdate,
@@ -182,21 +169,18 @@ def map_dissimilarity(
         raise ValueError(f"unknown estimator {estimator!r}")
     if stage.base is not base:
         raise ValueError("stage does not belong to this map")
+    if stage.base_version != base.version:
+        raise StaleStageError("stage was built against a different map state")
     floor = max(int(min_points), 2 if estimator == "sample" else 1)
 
-    compared: list[VoxelKey] = []
-    skipped = 0
-    for key in stage.overlay:
-        if key in stage.new_voxel_keys:
-            continue
-        if base.get(key).n >= floor and stage.overlay[key].n >= floor:
-            compared.append(key)
-        else:
-            skipped += 1
-    compared.sort()
-    new_count = len(stage.new_voxel_keys)
+    matched = np.flatnonzero(stage.hit)
+    base_n = base.n[stage.rows]
+    usable = (base_n >= floor) & (base_n + stage.n[matched] >= floor)
+    rows, deltas = stage.rows[usable], matched[usable]
+    new_count = len(stage.keys) - len(stage.rows)
+    skipped = len(stage.rows) - len(rows)
 
-    if not compared:
+    if not len(rows):
         report = DissimilarityReport(
             value=math.nan,
             distances={},
@@ -206,8 +190,12 @@ def map_dissimilarity(
         )
         raise NoComparableVoxelsError("no comparable voxels", report)
 
-    mu_base, cov_base = _batch_moments([base.get(k) for k in compared], estimator)
-    mu_over, cov_over = _batch_moments([stage.overlay[k] for k in compared], estimator)
+    # both sides share each voxel's anchor, so the anchored means compare
+    # directly and the score does not depend on how far the map is from zero
+    n, s, q = base.n[rows], base.s[rows], base.q[rows]
+    mu_base, cov_base = moments(n, s, q, estimator)
+    mu_over, cov_over = moments(n + stage.n[deltas], s + stage.s[deltas],
+                                q + stage.q[deltas], estimator)
     dists = w2_batch(mu_base, cov_base, mu_over, cov_over)
 
     if policy == "affected":
@@ -215,13 +203,14 @@ def map_dissimilarity(
     elif policy == "all":
         value = float(dists.sum() / len(base))
     else:
-        weights = np.array([base.get(k).n for k in compared], dtype=float)
+        weights = n.astype(float)
         value = float((dists * weights).sum() / weights.sum())
 
+    cells = base.cells(rows).astype(np.int64).tolist()
     return DissimilarityReport(
         value=value,
-        distances={k: float(d) for k, d in zip(compared, dists)},
-        affected_count=len(compared),
+        distances=dict(zip(map(tuple, cells), dists.tolist())),
+        affected_count=len(rows),
         new_count=new_count,
         skipped_count=skipped,
     )

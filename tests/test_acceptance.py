@@ -22,7 +22,7 @@ from wassmap.pose_graph import PoseGraph, evaluate_ate, merge_sessions, optimize
     whitened_residual_and_jacobians
 from wassmap.synth import NoiseModel, ScanSpec, build_session_graph, compose_odometry, \
     corridor_path, generate_scene, generate_two_session, loop_path, simulate_scan
-from wassmap.voxel_map import GmmMap, build_map
+from wassmap.voxel_map import GmmMap, build_map, moments
 from wassmap.wasserstein import GaussianComponent, w2
 
 
@@ -38,6 +38,17 @@ def _spd(rng, dim=3, floor=0.05) -> np.ndarray:
     return a @ a.T + floor * np.eye(dim)
 
 
+def _voxel_gaussians(grid) -> dict:
+    """Per-voxel (n, mean, sample covariance), the covariance None below 2 points."""
+    mu, _ = moments(grid.n, grid.s, grid.q, "population")
+    mu = mu + grid.centres()
+    sigma = [None] * len(grid)
+    rows = np.flatnonzero(grid.n >= 2)
+    for r, cov in zip(rows, moments(grid.n[rows], grid.s[rows], grid.q[rows], "sample")[1]):
+        sigma[r] = cov
+    return {key: (int(n), m, c) for key, n, m, c in zip(grid.keys(), grid.n, mu, sigma)}
+
+
 def test_ac1_incremental_matches_batch():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
@@ -46,26 +57,26 @@ def test_ac1_incremental_matches_batch():
     grid = GmmMap(voxel_size=4.0)
     for chunk in np.array_split(points, 20):
         grid.commit(grid.stage_frame(chunk))
-    incremental = dict(grid.items())
-    batch = dict(build_map(points, 4.0).items())
+    incremental = _voxel_gaussians(grid)
+    batch = _voxel_gaussians(build_map(points, 4.0))
 
     failures = []
     if set(incremental) != set(batch):
         failures.append("voxel key sets differ between the two builds")
     worst_mu = worst_sig = 0.0
-    for key, ref in batch.items():
+    for key, (n_ref, mu_ref, sig_ref) in batch.items():
         got = incremental.get(key)
         if got is None:
             continue
-        if got.n != ref.n:
+        n_got, mu_got, sig_got = got
+        if n_got != n_ref:
             failures.append(f"point count differs in voxel {key}")
             continue
-        mu_err = float(np.max(np.abs(got.mean() - ref.mean())
-                              / (1e-12 + np.abs(ref.mean()))))
+        mu_err = float(np.max(np.abs(mu_got - mu_ref)
+                              / (1e-12 + np.abs(mu_ref))))
         worst_mu = max(worst_mu, mu_err)
-        if ref.n >= 2:
-            sig_ref = ref.covariance("sample")
-            sig_err = float(np.max(np.abs(got.covariance("sample") - sig_ref)
+        if n_ref >= 2:
+            sig_err = float(np.max(np.abs(sig_got - sig_ref)
                                    / (1e-12 + np.abs(sig_ref))))
             worst_sig = max(worst_sig, sig_err)
     if worst_mu > 1e-9:

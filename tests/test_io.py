@@ -276,18 +276,20 @@ class TestDecisionsCsv:
             FrameDecision(2, Pose.identity(), 0.123456789123, False, "scored", 5, 1, 2, 2.5,
                           timestamp=0.1),
             FrameDecision(3, Pose.identity(), float("nan"), True, "no_comparable", 0, 3, 0, 0.5),
+            FrameDecision(4, Pose.identity(), float("nan"), False, "error"),
         ]
 
     def test_header_and_rows(self, tmp_path):
         f = tmp_path / "decisions.csv"
         write_decisions_csv(f, self._decisions())
         lines = f.read_text().splitlines()
-        assert lines[0] == "frame,timestamp,dw,keyframe,affected,new,skipped,ms"
-        assert lines[1] == "1,0,inf,1,0,12,0,1.25"
+        assert lines[0] == "frame,timestamp,dw,keyframe,flag,affected,new,skipped,ms"
+        assert lines[1] == "1,0,inf,1,bootstrap,0,12,0,1.25"
         # 9 significant digits on floats
-        assert lines[2] == "2,0.1,0.123456789,0,5,1,2,2.5"
+        assert lines[2] == "2,0.1,0.123456789,0,scored,5,1,2,2.5"
         # missing timestamp leaves the column empty
-        assert lines[3] == "3,,nan,1,0,3,0,0.5"
+        assert lines[3] == "3,,nan,1,no_comparable,0,3,0,0.5"
+        assert lines[4] == "4,,nan,0,error,0,0,0,0"
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -299,7 +301,7 @@ class TestDecisionsCsv:
     def test_empty_writes_header_only(self, tmp_path):
         f = tmp_path / "empty.csv"
         write_decisions_csv(f, [])
-        assert f.read_text() == "frame,timestamp,dw,keyframe,affected,new,skipped,ms\n"
+        assert f.read_text() == "frame,timestamp,dw,keyframe,flag,affected,new,skipped,ms\n"
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from wassmap.keyframe import (
     keyframe_indices,
     replay_decisions,
 )
-from wassmap.voxel_map import voxel_index
+from wassmap.synth import ScanSpec, generate_scene, loop_path, simulate_scan
 
 
 def make_frame(rng, n=400, extent=8.0):
@@ -59,7 +59,7 @@ def test_bootstrap_decision_and_voxel_count():
     assert decision.frame_index == 1
 
     world = pose.transform_points(pts)
-    expected = {voxel_index(p, 2.0) for p in world}
+    expected = {tuple(c) for c in np.floor(world / 2.0).astype(int).tolist()}
     assert set(selector.map.keys()) == expected
     assert decision.new_count == len(expected)
 
@@ -177,15 +177,68 @@ def test_run_sequence_skips_bad_frames():
     pts = make_frame(rng)
     frames = [
         (pts, Pose.identity()),
-        (np.empty((0, 3)), Pose.identity()),          # skipped
-        (pts, Pose(Rotation.identity(), (np.nan, 0, 0))),  # skipped
+        (np.empty((0, 3)), Pose.identity()),          # error row
+        (pts, Pose(Rotation.identity(), (np.nan, 0, 0))),  # error row
         (pts + 0.05, Pose.identity(), 12.5),
     ]
     selector = KeyframeSelector(base_config())
     decisions = selector.run_sequence(frames)
-    assert len(decisions) == 2
-    assert [d.frame_index for d in decisions] == [1, 4]
-    assert decisions[1].timestamp == 12.5
+    assert len(decisions) == 4
+    assert [d.frame_index for d in decisions] == [1, 2, 3, 4]
+    assert [d.flag for d in decisions][1:3] == ["error", "error"]
+    for d in decisions[1:3]:
+        assert not d.keyframe and math.isnan(d.dw)
+    assert decisions[3].flag == "scored"
+    assert decisions[3].timestamp == 12.5
+    assert selector.decisions == decisions
+
+
+def test_failed_bootstrap_frame_gets_error_row_and_next_frame_bootstraps():
+    selector = KeyframeSelector(base_config())
+    pts = make_frame(np.random.default_rng(14))
+    decisions = selector.run_sequence([
+        (np.full((10, 3), np.nan), Pose.identity()),
+        (pts, Pose.identity()),
+    ])
+    assert [d.flag for d in decisions] == ["error", "bootstrap"]
+    assert [d.frame_index for d in decisions] == [1, 2]
+    assert keyframe_indices(decisions) == [2]
+
+
+def test_all_nan_frame_after_bootstrap_is_an_error_not_a_keyframe():
+    rng = np.random.default_rng(15)
+    selector = KeyframeSelector(base_config())
+    selector.bootstrap(make_frame(rng), Pose.identity())
+    version, voxels = selector.map.version, len(selector.map)
+    with pytest.raises(EmptyFrameError):
+        selector.process_frame(np.full((100, 3), np.nan), Pose.identity())
+
+    decisions = selector.run_sequence([(np.full((100, 3), np.nan), Pose.identity())])
+    assert [d.flag for d in decisions] == ["error"]
+    assert not decisions[0].keyframe and math.isnan(decisions[0].dw)
+    assert decisions[0].frame_index == 3
+    assert (selector.map.version, len(selector.map)) == (version, voxels)
+
+
+def test_georeferenced_poses_score_like_local_ones():
+    # 1e6 m offsets are routine for UTM poses; raw moments cancel there
+    scene = generate_scene("loop_course")
+    poses = loop_path(n_frames=40)
+    clouds = [simulate_scan(scene, pose, ScanSpec(20.0, 0.01, 5000, seed=k),
+                            frame_index=k).points for k, pose in enumerate(poses)]
+    shift = np.array([1e6, 1e6, 0.0])
+    runs = []
+    for offset in (np.zeros(3), shift):
+        selector = KeyframeSelector(SelectorConfig(tau=0.1, voxel_size=1.0))
+        frames = [(pts, Pose(pose.rotation, pose.translation + offset))
+                  for pts, pose in zip(clouds, poses)]
+        runs.append(selector.run_sequence(frames))
+    local, shifted = runs
+    assert [d.flag for d in shifted] == [d.flag for d in local]
+    assert "error" not in [d.flag for d in local]
+    assert keyframe_indices(shifted) == keyframe_indices(local)
+    np.testing.assert_allclose([d.dw for d in shifted], [d.dw for d in local],
+                               rtol=0.0, atol=1e-6)
 
 
 def test_single_frame_sequence():

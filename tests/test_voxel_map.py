@@ -5,54 +5,85 @@ from wassmap.voxel_map import (
     GmmMap,
     InsufficientPointsError,
     StaleStageError,
-    VoxelStats,
-    blended_gaussian_update,
     build_map,
-    voxel_index,
+    moments,
 )
 
 
+def voxel_gaussians(grid):
+    """Per-voxel (absolute mean, sample covariance) keyed by cell, for n >= 2."""
+    rows = np.flatnonzero(grid.n >= 2)
+    mu, sigma = moments(grid.n[rows], grid.s[rows], grid.q[rows], "sample")
+    keys = grid.keys()
+    return {keys[r]: (m, c) for r, m, c in zip(rows, mu + grid.centres()[rows], sigma)}
+
+
+def voxel_rows(grid):
+    """Per-voxel (n, s, q) keyed by cell."""
+    return {key: (grid.n[r], grid.s[r], grid.q[r]) for r, key in enumerate(grid.keys())}
+
+
 def test_voxel_index_examples():
-    assert voxel_index((8.2, -0.5, 3.9), 4.0) == (2, -1, 0)
-    assert voxel_index((0.0, 0.0, 0.0), 4.0) == (0, 0, 0)
-    assert voxel_index((-0.1, -4.0, -4.1), 4.0) == (-1, -1, -2)
+    assert build_map([(8.2, -0.5, 3.9)], 4.0).keys() == [(2, -1, 0)]
+    assert build_map([(0.0, 0.0, 0.0)], 4.0).keys() == [(0, 0, 0)]
+    assert build_map([(-0.1, -4.0, -4.1)], 4.0).keys() == [(-1, -1, -2)]
 
 
 def test_voxel_index_boundary_is_half_open():
     # a point exactly on the upper face belongs to the next cell
-    assert voxel_index((4.0, 4.0, 4.0), 4.0) == (1, 1, 1)
-    assert voxel_index((3.999999, 4.0, 0.0), 4.0) == (0, 1, 0)
+    assert build_map([(4.0, 4.0, 4.0)], 4.0).keys() == [(1, 1, 1)]
+    assert build_map([(3.999999, 4.0, 0.0)], 4.0).keys() == [(0, 1, 0)]
 
 
 def test_voxel_index_rejects_bad_input():
+    grid = build_map([(np.nan, 0.0, 0.0)], 4.0)
+    assert len(grid) == 0 and grid.rejected_points == 1
     with pytest.raises(ValueError):
-        voxel_index((np.nan, 0.0, 0.0), 4.0)
-    with pytest.raises(ValueError):
-        voxel_index((0.0, 0.0, 0.0), 0.0)
+        GmmMap(voxel_size=0.0)
+
+
+def test_keys_beyond_packing_range_rejected():
+    # keys pack 21 bits per axis around the first voxel: [-2^20, 2^20) cells
+    grid = build_map([(0.5, 0.5, 0.5)], voxel_size=1.0)
+    edge = grid.stage_frame([(-(2.0 ** 20) + 0.5, 0.5, 2.0 ** 20 - 0.5)])
+    assert edge.point_count == 1
+    with pytest.raises(ValueError, match=r"voxel \(1048576, 0, 0\)"):
+        grid.stage_frame([(2.0 ** 20 + 0.5, 0.5, 0.5)])
+    with pytest.raises(ValueError, match="voxel"):
+        grid.insert_points([(0.5, -(2.0 ** 20) - 0.5, 0.5)])
+    assert len(grid) == 1 and grid.total_points == 1
+
+    # the range is relative to the first voxel, so it follows georeferenced data
+    far = build_map([(1e6 + 0.25, 5e5, 0.0)], voxel_size=0.5)
+    far.insert_points([(1e6 - 3e5, 5e5 + 3e5, 0.0)])
+    assert len(far) == 2
 
 
 def test_hand_computed_moments():
-    stats = VoxelStats.from_points([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)])
-    assert stats.n == 2
-    np.testing.assert_allclose(stats.mean(), np.zeros(3))
-    np.testing.assert_allclose(stats.covariance("sample"), np.diag([2.0, 0.0, 0.0]))
-    np.testing.assert_allclose(stats.covariance("population"), np.diag([1.0, 0.0, 0.0]))
+    grid = build_map([(1.0, 0.5, 0.5), (3.0, 0.5, 0.5)], voxel_size=4.0)
+    assert grid.n.tolist() == [2]
+    mu, sigma = moments(grid.n, grid.s, grid.q, "sample")
+    np.testing.assert_allclose(mu[0] + grid.centres()[0], (2.0, 0.5, 0.5))
+    np.testing.assert_allclose(sigma[0], np.diag([2.0, 0.0, 0.0]))
+    _, sigma = moments(grid.n, grid.s, grid.q, "population")
+    np.testing.assert_allclose(sigma[0], np.diag([1.0, 0.0, 0.0]))
 
 
 def test_sample_covariance_needs_two_points():
-    stats = VoxelStats.from_points([(0.5, 0.5, 0.5)])
+    grid = build_map([(0.5, 0.5, 0.5)], voxel_size=1.0)
     with pytest.raises(InsufficientPointsError):
-        stats.covariance("sample")
+        moments(grid.n, grid.s, grid.q, "sample")
     # population estimate of a single point is the zero matrix
-    np.testing.assert_allclose(stats.covariance("population"), np.zeros((3, 3)))
+    _, sigma = moments(grid.n, grid.s, grid.q, "population")
+    np.testing.assert_allclose(sigma[0], np.zeros((3, 3)))
     with pytest.raises(InsufficientPointsError):
-        VoxelStats().mean()
+        moments([0], np.zeros((1, 3)), np.zeros((1, 6)), "population")
 
 
 def test_unknown_estimator_rejected():
-    stats = VoxelStats.from_points(np.eye(3))
+    grid = build_map(np.eye(3), voxel_size=4.0)
     with pytest.raises(ValueError):
-        stats.covariance("mle")
+        moments(grid.n, grid.s, grid.q, "mle")
 
 
 def test_incremental_matches_batch():
@@ -61,18 +92,16 @@ def test_incremental_matches_batch():
 
     one_by_one = GmmMap(voxel_size=2.0)
     for p in pts:
-        assert one_by_one.insert_point(p)
+        assert one_by_one.insert_points(p[None, :]) == 1
     batch = build_map(pts, voxel_size=2.0)
 
-    assert set(one_by_one.keys()) == set(batch.keys())
-    for key, stats in batch.items():
-        other = one_by_one.get(key)
-        assert other.n == stats.n
-        if stats.n >= 2:
-            mu_a, cov_a = stats.gaussian("sample")
-            mu_b, cov_b = other.gaussian("sample")
-            np.testing.assert_allclose(mu_a, mu_b, rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(cov_a, cov_b, rtol=1e-9, atol=1e-12)
+    assert one_by_one.keys() == batch.keys()
+    np.testing.assert_array_equal(one_by_one.n, batch.n)
+    a, b = voxel_gaussians(batch), voxel_gaussians(one_by_one)
+    for key, (mu_a, cov_a) in a.items():
+        mu_b, cov_b = b[key]
+        np.testing.assert_allclose(mu_a, mu_b, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(cov_a, cov_b, rtol=1e-9, atol=1e-12)
 
 
 def test_insertion_order_invariance():
@@ -81,21 +110,24 @@ def test_insertion_order_invariance():
     shuffled = pts[rng.permutation(len(pts))]
     a = build_map(pts, voxel_size=1.5)
     b = build_map(shuffled, voxel_size=1.5)
-    assert set(a.keys()) == set(b.keys())
-    for key, stats in a.items():
-        other = b.get(key)
-        assert stats.n == other.n
-        np.testing.assert_allclose(stats.s, other.s, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(stats.q, other.q, rtol=1e-9, atol=1e-12)
+    # the origin is the first point's voxel, which differs, but keys and
+    # centre-anchored sums do not depend on it
+    assert a.keys() == b.keys()
+    np.testing.assert_array_equal(a.n, b.n)
+    np.testing.assert_allclose(a.s, b.s, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(a.q, b.q, rtol=1e-9, atol=1e-12)
 
 
 def test_merge_equals_single_pass_on_exact_inputs():
-    # integer coordinates are exact in float64, so field-wise merge must be bitwise
+    # integer coordinates and even cell centres are exact in float64, so
+    # committing in two parts must equal one pass bitwise
     rng = np.random.default_rng(3)
     pts = rng.integers(-50, 50, size=(200, 3)).astype(float)
-    whole = VoxelStats.from_points(pts)
-    merged = VoxelStats.from_points(pts[:77]).merged(VoxelStats.from_points(pts[77:]))
-    assert merged.n == whole.n
+    whole = build_map(pts, voxel_size=8.0)
+    merged = build_map(pts[:77], voxel_size=8.0)
+    merged.commit(merged.stage_frame(pts[77:]))
+    assert merged.keys() == whole.keys()
+    assert np.array_equal(merged.n, whole.n)
     assert np.array_equal(merged.s, whole.s)
     assert np.array_equal(merged.q, whole.q)
 
@@ -104,28 +136,34 @@ def test_covariance_is_symmetric_psd():
     rng = np.random.default_rng(19)
     for _ in range(50):
         pts = rng.normal(size=(rng.integers(2, 40), 3)) * rng.uniform(0.01, 10.0)
-        cov = VoxelStats.from_points(pts).covariance("sample")
-        np.testing.assert_allclose(cov, cov.T)
-        assert np.linalg.eigvalsh(cov).min() >= -1e-9
+        grid = build_map(pts + 500.0, voxel_size=1000.0)
+        assert len(grid) == 1
+        _, cov = moments(grid.n, grid.s, grid.q, "sample")
+        np.testing.assert_allclose(cov[0], cov[0].T)
+        assert np.linalg.eigvalsh(cov[0]).min() >= -1e-9
 
 
 def test_stage_leaves_base_untouched():
     base = build_map(np.zeros((5, 3)) + 0.5, voxel_size=1.0)
     before_version = base.version
-    before_stats = base.get((0, 0, 0)).copy()
+    before = (base.keys(), base.n.copy(), base.s.copy(), base.q.copy())
 
     stage = base.stage_frame([(0.4, 0.4, 0.4), (3.2, 0.1, 0.1)])
     assert base.version == before_version
-    assert base.get((0, 0, 0)).n == before_stats.n
-    assert (3, 0, 0) not in base
-    assert stage.new_voxel_keys == {(3, 0, 0)}
-    assert stage.overlay[(0, 0, 0)].n == 6
-    assert stage.overlay[(3, 0, 0)].n == 1
+    assert base.keys() == before[0] == [(0, 0, 0)]
+    for now, then in zip((base.n, base.s, base.q), before[1:]):
+        assert np.array_equal(now, then)
+    # (0,0,0) is in the base, (3,0,0) is new
+    assert stage.hit.tolist() == [True, False]
+    assert stage.n.tolist() == [1, 1]
+    assert (base.n[stage.rows] + stage.n[stage.hit]).tolist() == [6]
 
     # dropping the stage has no effect; a fresh stage sees the original map
     del stage
     again = base.stage_frame([(0.4, 0.4, 0.4)])
-    assert again.overlay[(0, 0, 0)].n == 6
+    assert (base.n[again.rows] + again.n[again.hit]).tolist() == [6]
+    base.commit(again)
+    assert base.keys() == [(0, 0, 0)] and base.n.tolist() == [6]
 
 
 def test_commit_matches_direct_insert():
@@ -137,19 +175,17 @@ def test_commit_matches_direct_insert():
         staged.commit(staged.stage_frame(frame))
     direct = build_map(np.concatenate(frames), voxel_size=2.0)
 
-    assert set(staged.keys()) == set(direct.keys())
+    assert staged.keys() == direct.keys()
     assert staged.total_points == direct.total_points
-    for key, stats in direct.items():
-        other = staged.get(key)
-        assert other.n == stats.n
-        np.testing.assert_allclose(other.s, stats.s, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(other.q, stats.q, rtol=1e-9, atol=1e-12)
+    np.testing.assert_array_equal(staged.n, direct.n)
+    np.testing.assert_allclose(staged.s, direct.s, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(staged.q, direct.q, rtol=1e-9, atol=1e-12)
 
 
 def test_stale_stage_rejected():
     grid = build_map([(0.1, 0.1, 0.1)], voxel_size=1.0)
     stage = grid.stage_frame([(0.2, 0.2, 0.2)])
-    grid.insert_point((5.0, 5.0, 5.0))
+    grid.insert_points([(5.0, 5.0, 5.0)])
     with pytest.raises(StaleStageError):
         grid.commit(stage)
 
@@ -170,28 +206,29 @@ def test_conservation_through_mixed_operations():
     grid.insert_points(rng.normal(scale=6.0, size=(300, 3)))
     grid.commit(grid.stage_frame(rng.normal(scale=6.0, size=(200, 3))))
     for p in rng.normal(scale=6.0, size=(50, 3)):
-        grid.insert_point(p)
-    assert grid.total_points == sum(st.n for _, st in grid.items())
+        grid.insert_points(p[None, :])
+    assert grid.total_points == grid.n.sum() == 550
     grid.prune_outside((0.0, 0.0, 0.0), 5.0)
-    assert grid.total_points == sum(st.n for _, st in grid.items())
+    assert grid.total_points == grid.n.sum()
+    assert len(grid.keys()) == len(grid.n) == len(grid.s) == len(grid.q)
 
 
 def test_prune_uses_voxel_center_strictly():
     grid = GmmMap(voxel_size=2.0)
-    grid.insert_point((0.5, 0.5, 0.5))   # voxel (0,0,0), center (1,1,1)
-    grid.insert_point((8.5, 0.5, 0.5))   # voxel (4,0,0), center (9,1,1)
+    grid.insert_points([(0.5, 0.5, 0.5)])   # voxel (0,0,0), center (1,1,1)
+    grid.insert_points([(8.5, 0.5, 0.5)])   # voxel (4,0,0), center (9,1,1)
     center_dist = np.linalg.norm([1.0, 1.0, 1.0])
     # radius exactly at the near voxel's center distance keeps it (strict >)
     removed = grid.prune_outside((0.0, 0.0, 0.0), center_dist)
     assert removed == 1
-    assert (0, 0, 0) in grid and (4, 0, 0) not in grid
+    assert grid.keys() == [(0, 0, 0)]
     with pytest.raises(ValueError):
         grid.prune_outside((0.0, 0.0, 0.0), 0.0)
 
 
 def test_non_finite_points_rejected_not_fatal():
     grid = GmmMap(voxel_size=1.0)
-    assert not grid.insert_point((np.nan, 0.0, 0.0))
+    assert grid.insert_points([(np.nan, 0.0, 0.0)]) == 0
     assert grid.rejected_points == 1
     assert len(grid) == 0
 
@@ -210,28 +247,3 @@ def test_non_finite_points_rejected_not_fatal():
 def test_map_rejects_bad_voxel_size():
     with pytest.raises(ValueError):
         GmmMap(voxel_size=-1.0)
-
-
-def test_blended_update_first_batch_is_exact():
-    rng = np.random.default_rng(41)
-    pts = rng.normal(size=(60, 3))
-    n, mu, sigma = blended_gaussian_update(0, np.zeros(3), np.zeros((3, 3)), pts)
-    exact = VoxelStats.from_points(pts)
-    assert n == exact.n
-    np.testing.assert_allclose(mu, exact.mean(), rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(sigma, exact.covariance("population"), rtol=1e-9, atol=1e-12)
-
-
-def test_blended_update_diverges_from_exact_after_shift():
-    rng = np.random.default_rng(43)
-    first = rng.normal(size=(50, 3))
-    second = rng.normal(size=(50, 3)) + 2.0  # moved cluster makes the blend visibly biased
-
-    n, mu, sigma = blended_gaussian_update(0, np.zeros(3), np.zeros((3, 3)), first)
-    n, mu, sigma = blended_gaussian_update(n, mu, sigma, second)
-
-    exact = VoxelStats.from_points(np.concatenate([first, second]))
-    np.testing.assert_allclose(mu, exact.mean(), rtol=1e-9, atol=1e-12)
-    diff = np.abs(sigma - exact.covariance("population")).max()
-    assert diff > 1e-3
-    np.testing.assert_allclose(sigma, sigma.T)

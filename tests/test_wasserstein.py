@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wassmap.geometry import Rotation
-from wassmap.voxel_map import GmmMap, VoxelStats, build_map
+from wassmap.voxel_map import GmmMap, StaleStageError, build_map
 from wassmap.wasserstein import (
     DissimilarityReport,
     GaussianComponent,
@@ -145,11 +145,14 @@ def _two_voxel_setup(rng, extra_voxels=0):
     return grid, frame, (base_a, base_b)
 
 
+def _gaussian(pts, estimator):
+    return GaussianComponent(np.mean(pts, axis=0),
+                             np.cov(pts, rowvar=False, ddof=1 if estimator == "sample" else 0))
+
+
 def _expected_voxel_distance(base_pts, frame_pts, estimator="sample"):
-    g_base = GaussianComponent(*VoxelStats.from_points(base_pts).gaussian(estimator))
     merged = np.concatenate([base_pts, frame_pts])
-    g_over = GaussianComponent(*VoxelStats.from_points(merged).gaussian(estimator))
-    return w2(g_base, g_over)
+    return w2(_gaussian(base_pts, estimator), _gaussian(merged, estimator))
 
 
 def test_map_dissimilarity_matches_per_voxel_oracle():
@@ -255,3 +258,12 @@ def test_population_estimator_allows_single_point_voxels():
     report = map_dissimilarity(grid, stage, estimator="population", min_points=1)
     assert report.affected_count == 1
     assert report.value > 0.0
+
+
+def test_stale_stage_not_scored():
+    # a stage indexes base rows, which a later change to the base moves
+    grid = build_map(np.zeros((10, 3)) + 0.5, voxel_size=1.0)
+    stage = grid.stage_frame(np.zeros((4, 3)) + 0.4)
+    grid.insert_points(np.zeros((3, 3)) - 5.5)
+    with pytest.raises(StaleStageError):
+        map_dissimilarity(grid, stage)
