@@ -209,7 +209,8 @@ def cmd_calibrate(args) -> int:
         "max": scores.max(),
     }
     suggested = quantiles["p90"]
-    lines = [f"scored={len(scores)}"]
+    errors = sum(d.flag == "error" for d in decisions)
+    lines = [f"scored={len(scores)}", f"errors={errors}"]
     lines += ["%s=%.9g" % (k, v) for k, v in quantiles.items()]
     lines.append("suggested_tau=%.9g" % suggested)
     (out / "calibration.txt").write_text("\n".join(lines) + "\n")

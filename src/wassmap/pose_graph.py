@@ -22,6 +22,16 @@ usual positive-definite Hessian approximation of the robust cost. A step is
 accepted only if the true robust cost decreases, so the accepted-cost trace
 is monotone by construction.
 
+Every iteration runs over arrays, one batched kernel for all edges: node
+states are quaternion and translation arrays, the Hessian is assembled from
+6x6 blocks as a sparse matrix and each damping trial is one sparse LU solve
+(the structure g2o exploits). Before the first iteration a connected-component
+pass over the edges finds free nodes that no fixed node or prior reaches; the
+Hessian would be singular, and the error names them. The one-edge and
+one-graph functions (`edge_residual`, `whitened_residual_and_jacobians`,
+`robust_cost`) wrap the same kernel. scipy is imported on the first call to
+`optimize`, so importing the package does not load it.
+
 The merged two-session problem anchors session 1 (hard-fixed, matching an
 argmin over session-2 poses alone) and initializes session 2 through T_init.
 """
@@ -29,18 +39,21 @@ argmin over session-2 poses alone) and initializes session 2 through T_init.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from wassmap.geometry import (
     Pose,
+    Rotation,
     adjoint,
+    compose_batch,
+    invert_batch,
     se3_exp,
     se3_left_jacobian_inv,
     se3_log,
     se3_right_jacobian_inv,
+    stack_poses,
 )
 
 logger = logging.getLogger(__name__)
@@ -90,10 +103,6 @@ class GraphEdge:
         except np.linalg.LinAlgError:
             raise ValueError("information matrix not positive definite") from None
         self.information = info
-
-    def whitener(self) -> np.ndarray:
-        """Upper-triangular W with W^T W = information."""
-        return np.linalg.cholesky(self.information).T
 
 
 class PoseGraph:
@@ -160,14 +169,157 @@ def _as_poses(nodes) -> dict[int, Pose]:
     return nodes
 
 
+# The batched kernel. Node states are arrays with one row per node plus a
+# last row holding the identity, so that a prior on node i is the binary edge
+# (identity, i): r = log(Z^{-1} I^{-1} T_i). Every edge then has the same
+# residual and Jacobian form, and the identity row counts as a fixed node.
+
+@dataclass(frozen=True)
+class _Edges:
+    a: np.ndarray          # (E,) state row of T_a (the identity row for a prior)
+    b: np.ndarray          # (E,) state row of T_b
+    z_inv_q: np.ndarray    # (E, 4) inverse measurements
+    z_inv_t: np.ndarray    # (E, 3)
+    whitener: np.ndarray   # (E, 6, 6) upper-triangular W with W^T W = info
+    huber: np.ndarray      # (E,) bool
+    delta: np.ndarray      # (E,)
+
+    def select(self, mask: np.ndarray) -> "_Edges":
+        return _Edges(*(getattr(self, f.name)[mask] for f in fields(self)))
+
+
+def _state(poses, ids) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Rows of ``ids`` (and of None, the identity) and the stacked poses."""
+    rows = {nid: k for k, nid in enumerate(ids)}
+    rows[None] = len(ids)
+    q, t = stack_poses([poses[nid] for nid in ids] + [Pose.identity()])
+    return rows, q, t
+
+
+def _stack_edges(edges, rows) -> _Edges:
+    """Edges as arrays; ``rows`` maps node ids, and None for a prior, to state rows."""
+    ends = np.array([(rows[None], rows[e.i]) if e.j is None else (rows[e.i], rows[e.j])
+                     for e in edges], dtype=np.intp).reshape(-1, 2)
+    z_inv_q, z_inv_t = stack_poses(e.measurement.inverse() for e in edges)
+    info = np.array([e.information for e in edges]).reshape(-1, 6, 6)
+    return _Edges(
+        ends[:, 0], ends[:, 1], z_inv_q, z_inv_t,
+        np.swapaxes(np.linalg.cholesky(info), -1, -2),
+        np.array([e.kernel == "huber" for e in edges], dtype=bool),
+        np.array([e.delta for e in edges], dtype=float),
+    )
+
+
+def _residuals(edges: _Edges, q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Unwhitened residuals log(Z^{-1} T_a^{-1} T_b), (E, 6)."""
+    rel = compose_batch(invert_batch((q[edges.a], t[edges.a])), (q[edges.b], t[edges.b]))
+    return se3_log(compose_batch((edges.z_inv_q, edges.z_inv_t), rel))
+
+
+def _robust(edges: _Edges, r: np.ndarray):
+    """Whitened residuals, kernel costs rho(s) and IRLS scales sqrt(w(s)).
+
+    With s the whitened norm, Huber edges beyond delta cost
+    delta (s - delta / 2) and get w = delta / s; all others cost s^2 / 2
+    with w = 1.
+    """
+    wr = (edges.whitener @ r[:, :, None])[:, :, 0]
+    s = np.sqrt((wr * wr).sum(axis=1))
+    outer = edges.huber & (s > edges.delta)
+    rho = np.where(outer, edges.delta * (s - 0.5 * edges.delta), 0.5 * s * s)
+    scale = np.sqrt(np.where(outer, edges.delta / np.where(outer, s, 1.0), 1.0))
+    return wr, rho, scale
+
+
+def _cost(edges: _Edges, q: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
+    r = _residuals(edges, q, t)
+    return float(_robust(edges, r)[1].sum()), r
+
+
+def _jacobians(edges: _Edges, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened Jacobians of each residual wrt the right perturbations of T_a, T_b."""
+    jac_a = -se3_left_jacobian_inv(r) @ adjoint((edges.z_inv_q, edges.z_inv_t))
+    jac_b = se3_right_jacobian_inv(r)
+    return edges.whitener @ jac_a, edges.whitener @ jac_b
+
+
+class _Problem:
+    """One optimization's graph as arrays.
+
+    ``q``/``t`` hold the initial node states in sorted id order plus the
+    identity row, ``free`` marks the rows being optimized, and ``edges``
+    holds every edge. Only edges with a free endpoint are linearized: edges
+    between fixed rows add a constant to the cost.
+    """
+
+    def __init__(self, graph: PoseGraph, fixed_ids):
+        self.ids = sorted(graph.nodes)
+        rows, self.q, self.t = _state(graph.poses(), self.ids)
+        self.edges = _stack_edges(graph.edges, rows)
+        self.free = np.array([nid not in fixed_ids for nid in self.ids] + [False])
+        self.n_free = int(self.free.sum())
+        slot = np.full(len(self.free), -1)
+        slot[self.free] = np.arange(self.n_free)
+        slots = slot[np.stack([self.edges.a, self.edges.b], axis=1)]
+        self.active = (slots >= 0).any(axis=1)
+        self.linearized, self.slots = self.edges.select(self.active), slots[self.active]
+
+    def unanchored(self) -> list[int]:
+        """Ids of free nodes whose edge-connected component holds no fixed row.
+
+        The identity row is fixed, so a prior anchors its node. With
+        positive-definite information and rotation angles below pi, the
+        Gauss-Newton Hessian is singular exactly when such a node exists.
+        """
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        n = len(self.free)
+        links = coo_matrix((np.ones(len(self.edges.a)), (self.edges.a, self.edges.b)),
+                           shape=(n, n))
+        _, label = connected_components(links, directed=False)
+        anchored = np.zeros(label.max() + 1, dtype=bool)
+        anchored[label[~self.free]] = True
+        return [self.ids[k] for k in np.flatnonzero(~anchored[label])]
+
+    def normal_equations(self, r: np.ndarray):
+        """IRLS-weighted gradient (6F,) and sparse Hessian (6F, 6F) over free rows.
+
+        ``r`` holds the residuals of all edges. The 6x6 blocks J_k^T J_l of
+        the free endpoints of each linearized edge go to the Hessian in COO
+        form; duplicates sum when it is converted to CSC.
+        """
+        from scipy.sparse import coo_matrix
+
+        edges, slots, r = self.linearized, self.slots, r[self.active]
+        wr, _, scale = _robust(edges, r)
+        jac = np.stack(_jacobians(edges, r), axis=1) * scale[:, None, None, None]
+        wr = wr * scale[:, None]
+        free = slots >= 0
+
+        grad = np.zeros((self.n_free, 6))
+        np.add.at(grad, slots[free], np.einsum("ekai,ea->eki", jac, wr)[free])
+
+        e, k, m = np.nonzero(free[:, :, None] & free[:, None, :])
+        blocks = np.einsum("pai,paj->pij", jac[e, k], jac[e, m])
+        idx = np.arange(6)
+        rows, cols = np.broadcast_arrays(6 * slots[e, k][:, None, None] + idx[:, None],
+                                         6 * slots[e, m][:, None, None] + idx)
+        dim = 6 * self.n_free
+        hess = coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(dim, dim))
+        return grad.ravel(), hess.tocsc()
+
+
+def _single_edge(edge: GraphEdge, nodes):
+    poses = _as_poses(nodes)
+    rows, q, t = _state(poses, [edge.i] if edge.j is None else [edge.i, edge.j])
+    edges = _stack_edges([edge], rows)
+    return edges, _residuals(edges, q, t)
+
+
 def edge_residual(edge: GraphEdge, nodes) -> np.ndarray:
     """Unwhitened 6-vector residual (rotation part first)."""
-    poses = _as_poses(nodes)
-    if edge.j is None:
-        err = edge.measurement.inverse() * poses[edge.i]
-    else:
-        err = edge.measurement.inverse() * (poses[edge.i].inverse() * poses[edge.j])
-    return se3_log(err)
+    return _single_edge(edge, nodes)[1][0]
 
 
 def whitened_residual_and_jacobians(edge: GraphEdge, nodes):
@@ -176,37 +328,19 @@ def whitened_residual_and_jacobians(edge: GraphEdge, nodes):
     Right perturbation convention: d/dxi of residual at T <- T exp(xi).
     Returns (W r, {node_id: W J}).
     """
-    poses = _as_poses(nodes)
-    w = edge.whitener()
-    r = edge_residual(edge, nodes)
+    edges, r = _single_edge(edge, nodes)
+    jac_a, jac_b = _jacobians(edges, r)
+    wr = edges.whitener[0] @ r[0]
     if edge.j is None:
-        return w @ r, {edge.i: w @ se3_right_jacobian_inv(r)}
-    jac_j = se3_right_jacobian_inv(r)
-    jac_i = -se3_left_jacobian_inv(r) @ adjoint(edge.measurement.inverse())
-    return w @ r, {edge.i: w @ jac_i, edge.j: w @ jac_j}
-
-
-def _rho(s: float, kernel: str, delta: float) -> float:
-    if kernel == "huber" and s > delta:
-        return delta * (s - 0.5 * delta)
-    return 0.5 * s * s
-
-
-def _irls_weight(s: float, kernel: str, delta: float) -> float:
-    if kernel == "huber" and s > delta:
-        return delta / s
-    return 1.0
-
-
-def _edge_cost(edge: GraphEdge, poses) -> float:
-    s = float(np.linalg.norm(edge.whitener() @ edge_residual(edge, poses)))
-    return _rho(s, edge.kernel, edge.delta)
+        return wr, {edge.i: jac_b[0]}
+    return wr, {edge.i: jac_a[0], edge.j: jac_b[0]}
 
 
 def robust_cost(graph: PoseGraph, poses=None) -> float:
     """Sum of kernel-reshaped whitened residual norms over all edges."""
     poses = graph.poses() if poses is None else poses
-    return sum(_edge_cost(edge, poses) for edge in graph.edges)
+    rows, q, t = _state(poses, list(poses))
+    return _cost(_stack_edges(graph.edges, rows), q, t)[0]
 
 
 @dataclass
@@ -230,29 +364,16 @@ class OptimizationReport:
     rejected_steps: int = 0
 
 
-def _build_normal_equations(graph, poses, slots):
-    dim = 6 * len(slots)
-    hess = np.zeros((dim, dim))
-    grad = np.zeros(dim)
-    for edge in graph.edges:
-        wr, jacs = whitened_residual_and_jacobians(edge, poses)
-        free_jacs = {nid: jac for nid, jac in jacs.items() if nid in slots}
-        if not free_jacs:
-            continue
-        scale = math.sqrt(_irls_weight(float(np.linalg.norm(wr)), edge.kernel, edge.delta))
-        wr = scale * wr
-        free_jacs = {nid: scale * jac for nid, jac in free_jacs.items()}
-        for nid_a, jac_a in free_jacs.items():
-            a = 6 * slots[nid_a]
-            grad[a:a + 6] += jac_a.T @ wr
-            for nid_b, jac_b in free_jacs.items():
-                b = 6 * slots[nid_b]
-                hess[a:a + 6, b:b + 6] += jac_a.T @ jac_b
-    return hess, grad
-
-
 def optimize(graph: PoseGraph, fixed=None, params: LMParams | None = None) -> OptimizationReport:
-    """Levenberg-Marquardt over the non-fixed nodes; updates poses in place."""
+    """Levenberg-Marquardt over the non-fixed nodes; updates poses in place.
+
+    Every iteration runs over arrays: one batched residual for all edges,
+    Jacobians for the edges with a free endpoint, a sparse Hessian and one
+    sparse LU factorization per damping trial.
+    """
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import splu
+
     params = params or LMParams()
     fixed_ids = {n.id for n in graph.nodes.values() if n.fixed}
     if fixed is not None:
@@ -260,31 +381,27 @@ def optimize(graph: PoseGraph, fixed=None, params: LMParams | None = None) -> Op
         if missing:
             raise ValueError(f"fixed ids not in graph: {sorted(missing)}")
         fixed_ids |= set(fixed)
-    if not fixed_ids and not any(e.kind == "prior" for e in graph.edges):
-        raise GaugeUnderdeterminedError("no fixed node and no prior edge")
 
-    free_ids = sorted(set(graph.nodes) - fixed_ids)
-    poses = graph.poses()
-    cost = robust_cost(graph, poses)
+    problem = _Problem(graph, fixed_ids)
+    loose = problem.unanchored()
+    if loose:
+        more = f", ... ({len(loose)} in all)" if len(loose) > 10 else ""
+        raise GaugeUnderdeterminedError(
+            f"unanchored nodes: {', '.join(map(str, loose[:10]))}{more}; "
+            "fix a node or add a prior")
+
+    free, q, t = problem.free, problem.q, problem.t
+    cost, r = _cost(problem.edges, q, t)
     report = OptimizationReport(0, cost, cost, [cost], "max iterations")
-    if not free_ids:
+    if not problem.n_free:
         report.reason = "nothing to optimize"
         return report
-    slots = {nid: k for k, nid in enumerate(free_ids)}
+    damping = identity(6 * problem.n_free, format="csc")
 
     lam = params.lambda0
     for iteration in range(params.max_iterations):
         report.iterations = iteration + 1
-        hess, grad = _build_normal_equations(graph, poses, slots)
-        if iteration == 0:
-            # with damping the solve below never fails, so probe the gauge
-            # once, and do it before the gradient early-out: a graph that is
-            # consistent but free to slide must still be reported
-            eigs = np.linalg.eigvalsh(hess)
-            if eigs[0] < 1e-12 * max(eigs[-1], 1.0):
-                raise GaugeUnderdeterminedError(
-                    "normal equations singular; fix a node or add a prior"
-                )
+        grad, hess = problem.normal_equations(r)
         if float(np.linalg.norm(grad)) < params.gradient_tolerance:
             report.iterations = iteration
             report.reason = "gradient tolerance"
@@ -292,11 +409,11 @@ def optimize(graph: PoseGraph, fixed=None, params: LMParams | None = None) -> Op
 
         accepted = False
         while lam <= params.lambda_max:
-            step = np.linalg.solve(hess + lam * np.eye(len(hess)), -grad)
-            trial = dict(poses)
-            for nid, k in slots.items():
-                trial[nid] = poses[nid] * se3_exp(step[6 * k:6 * k + 6])
-            trial_cost = robust_cost(graph, trial)
+            step = splu((hess + lam * damping).tocsc()).solve(-grad)
+            trial_q, trial_t = q.copy(), t.copy()
+            trial_q[free], trial_t[free] = compose_batch((q[free], t[free]),
+                                                         se3_exp(step.reshape(-1, 6)))
+            trial_cost, trial_r = _cost(problem.edges, trial_q, trial_t)
             if trial_cost < cost:
                 accepted = True
                 break
@@ -306,7 +423,7 @@ def optimize(graph: PoseGraph, fixed=None, params: LMParams | None = None) -> Op
             report.reason = "damping limit"
             break
 
-        poses = trial
+        q, t, r = trial_q, trial_t, trial_r
         report.accepted_steps += 1
         report.cost_trace.append(trial_cost)
         lam = max(lam / params.lambda_factor, 1e-15)
@@ -316,8 +433,9 @@ def optimize(graph: PoseGraph, fixed=None, params: LMParams | None = None) -> Op
             report.reason = "cost tolerance"
             break
 
-    for nid, pose in poses.items():
-        graph.nodes[nid].pose = pose
+    if report.accepted_steps:
+        for k in np.flatnonzero(free):
+            graph.nodes[problem.ids[k]].pose = Pose(Rotation(*q[k].tolist()), t[k])
     report.final_cost = cost
     return report
 

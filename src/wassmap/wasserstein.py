@@ -58,10 +58,17 @@ class GaussianComponent:
 @dataclass
 class DissimilarityReport:
     value: float
-    distances: dict[VoxelKey, float] = field(default_factory=dict)
+    cells: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))  # (K,3) compared voxels
+    cell_distances: np.ndarray = field(default_factory=lambda: np.empty(0))  # (K,) their W2
     affected_count: int = 0  # voxels that entered the average
     new_count: int = 0       # frame voxels absent from the base map
     skipped_count: int = 0   # shared voxels under the point-count floor
+
+    @property
+    def distances(self) -> dict[VoxelKey, float]:
+        """Per-voxel distance keyed by cell index, built on demand."""
+        cells = self.cells.astype(np.int64).tolist()
+        return dict(zip(map(tuple, cells), self.cell_distances.tolist()))
 
 
 def _validate_covariances(sig: np.ndarray, eig_floor_checked: bool) -> None:
@@ -183,7 +190,6 @@ def map_dissimilarity(
     if not len(rows):
         report = DissimilarityReport(
             value=math.nan,
-            distances={},
             affected_count=0,
             new_count=new_count,
             skipped_count=skipped,
@@ -206,10 +212,10 @@ def map_dissimilarity(
         weights = n.astype(float)
         value = float((dists * weights).sum() / weights.sum())
 
-    cells = base.cells(rows).astype(np.int64).tolist()
     return DissimilarityReport(
         value=value,
-        distances=dict(zip(map(tuple, cells), dists.tolist())),
+        cells=base.cells(rows),
+        cell_distances=dists,
         affected_count=len(rows),
         new_count=new_count,
         skipped_count=skipped,

@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wassmap.keyframe
 from wassmap.cli import RunConfig, main, resolve_config, run_bench
 from wassmap.io import read_graph, read_tum, write_pcd
+from wassmap.wasserstein import InvalidCovarianceError
 
 
 def run(*argv):
@@ -29,6 +31,21 @@ def two_session_dataset(tmp_path_factory):
                "--noise", "0.005", "--loops", "8", "--out", out)
     assert code == 0
     return out
+
+
+def _fail_fourth_score(monkeypatch):
+    """Make the fourth scored frame, frame 5 after the bootstrap frame, fail
+    as a frame with an invalid covariance would."""
+    real = wassmap.keyframe.map_dissimilarity
+    calls = []
+
+    def score(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise InvalidCovarianceError("covariance has eigenvalue -0.5")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(wassmap.keyframe, "map_dissimilarity", score)
 
 
 def _tree_bytes(root: Path) -> dict:
@@ -142,6 +159,20 @@ class TestKeyframesCommand:
         assert (frame, dw, keyframe, flag) == ("5", "nan", "0", "error")
         assert "5" not in (out / "keyframes.txt").read_text().split()
 
+    def test_invalid_covariance_gets_error_row(self, corridor_dataset, tmp_path, capsys,
+                                               monkeypatch):
+        _fail_fourth_score(monkeypatch)
+        out = tmp_path / "kf"
+        code = run("keyframes", "--clouds", corridor_dataset / "clouds",
+                   "--trajectory", corridor_dataset / "trajectory.tum",
+                   "--tau", "0.3", "--out", out)
+        assert code == 0
+        assert "errors=1" in capsys.readouterr().out
+        rows = [r.split(",") for r in (out / "decisions.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 12
+        errors = [r for r in rows if r[4] == "error"]
+        assert [(r[0], r[2], r[3]) for r in errors] == [("5", "nan", "0")]
+
     def test_huge_tau_keeps_only_bootstrap(self, corridor_dataset, tmp_path):
         out = tmp_path / "kf"
         code = run("keyframes", "--clouds", corridor_dataset / "clouds",
@@ -182,6 +213,22 @@ class TestCalibrateCommand:
         assert float(values["min"]) <= float(values["median"]) <= float(values["p90"])
         assert float(values["suggested_tau"]) == float(values["p90"])
         assert float(values["suggested_tau"]) > 0.0
+
+    def test_counts_errors(self, corridor_dataset, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "cal"
+        assert run("calibrate", "--clouds", corridor_dataset / "clouds",
+                   "--trajectory", corridor_dataset / "trajectory.tum", "--out", out) == 0
+        clean = dict(line.split("=") for line in (out / "calibration.txt").read_text().splitlines())
+        assert clean["errors"] == "0"
+
+        _fail_fourth_score(monkeypatch)
+        capsys.readouterr()
+        assert run("calibrate", "--clouds", corridor_dataset / "clouds",
+                   "--trajectory", corridor_dataset / "trajectory.tum", "--out", out) == 0
+        assert "errors=1" in capsys.readouterr().out.splitlines()
+        values = dict(line.split("=") for line in (out / "calibration.txt").read_text().splitlines())
+        assert values["errors"] == "1"
+        assert int(values["scored"]) == int(clean["scored"]) - 1
 
     def test_deterministic_across_runs(self, corridor_dataset, tmp_path):
         outs = []

@@ -1,10 +1,15 @@
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wassmap.geometry import Pose, Rotation, se3_exp
+import wassmap
+from wassmap.geometry import Pose, Rotation, se3_exp, se3_log
 from wassmap.pose_graph import (
     GaugeUnderdeterminedError,
     GraphEdge,
@@ -15,6 +20,9 @@ from wassmap.pose_graph import (
     optimize,
     robust_cost,
     whitened_residual_and_jacobians,
+    _Problem,
+    _residuals,
+    _robust,
 )
 
 
@@ -185,8 +193,9 @@ def test_gauge_errors():
         split.add_node(i, random_pose(rng))
     split.add_edge("odometry", 0, 1, Pose.identity(), np.eye(6))
     split.add_edge("odometry", 2, 3, Pose.identity(), np.eye(6))
-    with pytest.raises(GaugeUnderdeterminedError):
+    with pytest.raises(GaugeUnderdeterminedError) as err:
         optimize(split, fixed={0})
+    assert "unanchored nodes: 2, 3;" in str(err.value)
 
 
 def test_prior_only_gauge():
@@ -349,3 +358,103 @@ def test_monotone_cost_trace_on_noisy_graph():
     assert all(b <= a for a, b in zip(report.cost_trace, report.cost_trace[1:]))
     assert report.cost_trace[0] == report.initial_cost
     assert report.cost_trace[-1] == report.final_cost
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the optimizer on first use, so the keyframe
+    # commands never pay for loading it
+    src = str(Path(wassmap.__file__).resolve().parents[1])
+    code = ("import sys, wassmap, wassmap.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
+
+
+def _oracle_skew(v):
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
+def _oracle_left_jacobian(xi):
+    # the series sum ad^n / (n+1)! with ad = [[w^, 0], [v^, w^]], one edge at a time
+    ad = np.zeros((6, 6))
+    ad[:3, :3] = ad[3:, 3:] = _oracle_skew(xi[:3])
+    ad[3:, :3] = _oracle_skew(xi[3:])
+    out, term = np.eye(6), np.eye(6)
+    for n in range(1, 60):
+        term = term @ ad / (n + 1.0)
+        out = out + term
+        if np.max(np.abs(term)) < 1e-18:
+            break
+    return out
+
+
+def _oracle_adjoint(pose):
+    m = pose.as_matrix()
+    out = np.zeros((6, 6))
+    out[:3, :3] = out[3:, 3:] = m[:3, :3]
+    out[3:, :3] = _oracle_skew(m[:3, 3]) @ m[:3, :3]
+    return out
+
+
+def _oracle_normal_equations(graph, free_ids):
+    """Dense gradient and Hessian summed edge by edge, as in a textbook."""
+    slot = {nid: k for k, nid in enumerate(free_ids)}
+    dim = 6 * len(free_ids)
+    hess, grad = np.zeros((dim, dim)), np.zeros(dim)
+    poses = graph.poses()
+    for edge in graph.edges:
+        if edge.j is None:
+            r = se3_log(edge.measurement.inverse() * poses[edge.i])
+            jacs = {edge.i: np.linalg.inv(_oracle_left_jacobian(-r))}
+        else:
+            rel = poses[edge.i].inverse() * poses[edge.j]
+            r = se3_log(edge.measurement.inverse() * rel)
+            jacs = {edge.i: -np.linalg.inv(_oracle_left_jacobian(r))
+                    @ _oracle_adjoint(edge.measurement.inverse()),
+                    edge.j: np.linalg.inv(_oracle_left_jacobian(-r))}
+        w = np.linalg.cholesky(edge.information).T
+        wr = w @ r
+        s = np.linalg.norm(wr)
+        weight = edge.delta / s if edge.kernel == "huber" and s > edge.delta else 1.0
+        wr = math.sqrt(weight) * wr
+        jacs = {nid: math.sqrt(weight) * w @ jac for nid, jac in jacs.items() if nid in slot}
+        for a, jac_a in jacs.items():
+            ka = 6 * slot[a]
+            grad[ka:ka + 6] += jac_a.T @ wr
+            for b, jac_b in jacs.items():
+                kb = 6 * slot[b]
+                hess[ka:ka + 6, kb:kb + 6] += jac_a.T @ jac_b
+    return grad, hess
+
+
+def test_batched_normal_equations_match_per_edge_oracle():
+    rng = np.random.default_rng(31)
+    graph = PoseGraph()
+    for i in range(8):
+        graph.add_node(i, random_pose(rng))
+    fixed = {0, 1, 5}
+    for i in range(7):
+        graph.add_edge("odometry", i, i + 1, random_pose(rng, rot_scale=0.3), random_info(rng))
+    # Huber inactive (huge delta) and active (tiny delta) loops, a plain loop,
+    # priors on a free and on a fixed node, and a second fixed-fixed edge
+    graph.add_edge("loop", 2, 6, random_pose(rng, rot_scale=0.3), random_info(rng), delta=1e6)
+    graph.add_edge("loop", 3, 7, random_pose(rng, rot_scale=0.3), random_info(rng), delta=0.1)
+    graph.add_edge("loop", 1, 4, random_pose(rng, rot_scale=0.3), random_info(rng),
+                   kernel="none")
+    graph.add_prior(4, random_pose(rng), random_info(rng))
+    graph.add_prior(1, random_pose(rng), random_info(rng))
+    graph.add_edge("odometry", 0, 5, random_pose(rng, rot_scale=0.3), random_info(rng))
+
+    problem = _Problem(graph, fixed)
+    r = _residuals(problem.edges, problem.q, problem.t)
+    _, _, scale = _robust(problem.edges, r)
+    assert (scale < 1.0).sum() == 1  # exactly one Huber edge is beyond delta
+    assert problem.active.sum() == len(graph.edges) - 3  # 0-1, prior on 1, 0-5 skipped
+
+    grad, hess = problem.normal_equations(r)
+    ref_grad, ref_hess = _oracle_normal_equations(graph, sorted(set(graph.nodes) - fixed))
+    hess = hess.toarray()
+    assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max()
+    assert np.abs(hess - ref_hess).max() <= 1e-9 * np.abs(ref_hess).max()
+    np.testing.assert_array_equal(hess != 0.0, ref_hess != 0.0)
