@@ -1,156 +1,23 @@
 """Keyframe selection for LiDAR mapping via Wasserstein distances on voxel
-Gaussian maps, plus multi-session pose-graph merging."""
+Gaussian maps, plus multi-session pose-graph merging.
 
-from wassmap.geometry import (
-    Pose,
-    Rotation,
-    adjoint,
-    se3_exp,
-    se3_left_jacobian,
-    se3_left_jacobian_inv,
-    se3_log,
-    se3_right_jacobian_inv,
-)
-from wassmap.io import (
-    CloudFrame,
-    ParseError,
-    TrajectoryEntry,
-    pair_frames,
-    read_cloud_dir,
-    read_edge_list,
-    read_graph,
-    read_pcd,
-    read_tum,
-    write_decisions_csv,
-    write_edge_list,
-    write_graph,
-    write_pcd,
-    write_tum,
-)
+The package root exports the keyframe selector API; every other name is
+imported from its own module (`wassmap.pose_graph`, `wassmap.io`, ...)."""
+
 from wassmap.keyframe import (
-    EmptyFrameError,
     FrameDecision,
     KeyframeSelector,
     SelectorConfig,
     keyframe_indices,
     replay_decisions,
 )
-from wassmap.pose_graph import (
-    GaugeUnderdeterminedError,
-    GraphEdge,
-    GraphNode,
-    LMParams,
-    OptimizationReport,
-    PoseGraph,
-    edge_residual,
-    evaluate_ate,
-    merge_sessions,
-    optimize,
-    robust_cost,
-    whitened_residual_and_jacobians,
-)
-from wassmap.synth import (
-    NoiseModel,
-    Patch,
-    ScanSpec,
-    Scene,
-    TwoSessionData,
-    build_session_graph,
-    compose_odometry,
-    corridor_path,
-    generate_scene,
-    generate_two_session,
-    loop_path,
-    perturb_pose,
-    relative_noise,
-    simulate_scan,
-)
-from wassmap.voxel_map import (
-    GmmMap,
-    InsufficientPointsError,
-    StagedUpdate,
-    StaleStageError,
-    build_map,
-)
-from wassmap.wasserstein import (
-    DissimilarityReport,
-    GaussianComponent,
-    InvalidCovarianceError,
-    NoComparableVoxelsError,
-    map_dissimilarity,
-    sym_sqrt,
-    w2,
-    w2_batch,
-)
 
 __all__ = [
-    "CloudFrame",
-    "DissimilarityReport",
-    "EmptyFrameError",
     "FrameDecision",
-    "GaugeUnderdeterminedError",
-    "GaussianComponent",
-    "GmmMap",
-    "GraphEdge",
-    "GraphNode",
-    "InsufficientPointsError",
-    "InvalidCovarianceError",
     "KeyframeSelector",
-    "LMParams",
-    "NoComparableVoxelsError",
-    "NoiseModel",
-    "OptimizationReport",
-    "ParseError",
-    "Patch",
-    "Pose",
-    "PoseGraph",
-    "Rotation",
-    "ScanSpec",
-    "Scene",
     "SelectorConfig",
-    "StagedUpdate",
-    "StaleStageError",
-    "TrajectoryEntry",
-    "TwoSessionData",
-    "adjoint",
-    "build_map",
-    "build_session_graph",
-    "compose_odometry",
-    "corridor_path",
-    "edge_residual",
-    "evaluate_ate",
-    "generate_scene",
-    "generate_two_session",
     "keyframe_indices",
-    "loop_path",
-    "map_dissimilarity",
-    "merge_sessions",
-    "optimize",
-    "pair_frames",
-    "perturb_pose",
-    "read_cloud_dir",
-    "read_edge_list",
-    "read_graph",
-    "read_pcd",
-    "read_tum",
-    "relative_noise",
     "replay_decisions",
-    "robust_cost",
-    "se3_exp",
-    "se3_left_jacobian",
-    "se3_left_jacobian_inv",
-    "se3_log",
-    "se3_right_jacobian_inv",
-    "simulate_scan",
-    "sym_sqrt",
-    "w2",
-    "w2_batch",
-    "whitened_residual_and_jacobians",
-    "write_decisions_csv",
-    "write_edge_list",
-    "write_graph",
-    "write_pcd",
-    "write_tum",
 ]
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """Command line front end.
 
-Subcommands: keyframes, calibrate, merge, synth, bench. Shared knobs resolve
+Subcommands: keyframes, calibrate, merge, synth. Shared knobs resolve
 with flag > config-file > built-in default precedence, and every command
 echoes its effective configuration into the output directory so results are
 reproducible from their artifacts alone.
@@ -15,7 +15,6 @@ import dataclasses
 import logging
 import math
 import sys
-import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -54,12 +53,7 @@ from wassmap.synth import (
     loop_path,
     simulate_scan,
 )
-from wassmap.voxel_map import build_map
-from wassmap.wasserstein import (
-    InvalidCovarianceError,
-    NoComparableVoxelsError,
-    map_dissimilarity,
-)
+from wassmap.wasserstein import InvalidCovarianceError
 
 logger = logging.getLogger(__name__)
 
@@ -338,101 +332,6 @@ def cmd_synth(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-def _bench_frame_cloud(rng, k: int, n_points: int) -> np.ndarray:
-    lo = np.array([10.0 + 3.0 * k, 50.0, 0.0])
-    hi = lo + np.array([50.0, 50.0, 40.0])
-    return rng.uniform(lo, hi, size=(n_points, 3))
-
-
-def run_bench(map_points: int, frame_points: int, n_frames: int,
-              cfg: RunConfig) -> dict:
-    """Timing comparison of incremental map updates with a batch rebuild.
-
-    Returns a dict of scalars; the caller formats them. The incremental path
-    stages, scores, commits, and prunes like the selector does; the batch
-    variant rebuilds the whole map from raw points.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    base_cloud = rng.uniform([0, 0, 0], [160, 160, 40], size=(map_points, 3))
-    grid = build_map(base_cloud, cfg.voxel_size)
-    initial_voxels = len(grid)
-
-    stage_ms, score_ms, commit_ms, prune_ms, total_ms = [], [], [], [], []
-    batch_ms = []
-    peak_voxels = initial_voxels
-    all_points = [base_cloud]
-
-    for k in range(n_frames):
-        cloud = _bench_frame_cloud(rng, k, frame_points)
-        center = cloud.mean(axis=0)
-
-        t0 = time.perf_counter()
-        stage = grid.stage_frame(cloud)
-        t1 = time.perf_counter()
-        try:
-            map_dissimilarity(grid, stage, policy=cfg.agg,
-                              estimator=cfg.estimator, min_points=cfg.min_points)
-        except NoComparableVoxelsError:
-            pass
-        t2 = time.perf_counter()
-        grid.commit(stage)
-        t3 = time.perf_counter()
-        grid.prune_outside(center, cfg.radius)
-        t4 = time.perf_counter()
-        stage_ms.append(1e3 * (t1 - t0))
-        score_ms.append(1e3 * (t2 - t1))
-        commit_ms.append(1e3 * (t3 - t2))
-        prune_ms.append(1e3 * (t4 - t3))
-        total_ms.append(1e3 * (t4 - t0))
-        peak_voxels = max(peak_voxels, len(grid))
-
-        all_points.append(cloud)
-        t0 = time.perf_counter()
-        build_map(np.concatenate(all_points), cfg.voxel_size)
-        batch_ms.append(1e3 * (time.perf_counter() - t0))
-
-    median = float(np.median(total_ms))
-    return {
-        "frames": n_frames,
-        "points_per_frame": frame_points,
-        "initial_voxels": initial_voxels,
-        "peak_voxels": peak_voxels,
-        "median_frame_ms": median,
-        "frames_per_sec": 1e3 / median if median > 0 else float("inf"),
-        "stage_ms": float(np.median(stage_ms)),
-        "score_ms": float(np.median(score_ms)),
-        "commit_ms": float(np.median(commit_ms)),
-        "prune_ms": float(np.median(prune_ms)),
-        "batch_rebuild_ms": float(np.median(batch_ms)),
-        "realtime_target_met": median < 100.0,
-    }
-
-
-def cmd_bench(args) -> int:
-    cfg = resolve_config(args)
-    if args.frames < 1 or args.points < 1 or args.map_points < 1:
-        raise UsageError("bench needs positive --frames, --points, --map-points")
-    out = _out_dir(args)
-    _echo_config(out, "bench", cfg)
-    stats = run_bench(args.map_points, args.points, args.frames, cfg)
-    lines = []
-    for key, value in stats.items():
-        if isinstance(value, float):
-            lines.append("%s=%.6g" % (key, value))
-        else:
-            lines.append(f"{key}={value}")
-    lines.append(
-        f"incremental_faster_than_batch={stats['batch_rebuild_ms'] > stats['stage_ms'] + stats['commit_ms']}"
-    )
-    (out / "bench.txt").write_text("\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # wiring
 
 def _add_shared_flags(sub):
@@ -492,12 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(sy)
     sy.set_defaults(func=cmd_synth)
 
-    be = commands.add_parser("bench", help="update-strategy timing comparison")
-    be.add_argument("--points", type=int, default=50000)
-    be.add_argument("--frames", type=int, default=11)
-    be.add_argument("--map-points", dest="map_points", type=int, default=300000)
-    _add_shared_flags(be)
-    be.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -195,10 +195,6 @@ class Rotation:
             pz + w * tz + (x * ty - y * tx),
         ])
 
-    def rotate_points(self, pts: np.ndarray) -> np.ndarray:
-        """Rotate an (N, 3) array of points."""
-        return np.asarray(pts, dtype=float) @ self.as_matrix().T
-
 
 @dataclass(frozen=True)
 class Pose:

@@ -323,14 +323,11 @@ def read_tum(path) -> list[TrajectoryEntry]:
 
 
 def write_tum(path, entries) -> None:
-    """Write (timestamp, pose) entries; also accepts bare pose lists."""
+    """Write `TrajectoryEntry` items, one TUM line each."""
     lines = []
     previous = None
-    for k, entry in enumerate(entries):
-        if isinstance(entry, TrajectoryEntry):
-            timestamp, pose = entry.timestamp, entry.pose
-        else:
-            timestamp, pose = float(k), entry
+    for entry in entries:
+        timestamp, pose = entry.timestamp, entry.pose
         if previous is not None and timestamp <= previous:
             raise ValueError(f"non-monotonic timestamp {timestamp}")
         previous = timestamp

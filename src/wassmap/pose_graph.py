@@ -38,6 +38,7 @@ argmin over session-2 poses alone) and initializes session 2 through T_init.
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass, field, fields
 
@@ -60,6 +61,11 @@ logger = logging.getLogger(__name__)
 
 EDGE_KINDS = ("odometry", "loop", "prior")
 KERNELS = ("none", "huber")
+
+# information of the priors `merge_sessions` adds; read-only because every
+# such prior edge holds this one array
+PRIOR_INFORMATION = np.eye(6) * 1e4
+PRIOR_INFORMATION.setflags(write=False)
 
 
 class GaugeUnderdeterminedError(RuntimeError):
@@ -144,12 +150,15 @@ class PoseGraph:
         return {node_id: node.pose for node_id, node in self.nodes.items()}
 
     def copy(self) -> "PoseGraph":
+        """An independent copy. Its edges are not validated again: a shallow
+        copy skips `GraphEdge.__post_init__`, and poses are immutable."""
         other = PoseGraph()
         for node in self.nodes.values():
             other.add_node(node.id, node.pose, node.session, node.fixed)
         for e in self.edges:
-            other.edges.append(GraphEdge(e.kind, e.i, e.j, e.measurement,
-                                         e.information.copy(), e.kernel, e.delta))
+            twin = copy.copy(e)
+            twin.information = e.information.copy()
+            other.edges.append(twin)
         return other
 
     def session_ids(self, session: int) -> list[int]:
@@ -158,15 +167,6 @@ class PoseGraph:
     def trajectory(self, session: int | None = None) -> list[Pose]:
         ids = sorted(self.nodes) if session is None else self.session_ids(session)
         return [self.nodes[i].pose for i in ids]
-
-
-def _as_poses(nodes) -> dict[int, Pose]:
-    if isinstance(nodes, PoseGraph):
-        return nodes.poses()
-    first = next(iter(nodes.values()), None)
-    if isinstance(first, GraphNode):
-        return {k: v.pose for k, v in nodes.items()}
-    return nodes
 
 
 # The batched kernel. Node states are arrays with one row per node plus a
@@ -311,7 +311,7 @@ class _Problem:
 
 
 def _single_edge(edge: GraphEdge, nodes):
-    poses = _as_poses(nodes)
+    poses = nodes.poses() if isinstance(nodes, PoseGraph) else nodes
     rows, q, t = _state(poses, [edge.i] if edge.j is None else [edge.i, edge.j])
     edges = _stack_edges([edge], rows)
     return edges, _residuals(edges, q, t)
@@ -459,9 +459,7 @@ def merge_sessions(
     loops12,
     t_init: Pose,
     session1_soft_prior: bool = False,
-    soft_prior_information=None,
     t_init_prior: bool = False,
-    t_init_prior_information=None,
 ) -> PoseGraph:
     """Combine an anchored session-1 graph with a new session's trajectory.
 
@@ -479,10 +477,7 @@ def merge_sessions(
         raise ValueError("session-1 graph has no nodes")
     for node in merged.nodes.values():
         if session1_soft_prior:
-            info = soft_prior_information
-            if info is None:
-                info = np.eye(6) * 1e4
-            merged.add_prior(node.id, node.pose, info)
+            merged.add_prior(node.id, node.pose, PRIOR_INFORMATION)
         else:
             node.fixed = True
 
@@ -501,9 +496,5 @@ def merge_sessions(
         merged.add_edge("loop", i1, offset + j2, measurement, information)
 
     if t_init_prior:
-        info = t_init_prior_information
-        if info is None:
-            info = np.eye(6) * 1e4
-        first = offset
-        merged.add_prior(first, merged.nodes[first].pose, info)
+        merged.add_prior(offset, merged.nodes[offset].pose, PRIOR_INFORMATION)
     return merged

@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 
-from wassmap.cli import RunConfig, run_bench
 from wassmap.geometry import Pose, Rotation, se3_exp
 from wassmap.io import ParseError, TrajectoryEntry, read_graph, read_pcd, read_tum, \
     write_pcd, write_tum
@@ -333,21 +332,36 @@ def test_ac6_whitened_jacobians_match_finite_differences():
 
 
 def test_ac7_realtime_benchmark_soft_target():
-    # timing is reported, never gated: only the workload sizes are hard
-    # requirements, so a loaded CI box cannot flake this criterion
-    cfg = RunConfig(radius=1000.0, seed=7)
-    stats = run_bench(300_000, 50_000, 5, cfg)
+    # timing is reported, never gated: only the workload sizes and the frame
+    # flags are hard requirements, so a loaded CI box cannot flake this
+    # criterion. The selector itself is timed: a 300k-point bootstrap map,
+    # then 50k-point frames that each stage, score, commit and prune.
+    rng = np.random.default_rng(7)
+    base_cloud = rng.uniform([0.0, 0.0, 0.0], [160.0, 160.0, 40.0], size=(300_000, 3))
+    frames = [(base_cloud, Pose.identity())]
+    for k in range(5):
+        lo = np.array([10.0 + 3.0 * k, 50.0, 0.0])
+        frames.append((rng.uniform(lo, lo + [50.0, 50.0, 40.0], size=(50_000, 3)),
+                       Pose.identity()))
+    selector = KeyframeSelector(SelectorConfig(tau=0.5, voxel_size=4.0, radius=1000.0,
+                                               commit_policy="always"))
+    decisions = selector.run_sequence(frames)
 
     failures = []
-    if stats["initial_voxels"] < 10_000:
-        failures.append(f"map holds {stats['initial_voxels']} voxels, below 10k")
-    if stats["points_per_frame"] != 50_000:
+    map_voxels = decisions[0].new_count
+    if map_voxels < 10_000:
+        failures.append(f"map holds {map_voxels} voxels, below 10k")
+    if any(len(points) != 50_000 for points, _ in frames[1:]):
         failures.append("frame size drifted from 50k points")
-    met = "met" if stats["realtime_target_met"] else "MISSED (reported, not gated)"
+    flags = [d.flag for d in decisions[1:]]
+    if flags != ["scored"] * 5:
+        failures.append(f"frames after bootstrap flagged {flags}, expected 5 scored")
+    scored_ms = [d.millis for d in decisions if d.flag == "scored"]
+    median_ms = float(np.median(scored_ms)) if scored_ms else math.nan
+    met = "met" if median_ms < 100.0 else "MISSED (reported, not gated)"
     _finish("AC-7", failures,
-            f"median frame {stats['median_frame_ms']:.1f} ms for 50k points "
-            f"against a {stats['initial_voxels']}-voxel map; "
-            f"100 ms soft target {met}")
+            f"median frame {median_ms:.1f} ms for 50k points "
+            f"against a {map_voxels}-voxel map; 100 ms soft target {met}")
 
 
 def test_ac8_io_round_trips_and_fuzzed_parsers(tmp_path):

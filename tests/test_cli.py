@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import wassmap.keyframe
-from wassmap.cli import RunConfig, main, resolve_config, run_bench
+from wassmap.cli import RunConfig, main, resolve_config
 from wassmap.io import read_graph, read_tum, write_pcd
 from wassmap.wasserstein import InvalidCovarianceError
 
@@ -336,26 +336,3 @@ class TestMergeCommand:
                        [e.pose.translation for e in after]) < noise_level
         assert max_gap([e.pose.translation for e in after],
                        [e.pose.translation for e in truth2]) < noise_level
-
-
-class TestBenchCommand:
-    def test_report_fields_and_orderings(self, tmp_path, capsys):
-        out = tmp_path / "bench"
-        code = run("bench", "--points", "6000", "--frames", "5",
-                   "--map-points", "40000", "--voxel-size", "4.0",
-                   "--seed", "1", "--out", out)
-        assert code == 0
-        text = (out / "bench.txt").read_text()
-        values = dict(line.split("=") for line in text.splitlines())
-        assert float(values["batch_rebuild_ms"]) > 0.0
-        assert int(values["peak_voxels"]) >= int(values["initial_voxels"])
-        assert values["incremental_faster_than_batch"] == "True"
-        assert float(values["frames_per_sec"]) > 0.0
-
-    def test_run_bench_function(self):
-        stats = run_bench(20000, 4000, 3, RunConfig(seed=2))
-        assert stats["frames"] == 3
-        assert stats["batch_rebuild_ms"] > stats["stage_ms"] + stats["commit_ms"]
-
-    def test_bad_sizes_exit_one(self, tmp_path):
-        assert run("bench", "--frames", "0", "--out", tmp_path / "b") == 1

@@ -220,6 +220,38 @@ def test_stronger_gauge_never_raises_exact_cost():
     assert report_b.final_cost <= report_a.final_cost + 1e-10
 
 
+def test_copy_is_independent_of_its_source():
+    rng = np.random.default_rng(19)
+    source = PoseGraph()
+    for k in range(3):
+        source.add_node(k, random_pose(rng))
+    source.add_edge("odometry", 0, 1, random_pose(rng), random_info(rng))
+    source.add_edge("loop", 0, 2, random_pose(rng), random_info(rng))
+    source.add_prior(1, random_pose(rng), random_info(rng))
+    poses = source.poses()
+    edges = [(e.kind, e.i, e.j, e.measurement, e.information.copy(), e.kernel, e.delta)
+             for e in source.edges]
+
+    twin = source.copy()
+    assert [(n.id, n.session, n.fixed) for n in twin.nodes.values()] == \
+        [(n.id, n.session, n.fixed) for n in source.nodes.values()]
+    twin.nodes[0].pose = random_pose(rng)
+    twin.nodes[1].fixed = True
+    for e in twin.edges:
+        e.measurement = random_pose(rng)
+        e.information[:] = np.eye(6)
+    twin.add_node(3, random_pose(rng))
+    twin.add_prior(3, random_pose(rng), np.eye(6))
+
+    assert all(source.nodes[k].pose is pose for k, pose in poses.items())
+    assert not any(n.fixed for n in source.nodes.values())
+    assert len(source.nodes) == 3 and len(source.edges) == 3
+    for e, (kind, i, j, measurement, info, kernel, delta) in zip(source.edges, edges):
+        assert (e.kind, e.i, e.j, e.kernel, e.delta) == (kind, i, j, kernel, delta)
+        assert e.measurement is measurement
+        np.testing.assert_array_equal(e.information, info)
+
+
 def test_huber_downweights_outlier_loop():
     truth = [Pose(Rotation.identity(), (float(i), 0.0, 0.0)) for i in range(6)]
     info = np.eye(6) * 100.0
