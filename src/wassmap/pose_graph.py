@@ -99,7 +99,11 @@ class GraphEdge:
             raise ValueError("huber delta must be positive")
         if (self.j is None) != (self.kind == "prior"):
             raise ValueError("prior edges take one endpoint, others take two")
-        info = np.asarray(self.information, dtype=float)
+        # the edge owns a copy, so the caller cannot change it once validated;
+        # the read-only PRIOR_INFORMATION is shared
+        info = self.information
+        if info is not PRIOR_INFORMATION:
+            info = np.array(info, dtype=float)
         if info.shape != (6, 6):
             raise ValueError("information must be 6x6")
         if np.abs(info - info.T).max() > 1e-9:
@@ -163,10 +167,6 @@ class PoseGraph:
 
     def session_ids(self, session: int) -> list[int]:
         return sorted(n.id for n in self.nodes.values() if n.session == session)
-
-    def trajectory(self, session: int | None = None) -> list[Pose]:
-        ids = sorted(self.nodes) if session is None else self.session_ids(session)
-        return [self.nodes[i].pose for i in ids]
 
 
 # The batched kernel. Node states are arrays with one row per node plus a

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from wassmap.geometry import Pose, Rotation, se3_exp, se3_log
+from wassmap.geometry import Pose, Rotation, se3_exp
 from wassmap.io import CloudFrame, TrajectoryEntry
 from wassmap.pose_graph import PoseGraph
 
@@ -332,8 +332,3 @@ def perturb_pose(pose: Pose, sigma_t: float, sigma_r: float, rng) -> Pose:
     xi = np.concatenate([rng.normal(scale=sigma_r, size=3),
                          rng.normal(scale=sigma_t, size=3)])
     return pose * se3_exp(xi)
-
-
-def relative_noise(true_a: Pose, true_b: Pose, measurement: Pose) -> np.ndarray:
-    """Tangent-space discrepancy between a measurement and the true relative."""
-    return se3_log((true_a.inverse() * true_b).inverse() * measurement)

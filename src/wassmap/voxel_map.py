@@ -26,6 +26,14 @@ the map untouched; commit adds the matched rows in place and merges the new
 keys in with one sorted insert; pruning keeps the rows whose cell centre lies
 within the radius. Single writer per map; reads of the base during an open
 stage are fine.
+
+Beside the sums, ``root[r]`` caches the square root of row r's covariance,
+which the Wasserstein score fills lazily for the estimator named in
+``root_estimator``. A NaN row is stale: commit marks every row it adds to or
+opens as stale, and prune compacts the cache with the rows it keeps. The map
+also keeps a box of cells that holds every occupied cell: commit grows it,
+prune leaves it as it is. When the box's farthest cell centre lies within the
+pruning radius, no row can lie outside it and prune skips the scan.
 """
 
 from __future__ import annotations
@@ -130,6 +138,13 @@ def _group(points, voxel_size: float, origin):
     return origin, keys, n, sums[:, :3], sums[:, 3:], rejected
 
 
+def _decode(keys, origin) -> np.ndarray:
+    """(K,3) float cell index (i, j, k) of each packed key."""
+    b = np.stack([keys >> (2 * _AXIS_BITS), (keys >> _AXIS_BITS) & _AXIS_MASK,
+                  keys & _AXIS_MASK], axis=1)
+    return (b - _KEY_BIAS) + origin
+
+
 @dataclass
 class StagedUpdate:
     """One candidate frame's per-voxel deltas, joined against a base map.
@@ -168,6 +183,9 @@ class GmmMap:
         self.n = np.empty(0, dtype=np.int64)
         self.s = np.empty((0, 3))
         self.q = np.empty((0, 6))
+        self.root = np.empty((0, 3, 3))
+        self.root_estimator: Estimator | None = None
+        self._box = np.array([[np.inf] * 3, [-np.inf] * 3])  # min and max cell
         self.version = 0
         self.total_points = 0
         self.rejected_points = 0
@@ -179,10 +197,7 @@ class GmmMap:
         """(M,3) float array of each row's cell index (i, j, k), or of ``rows``."""
         if self.origin is None:
             return np.empty((0, 3))
-        k = self._keys if rows is None else self._keys[rows]
-        b = np.stack([k >> (2 * _AXIS_BITS), (k >> _AXIS_BITS) & _AXIS_MASK,
-                      k & _AXIS_MASK], axis=1)
-        return (b - _KEY_BIAS) + self.origin
+        return _decode(self._keys if rows is None else self._keys[rows], self.origin)
 
     def centres(self) -> np.ndarray:
         """(M,3) centre of each row's cell, the anchor of its sums."""
@@ -220,13 +235,18 @@ class GmmMap:
         if not len(self):
             return 0
         center = np.asarray(center, dtype=float).reshape(3)
+        # per axis the farthest centre is at a box face; rounding is monotone,
+        # so no row's distance, computed as below, exceeds the face's
+        far = np.abs((self._box + 0.5) * self.voxel_size - center).max(axis=0)
+        if np.linalg.norm(far[None], axis=1)[0] <= radius:
+            return 0
         outside = np.linalg.norm(self.centres() - center, axis=1) > radius
         removed = int(outside.sum())
         if removed:
             self.total_points -= int(self.n[outside].sum())
             keep = ~outside
             self._keys, self.n = self._keys[keep], self.n[keep]
-            self.s, self.q = self.s[keep], self.q[keep]
+            self.s, self.q, self.root = self.s[keep], self.q[keep], self.root[keep]
             self.version += 1
         return removed
 
@@ -243,6 +263,8 @@ class GmmMap:
         self.n[rows] += stage.n[hit]
         self.s[rows] += stage.s[hit]
         self.q[rows] += stage.q[hit]
+        self.root[rows] = np.nan
+        self.origin = stage.origin  # chosen by the stage when the map had none
         new = ~hit
         if new.any():
             at = np.searchsorted(self._keys, stage.keys[new])
@@ -250,7 +272,10 @@ class GmmMap:
             self.n = np.insert(self.n, at, stage.n[new])
             self.s = np.insert(self.s, at, stage.s[new], axis=0)
             self.q = np.insert(self.q, at, stage.q[new], axis=0)
-        self.origin = stage.origin  # chosen by the stage when the map had none
+            self.root = np.insert(self.root, at, np.nan, axis=0)
+            cells = _decode(stage.keys[new], self.origin)
+            self._box = np.stack([np.minimum(self._box[0], cells.min(axis=0)),
+                                  np.maximum(self._box[1], cells.max(axis=0))])
         self.total_points += stage.point_count
         self.rejected_points += stage.rejected
         self.version += 1

@@ -13,7 +13,12 @@ which keeps d(g, g) exactly zero instead of sqrt(rounding noise).
 
 Map-level dissimilarity compares a staged frame against its base map voxel by
 voxel and averages under a selectable policy. Voxels are reduced in key
-order, so the result is bit-stable across runs.
+order, so the result is bit-stable across runs. The base side changes only on
+commit and prune, so the score caches each base row's S1^{1/2} in the map's
+``root`` rows: it factors only the compared rows whose root is stale, stores
+them once the batch passes the eigenvalue floor, and gathers the rest, with
+the same arithmetic per matrix, so scores are bitwise equal. A change of
+estimator changes every base covariance and clears the cache.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from wassmap.voxel_map import GmmMap, StagedUpdate, StaleStageError, VoxelKey, moments
+from wassmap.voxel_map import GmmMap, StagedUpdate, StaleStageError, moments
 
 AGGREGATION_POLICIES = ("affected", "all", "mass")
 
@@ -46,15 +51,6 @@ class NoComparableVoxelsError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class GaussianComponent:
-    """One voxel's Gaussian: mean, covariance, and the point count behind it."""
-
-    mu: np.ndarray
-    sigma: np.ndarray
-    mass: int = 0
-
-
 @dataclass
 class DissimilarityReport:
     value: float
@@ -63,12 +59,6 @@ class DissimilarityReport:
     affected_count: int = 0  # voxels that entered the average
     new_count: int = 0       # frame voxels absent from the base map
     skipped_count: int = 0   # shared voxels under the point-count floor
-
-    @property
-    def distances(self) -> dict[VoxelKey, float]:
-        """Per-voxel distance keyed by cell index, built on demand."""
-        cells = self.cells.astype(np.int64).tolist()
-        return dict(zip(map(tuple, cells), self.cell_distances.tolist()))
 
 
 def _validate_covariances(sig: np.ndarray, eig_floor_checked: bool) -> None:
@@ -83,23 +73,13 @@ def _validate_covariances(sig: np.ndarray, eig_floor_checked: bool) -> None:
             raise InvalidCovarianceError(f"covariance has eigenvalue {lam_min:.3g}")
 
 
-def sym_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Principal square root of a symmetric PSD matrix via eigendecomposition."""
-    mat = np.asarray(mat, dtype=float)
-    _validate_covariances(mat, eig_floor_checked=True)
-    lam, vec = np.linalg.eigh(0.5 * (mat + np.swapaxes(mat, -1, -2)))
-    if lam.min() < -_EIG_CLAMP:
-        raise InvalidCovarianceError(f"matrix has eigenvalue {lam.min():.3g}")
-    lam = np.clip(lam, 0.0, None)
-    root = np.einsum("...ij,...j,...kj->...ik", vec, np.sqrt(lam), vec)
-    return 0.5 * (root + np.swapaxes(root, -1, -2))
-
-
-def w2_batch(mu1, sig1, mu2, sig2) -> np.ndarray:
+def w2_batch(mu1, sig1, mu2, sig2, root1=None) -> np.ndarray:
     """Pairwise Wasserstein distances for aligned batches of Gaussians.
 
     Shapes (B,3) and (B,3,3); returns (B,). Inputs are validated once per
     batch, which keeps the per-pair cost to two batched eigendecompositions.
+    ``root1`` (B,3,3), if given, holds known S1^{1/2} and NaN rows for the
+    ones to compute; those are filled in place unless the batch is rejected.
     """
     mu1 = np.asarray(mu1, dtype=float).reshape(-1, 3)
     mu2 = np.asarray(mu2, dtype=float).reshape(-1, 3)
@@ -121,11 +101,15 @@ def w2_batch(mu1, sig1, mu2, sig2) -> np.ndarray:
         # the trace term vanishes identically, skip the matrix roots
         return np.sqrt(mean_sq)
 
-    lam1, vec1 = np.linalg.eigh(0.5 * (sig1 + np.swapaxes(sig1, -1, -2)))
-    if lam1.min() < -_EIG_CLAMP:
-        raise InvalidCovarianceError(f"covariance has eigenvalue {lam1.min():.3g}")
-    lam1 = np.clip(lam1, 0.0, None)
-    s1h = np.einsum("...ij,...j,...kj->...ik", vec1, np.sqrt(lam1), vec1)
+    s1h = np.full(sig1.shape, np.nan) if root1 is None else root1
+    todo = np.isnan(s1h[:, 0, 0])
+    if todo.any():
+        stale = sig1[todo]
+        lam1, vec1 = np.linalg.eigh(0.5 * (stale + np.swapaxes(stale, -1, -2)))
+        if lam1.min() < -_EIG_CLAMP:
+            raise InvalidCovarianceError(f"covariance has eigenvalue {lam1.min():.3g}")
+        lam1 = np.clip(lam1, 0.0, None)
+        s1h[todo] = np.einsum("...ij,...j,...kj->...ik", vec1, np.sqrt(lam1), vec1)
     inner = s1h @ sig2 @ s1h
     inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
     cross = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum(axis=-1)
@@ -139,15 +123,6 @@ def w2_batch(mu1, sig1, mu2, sig2) -> np.ndarray:
     if same_sigma.any():
         out[same_sigma] = np.sqrt(mean_sq[same_sigma])
     return out
-
-
-def w2(g1: GaussianComponent, g2: GaussianComponent) -> float:
-    """Wasserstein distance between two Gaussian components, in meters."""
-    return float(
-        w2_batch(
-            g1.mu[None, :], g1.sigma[None, :, :], g2.mu[None, :], g2.sigma[None, :, :]
-        )[0]
-    )
 
 
 def map_dissimilarity(
@@ -202,7 +177,12 @@ def map_dissimilarity(
     mu_base, cov_base = moments(n, s, q, estimator)
     mu_over, cov_over = moments(n + stage.n[deltas], s + stage.s[deltas],
                                 q + stage.q[deltas], estimator)
-    dists = w2_batch(mu_base, cov_base, mu_over, cov_over)
+    if base.root_estimator != estimator:
+        base.root.fill(np.nan)
+        base.root_estimator = estimator
+    roots = base.root[rows]
+    dists = w2_batch(mu_base, cov_base, mu_over, cov_over, roots)
+    base.root[rows] = roots
 
     if policy == "affected":
         value = float(dists.mean())

@@ -9,6 +9,7 @@ code under test.
 
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +23,17 @@ from wassmap.pose_graph import PoseGraph, evaluate_ate, merge_sessions, optimize
 from wassmap.synth import NoiseModel, ScanSpec, build_session_graph, compose_odometry, \
     corridor_path, generate_scene, generate_two_session, loop_path, simulate_scan
 from wassmap.voxel_map import GmmMap, build_map, moments
-from wassmap.wasserstein import GaussianComponent, w2
+from wassmap.wasserstein import w2_batch
+
+
+@dataclass(frozen=True)
+class GaussianComponent:
+    mu: np.ndarray
+    sigma: np.ndarray
+
+
+def w2(g1: GaussianComponent, g2: GaussianComponent) -> float:
+    return float(w2_batch(g1.mu[None], g1.sigma[None], g2.mu[None], g2.sigma[None])[0])
 
 
 def _finish(criterion: str, failures: list, detail: str) -> None:

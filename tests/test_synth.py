@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wassmap.geometry import Pose, Rotation
+from wassmap.geometry import Pose, Rotation, se3_log
 from wassmap.keyframe import KeyframeSelector, SelectorConfig
 from wassmap.synth import (
     NoiseModel,
@@ -17,9 +17,13 @@ from wassmap.synth import (
     generate_two_session,
     loop_path,
     perturb_pose,
-    relative_noise,
     simulate_scan,
 )
+
+
+def relative_noise(true_a: Pose, true_b: Pose, measurement: Pose) -> np.ndarray:
+    """Tangent-space discrepancy between a measurement and the true relative."""
+    return se3_log((true_a.inverse() * true_b).inverse() * measurement)
 
 
 class TestScenes:

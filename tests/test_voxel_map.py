@@ -247,3 +247,61 @@ def test_non_finite_points_rejected_not_fatal():
 def test_map_rejects_bad_voxel_size():
     with pytest.raises(ValueError):
         GmmMap(voxel_size=-1.0)
+
+
+def test_root_cache_follows_its_rows():
+    rng = np.random.default_rng(67)
+    grid = build_map(rng.normal(scale=4.0, size=(600, 3)), voxel_size=2.0)
+    assert grid.root.shape == (len(grid), 3, 3) and np.isnan(grid.root).all()
+    # tag each row's cached root with its row number, as if the score had run
+    grid.root[:] = np.arange(len(grid), dtype=float)[:, None, None]
+    before = {key: float(r) for r, key in enumerate(grid.keys())}
+
+    frame = rng.normal(scale=6.0, size=(80, 3))
+    touched = set(build_map(frame, voxel_size=2.0).keys())
+    stage = grid.stage_frame(frame)
+    assert stage.hit.any() and not stage.hit.all()
+    grid.commit(stage)
+    assert grid.root.shape == (len(grid), 3, 3)
+    for r, key in enumerate(grid.keys()):
+        if key in touched:
+            assert np.isnan(grid.root[r]).all()
+        else:
+            assert (grid.root[r] == before[key]).all()
+
+    after_commit = {key: grid.root[r, 0, 0] for r, key in enumerate(grid.keys())}
+    assert grid.prune_outside((0.0, 0.0, 0.0), 6.0) > 0
+    assert grid.root.shape == (len(grid), 3, 3)
+    for r, key in enumerate(grid.keys()):
+        np.testing.assert_array_equal(grid.root[r, 0, 0], after_commit[key])
+
+
+def test_prune_bound_agrees_with_full_scan():
+    rng = np.random.default_rng(71)
+    for _ in range(60):
+        grid = GmmMap(voxel_size=float(rng.choice([0.3, 0.5, 1.0, 4.0])))
+        offset = rng.normal(scale=1e3, size=3)
+        for step in range(6):
+            size = (int(rng.integers(1, 40)), 3)
+            grid.insert_points(rng.normal(scale=rng.uniform(0.5, 20.0), size=size) + offset)
+            if not step % 2:
+                continue
+            center = offset + rng.normal(scale=10.0, size=3)
+            dist = np.linalg.norm(grid.centres() - center, axis=1)
+            # the farthest centre exactly at the radius, just past it, or anywhere
+            radius = [dist.max(), np.nextafter(dist.max(), 0.0),
+                      rng.uniform(0.1, 1.2) * dist.max()][step // 2]
+            keys = grid.keys()
+            expected = [key for key, d in zip(keys, dist) if d <= radius]
+            assert grid.prune_outside(center, radius) == len(keys) - len(expected)
+            assert grid.keys() == expected
+
+
+def test_prune_skips_the_scan_when_the_box_is_within_radius():
+    # cells along one axis only, so the box's far corner is an occupied cell
+    grid = build_map([(0.5, 0.5, 0.5), (6.5, 0.5, 0.5), (-3.5, 0.5, 0.5)], voxel_size=1.0)
+    center = np.array([1.2, -0.3, 2.0])
+    radius = np.linalg.norm(grid.centres() - center, axis=1).max()
+    grid.centres = lambda: pytest.fail("prune scanned the rows")
+    assert grid.prune_outside(center, radius) == 0
+    assert len(grid) == 3

@@ -1,20 +1,50 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from wassmap.geometry import Rotation
-from wassmap.voxel_map import GmmMap, StaleStageError, build_map
+from wassmap.keyframe import KeyframeSelector, SelectorConfig
+from wassmap.synth import ScanSpec, generate_scene, loop_path, simulate_scan
+from wassmap.voxel_map import GmmMap, StaleStageError, build_map, moments
 from wassmap.wasserstein import (
     DissimilarityReport,
-    GaussianComponent,
     InvalidCovarianceError,
     NoComparableVoxelsError,
     map_dissimilarity,
-    sym_sqrt,
-    w2,
     w2_batch,
 )
+
+
+@dataclass(frozen=True)
+class GaussianComponent:
+    """One voxel's Gaussian: mean, covariance, and the point count behind it."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    mass: int = 0
+
+
+def w2(g1: GaussianComponent, g2: GaussianComponent) -> float:
+    """Wasserstein distance between two Gaussian components, in meters."""
+    return float(w2_batch(g1.mu[None], g1.sigma[None], g2.mu[None], g2.sigma[None])[0])
+
+
+def sym_sqrt(mat) -> np.ndarray:
+    """S^{1/2} of one matrix or a batch, as the score computes it for the
+    map's root cache."""
+    sig = np.asarray(mat, dtype=float).reshape(-1, 3, 3)
+    root = np.full(sig.shape, np.nan)
+    zero = np.zeros((len(sig), 3))
+    w2_batch(zero, sig, zero, np.zeros(sig.shape), root)
+    return root.reshape(np.shape(mat))
+
+
+def distances(report: DissimilarityReport) -> dict:
+    """Per-voxel distance keyed by cell index."""
+    cells = map(tuple, report.cells.astype(np.int64).tolist())
+    return dict(zip(cells, report.cell_distances.tolist()))
 
 
 def random_psd(rng, size=None):
@@ -168,7 +198,7 @@ def test_map_dissimilarity_matches_per_voxel_oracle():
     assert report.new_count == 0 and report.skipped_count == 0
     assert abs(report.value - 0.5 * (d_a + d_b)) < 1e-9
     assert report.value >= 0.0
-    assert set(report.distances) == {(0, 0, 0), (2, 0, 0)}
+    assert set(distances(report)) == {(0, 0, 0), (2, 0, 0)}
 
 
 def test_affected_mean_ignores_untouched_voxels():
@@ -219,7 +249,7 @@ def test_new_and_skipped_voxels_are_counted_not_averaged():
     assert report.affected_count == 1
     assert report.skipped_count == 1
     assert report.new_count == 1
-    assert list(report.distances) == [(0, 0, 0)]
+    assert list(distances(report)) == [(0, 0, 0)]
 
     only_compared = map_dissimilarity(grid, grid.stage_frame(frame[:10]), min_points=5)
     assert report.value == only_compared.value
@@ -267,3 +297,83 @@ def test_stale_stage_not_scored():
     grid.insert_points(np.zeros((3, 3)) - 5.5)
     with pytest.raises(StaleStageError):
         map_dissimilarity(grid, stage)
+
+
+@pytest.fixture(scope="module")
+def scan_sequence():
+    """Two dozen close loop_course frames, the eighth scanned twice."""
+    scene = generate_scene("loop_course")
+    poses = loop_path(n_frames=240)[:24]
+    frames = [(simulate_scan(scene, pose, ScanSpec(10.0, 0.01, 10_000, seed=k),
+                             frame_index=k).points, pose) for k, pose in enumerate(poses)]
+    frames.insert(8, frames[7])
+    return frames
+
+
+def _assert_roots_fresh(grid, estimator):
+    """Every cached root equals, bit for bit, a fresh root of its covariance."""
+    assert grid.root.shape == (len(grid), 3, 3)
+    cached = np.flatnonzero(~np.isnan(grid.root[:, 0, 0]))
+    assert np.isnan(np.delete(grid.root, cached, axis=0)).all()
+    if len(cached):
+        _, cov = moments(grid.n[cached], grid.s[cached], grid.q[cached], estimator)
+        np.testing.assert_array_equal(grid.root[cached], sym_sqrt(cov))
+    return len(cached)
+
+
+@pytest.mark.parametrize("policy,tau", [("keyframes-only", 0.02), ("always", 0.1)])
+def test_cached_roots_score_like_cold_ones(scan_sequence, policy, tau):
+    config = SelectorConfig(tau=tau, voxel_size=1.0, radius=12.0, commit_policy=policy)
+    warm, cold = KeyframeSelector(config), KeyframeSelector(config)
+    frames = scan_sequence
+    warm.bootstrap(*frames[0])
+    cold.bootstrap(*frames[0])
+    opens, pruned, cached = [], [], []
+    commit, prune = warm.map.commit, warm.map.prune_outside
+    warm.map.commit = lambda stage: opens.append(not stage.hit.all()) or commit(stage)
+    warm.map.prune_outside = lambda *args: pruned.append(prune(*args)) or pruned[-1]
+    for points, pose in frames[1:]:
+        cold.map.root.fill(np.nan)
+        got, want = warm.process_frame(points, pose), cold.process_frame(points, pose)
+        assert (got.flag, got.dw, got.keyframe) == (want.flag, want.dw, want.keyframe)
+        cached.append(_assert_roots_fresh(warm.map, "sample"))
+    # the sequence reaches every kind of map change the cache must follow;
+    # committing every frame restales each compared row, so only skipped
+    # frames leave roots for the next frame to read
+    assert any(opens) and any(pruned)
+    if policy == "always":
+        assert not all(opens) and max(cached) == 0
+    else:
+        assert max(cached) > 0
+
+
+def test_estimator_switch_refills_the_cache():
+    rng = np.random.default_rng(53)
+    points = rng.normal(scale=3.0, size=(4000, 3))
+    frame = rng.normal(scale=3.0, size=(800, 3))
+    warm = build_map(points, voxel_size=2.0)
+    stage = warm.stage_frame(frame)
+    for estimator in ("sample", "population", "sample"):
+        cold = build_map(points, voxel_size=2.0)
+        got = map_dissimilarity(warm, stage, estimator=estimator)
+        want = map_dissimilarity(cold, cold.stage_frame(frame), estimator=estimator)
+        assert got.value == want.value
+        np.testing.assert_array_equal(got.cell_distances, want.cell_distances)
+        assert warm.root_estimator == estimator
+        assert _assert_roots_fresh(warm, estimator) == got.affected_count
+
+
+def test_invalid_base_row_is_never_cached():
+    rng = np.random.default_rng(59)
+    base = np.concatenate([rng.normal(scale=0.2, size=(30, 3)) + (1.0, 1.0, 1.0),
+                           rng.normal(scale=0.2, size=(30, 3)) + (3.0, 1.0, 1.0)])
+    grid = build_map(base, voxel_size=2.0)
+    # an indefinite base covariance, which no point set can produce
+    grid.q[1] = (29.0, 0.0, 0.0, 29.0, 0.0, -0.029)
+    grid.s[1] = 0.0
+    frame = np.concatenate([rng.normal(scale=0.2, size=(20, 3)) + (1.0, 1.0, 1.0),
+                            rng.normal(scale=0.5, size=(20, 3)) + (3.0, 1.0, 1.0)])
+    for _ in range(2):
+        with pytest.raises(InvalidCovarianceError, match="covariance has eigenvalue -0.001$"):
+            map_dissimilarity(grid, grid.stage_frame(frame))
+        assert np.isnan(grid.root).all()
