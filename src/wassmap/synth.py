@@ -325,10 +325,3 @@ def build_session_graph(poses, odometry, session: int = 1,
     for i, j, measurement, information in odometry:
         graph.add_edge("odometry", i, j, measurement, information)
     return graph
-
-
-def perturb_pose(pose: Pose, sigma_t: float, sigma_r: float, rng) -> Pose:
-    """Right-perturb a pose; used for initial-alignment offsets in tests."""
-    xi = np.concatenate([rng.normal(scale=sigma_r, size=3),
-                         rng.normal(scale=sigma_t, size=3)])
-    return pose * se3_exp(xi)

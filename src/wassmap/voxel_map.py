@@ -42,8 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-VoxelKey = tuple[int, int, int]
-
 Estimator = str  # 'sample' | 'population'
 _ESTIMATORS = ("sample", "population")
 
@@ -202,10 +200,6 @@ class GmmMap:
     def centres(self) -> np.ndarray:
         """(M,3) centre of each row's cell, the anchor of its sums."""
         return (self.cells() + 0.5) * self.voxel_size
-
-    def keys(self) -> list[VoxelKey]:
-        """Cell index (i, j, k) of each row, in row order."""
-        return [tuple(c) for c in self.cells().astype(np.int64).tolist()]
 
     def insert_points(self, points) -> int:
         """Bulk insert; returns the number of accepted points."""

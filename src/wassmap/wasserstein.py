@@ -7,9 +7,13 @@ For Gaussians the distance has the closed form
 computed here with symmetric eigendecompositions of 3x3 matrices. Voxels with
 coplanar or collinear points give rank-deficient covariances, so eigenvalues
 in [-1e-9, 0) are clamped to zero; anything more negative is rejected as an
-invalid covariance. When the two covariances are bitwise equal the trace term
-vanishes identically and the distance is returned as the plain mean offset,
-which keeps d(g, g) exactly zero instead of sqrt(rounding noise).
+invalid covariance. The frame side's covariances are checked against that
+floor by a closed-form 3x3 Cholesky certificate (`_psd_certified`); only the
+rows it cannot certify go to `eigvalsh`, so accept/reject and the message are
+those of a full `eigvalsh` check. When the two covariances are bitwise equal
+the trace term vanishes identically and the distance is returned as the
+plain mean offset, which keeps d(g, g) exactly zero instead of
+sqrt(rounding noise).
 
 Map-level dissimilarity compares a staged frame against its base map voxel by
 voxel and averages under a selectable policy. Voxels are reduced in key
@@ -34,6 +38,7 @@ AGGREGATION_POLICIES = ("affected", "all", "mass")
 
 _EIG_CLAMP = 1e-9
 _SYM_TOL = 1e-9
+_CERT_TRACE = 1e3  # m^2; see _psd_certified
 
 
 class InvalidCovarianceError(ValueError):
@@ -54,11 +59,45 @@ class NoComparableVoxelsError(ValueError):
 @dataclass
 class DissimilarityReport:
     value: float
-    cells: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))  # (K,3) compared voxels
+    rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))  # (K,) compared base rows
     cell_distances: np.ndarray = field(default_factory=lambda: np.empty(0))  # (K,) their W2
     affected_count: int = 0  # voxels that entered the average
     new_count: int = 0       # frame voxels absent from the base map
     skipped_count: int = 0   # shared voxels under the point-count floor
+
+
+def _psd_certified(sig: np.ndarray) -> np.ndarray:
+    """(B,) mask of rows whose `eigvalsh` minimum cannot fall below -_EIG_CLAMP.
+
+    A row is certified when the closed-form Cholesky factorization of
+    A = fl(S + (c/2) I), c = _EIG_CLAMP, runs to completion (three positive
+    pivots) and tr A < _CERT_TRACE. S is read from its lower triangle, the
+    one `eigvalsh` reads. With unit roundoff u = 2^-53 and n = 3, Higham
+    (Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3)
+    gives the computed factor R with R^T R = A + dA, |dA| <= g4 |R^T| |R|,
+    g4 = 4u / (1 - 4u). Hence ||dA||_2 <= g4 ||R||_F^2 and, since
+    ||R||_F^2 = tr A + tr dA, ||dA||_2 <= g4 / (1 - g4) tr A < 5u tr A.
+    R^T R is positive definite, and forming the shift rounds each diagonal
+    entry by at most u tr A, so lambda_min(S) >= -c/2 - 6u tr A. `eigvalsh`
+    is backward stable: it returns the eigenvalues of S + F with
+    ||F||_2 <= p u ||S||_2 <= p u (tr A + c), where LAPACK's p(n) is a few
+    dozen at n = 3. Its minimum then stays at or above -c whenever
+    (7 + p) u tr A <= c/2, which tr A < 1e3 m^2 meets for any p up to 4,000:
+    two orders of magnitude of margin. The points of one voxel of side s
+    have a sample covariance of trace at most 1.5 s^2, so only voxels wider
+    than 25 m can reach the bound. Rows at or above it and rows that fail a
+    pivot are left to `eigvalsh`.
+    """
+    a00 = sig[:, 0, 0] + 0.5 * _EIG_CLAMP
+    a11 = sig[:, 1, 1] + 0.5 * _EIG_CLAMP
+    a22 = sig[:, 2, 2] + 0.5 * _EIG_CLAMP
+    with np.errstate(all="ignore"):  # a row that fails turns NaN and fails below
+        r00 = np.sqrt(a00)
+        r01, r02 = sig[:, 1, 0] / r00, sig[:, 2, 0] / r00
+        p1 = a11 - r01 * r01
+        r12 = (sig[:, 2, 1] - r01 * r02) / np.sqrt(p1)
+        p2 = a22 - r02 * r02 - r12 * r12
+        return (a00 > 0) & (p1 > 0) & (p2 > 0) & (a00 + a11 + a22 < _CERT_TRACE)
 
 
 def _validate_covariances(sig: np.ndarray, eig_floor_checked: bool) -> None:
@@ -68,7 +107,10 @@ def _validate_covariances(sig: np.ndarray, eig_floor_checked: bool) -> None:
     if asym > _SYM_TOL:
         raise InvalidCovarianceError(f"covariance asymmetric by {asym:.3g}")
     if not eig_floor_checked:
-        lam_min = np.linalg.eigvalsh(sig).min()
+        # every failing row is uncertified, so it holds this minimum and the
+        # message names the same eigenvalue as a check of the whole batch
+        rest = sig[~_psd_certified(sig)]
+        lam_min = np.linalg.eigvalsh(rest).min() if len(rest) else 0.0
         if lam_min < -_EIG_CLAMP:
             raise InvalidCovarianceError(f"covariance has eigenvalue {lam_min:.3g}")
 
@@ -77,7 +119,10 @@ def w2_batch(mu1, sig1, mu2, sig2, root1=None) -> np.ndarray:
     """Pairwise Wasserstein distances for aligned batches of Gaussians.
 
     Shapes (B,3) and (B,3,3); returns (B,). Inputs are validated once per
-    batch, which keeps the per-pair cost to two batched eigendecompositions.
+    batch. The eigenvalue floor of ``sig2`` is cleared by a closed-form
+    Cholesky certificate, with `eigvalsh` only on the rows it cannot certify,
+    so the per-pair cost is one batched `eigvalsh` of the cross term plus an
+    `eigh` for each S1^{1/2} not given in ``root1``.
     ``root1`` (B,3,3), if given, holds known S1^{1/2} and NaN rows for the
     ones to compute; those are filled in place unless the batch is rejected.
     """
@@ -109,7 +154,12 @@ def w2_batch(mu1, sig1, mu2, sig2, root1=None) -> np.ndarray:
         if lam1.min() < -_EIG_CLAMP:
             raise InvalidCovarianceError(f"covariance has eigenvalue {lam1.min():.3g}")
         lam1 = np.clip(lam1, 0.0, None)
-        s1h[todo] = np.einsum("...ij,...j,...kj->...ik", vec1, np.sqrt(lam1), vec1)
+        # V diag(sqrt(lam)) V^T with einsum's products and order of sums,
+        # so the roots are bitwise those of the three-operand einsum
+        sv = vec1 * np.sqrt(lam1)[:, None, :]
+        s1h[todo] = (sv[:, :, None, 0] * vec1[:, None, :, 0]
+                     + sv[:, :, None, 1] * vec1[:, None, :, 1]
+                     + sv[:, :, None, 2] * vec1[:, None, :, 2])
     inner = s1h @ sig2 @ s1h
     inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
     cross = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum(axis=-1)
@@ -194,7 +244,7 @@ def map_dissimilarity(
 
     return DissimilarityReport(
         value=value,
-        cells=base.cells(rows),
+        rows=rows,
         cell_distances=dists,
         affected_count=len(rows),
         new_count=new_count,

@@ -48,6 +48,11 @@ def _spd(rng, dim=3, floor=0.05) -> np.ndarray:
     return a @ a.T + floor * np.eye(dim)
 
 
+def keys(grid) -> list[tuple[int, int, int]]:
+    """Cell index (i, j, k) of each map row, in row order."""
+    return [tuple(c) for c in grid.cells().astype(np.int64).tolist()]
+
+
 def _voxel_gaussians(grid) -> dict:
     """Per-voxel (n, mean, sample covariance), the covariance None below 2 points."""
     mu, _ = moments(grid.n, grid.s, grid.q, "population")
@@ -56,7 +61,7 @@ def _voxel_gaussians(grid) -> dict:
     rows = np.flatnonzero(grid.n >= 2)
     for r, cov in zip(rows, moments(grid.n[rows], grid.s[rows], grid.q[rows], "sample")[1]):
         sigma[r] = cov
-    return {key: (int(n), m, c) for key, n, m, c in zip(grid.keys(), grid.n, mu, sigma)}
+    return {key: (int(n), m, c) for key, n, m, c in zip(keys(grid), grid.n, mu, sigma)}
 
 
 def test_ac1_incremental_matches_batch():

@@ -16,6 +16,11 @@ from wassmap.keyframe import (
 from wassmap.synth import ScanSpec, generate_scene, loop_path, simulate_scan
 
 
+def keys(grid) -> list[tuple[int, int, int]]:
+    """Cell index (i, j, k) of each map row, in row order."""
+    return [tuple(c) for c in grid.cells().astype(np.int64).tolist()]
+
+
 def make_frame(rng, n=400, extent=8.0):
     return rng.uniform(0.0, extent, size=(n, 3))
 
@@ -60,7 +65,7 @@ def test_bootstrap_decision_and_voxel_count():
 
     world = pose.transform_points(pts)
     expected = {tuple(c) for c in np.floor(world / 2.0).astype(int).tolist()}
-    assert set(selector.map.keys()) == expected
+    assert set(keys(selector.map)) == expected
     assert decision.new_count == len(expected)
 
     with pytest.raises(RuntimeError):
@@ -165,8 +170,8 @@ def test_pruning_follows_the_pose():
     far_pose = Pose(Rotation.identity(), (50.0, 0.0, 0.0))
     local = np.zeros((30, 3)) + 1.0  # sensor-frame points near the new pose
     selector.process_frame(local, far_pose)
-    keys = np.array(list(selector.map.keys()), dtype=float)
-    centers = (keys + 0.5) * cfg.voxel_size
+    cells = np.array(keys(selector.map), dtype=float)
+    centers = (cells + 0.5) * cfg.voxel_size
     dists = np.linalg.norm(centers - np.array([50.0, 0.0, 0.0]), axis=1)
     assert (dists <= 30.0).all()
     assert len(selector.map) > 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wassmap.geometry import Pose, Rotation, se3_log
+from wassmap.geometry import Pose, Rotation, se3_exp, se3_log
 from wassmap.keyframe import KeyframeSelector, SelectorConfig
 from wassmap.synth import (
     NoiseModel,
@@ -16,9 +16,15 @@ from wassmap.synth import (
     generate_scene,
     generate_two_session,
     loop_path,
-    perturb_pose,
     simulate_scan,
 )
+
+
+def perturb_pose(pose: Pose, sigma_t: float, sigma_r: float, rng) -> Pose:
+    """Right-perturb a pose by a random tangent step."""
+    xi = np.concatenate([rng.normal(scale=sigma_r, size=3),
+                         rng.normal(scale=sigma_t, size=3)])
+    return pose * se3_exp(xi)
 
 
 def relative_noise(true_a: Pose, true_b: Pose, measurement: Pose) -> np.ndarray:

@@ -10,29 +10,34 @@ from wassmap.voxel_map import (
 )
 
 
+def keys(grid) -> list[tuple[int, int, int]]:
+    """Cell index (i, j, k) of each map row, in row order."""
+    return [tuple(c) for c in grid.cells().astype(np.int64).tolist()]
+
+
 def voxel_gaussians(grid):
     """Per-voxel (absolute mean, sample covariance) keyed by cell, for n >= 2."""
     rows = np.flatnonzero(grid.n >= 2)
     mu, sigma = moments(grid.n[rows], grid.s[rows], grid.q[rows], "sample")
-    keys = grid.keys()
-    return {keys[r]: (m, c) for r, m, c in zip(rows, mu + grid.centres()[rows], sigma)}
+    cells = keys(grid)
+    return {cells[r]: (m, c) for r, m, c in zip(rows, mu + grid.centres()[rows], sigma)}
 
 
 def voxel_rows(grid):
     """Per-voxel (n, s, q) keyed by cell."""
-    return {key: (grid.n[r], grid.s[r], grid.q[r]) for r, key in enumerate(grid.keys())}
+    return {key: (grid.n[r], grid.s[r], grid.q[r]) for r, key in enumerate(keys(grid))}
 
 
 def test_voxel_index_examples():
-    assert build_map([(8.2, -0.5, 3.9)], 4.0).keys() == [(2, -1, 0)]
-    assert build_map([(0.0, 0.0, 0.0)], 4.0).keys() == [(0, 0, 0)]
-    assert build_map([(-0.1, -4.0, -4.1)], 4.0).keys() == [(-1, -1, -2)]
+    assert keys(build_map([(8.2, -0.5, 3.9)], 4.0)) == [(2, -1, 0)]
+    assert keys(build_map([(0.0, 0.0, 0.0)], 4.0)) == [(0, 0, 0)]
+    assert keys(build_map([(-0.1, -4.0, -4.1)], 4.0)) == [(-1, -1, -2)]
 
 
 def test_voxel_index_boundary_is_half_open():
     # a point exactly on the upper face belongs to the next cell
-    assert build_map([(4.0, 4.0, 4.0)], 4.0).keys() == [(1, 1, 1)]
-    assert build_map([(3.999999, 4.0, 0.0)], 4.0).keys() == [(0, 1, 0)]
+    assert keys(build_map([(4.0, 4.0, 4.0)], 4.0)) == [(1, 1, 1)]
+    assert keys(build_map([(3.999999, 4.0, 0.0)], 4.0)) == [(0, 1, 0)]
 
 
 def test_voxel_index_rejects_bad_input():
@@ -95,7 +100,7 @@ def test_incremental_matches_batch():
         assert one_by_one.insert_points(p[None, :]) == 1
     batch = build_map(pts, voxel_size=2.0)
 
-    assert one_by_one.keys() == batch.keys()
+    assert keys(one_by_one) == keys(batch)
     np.testing.assert_array_equal(one_by_one.n, batch.n)
     a, b = voxel_gaussians(batch), voxel_gaussians(one_by_one)
     for key, (mu_a, cov_a) in a.items():
@@ -112,7 +117,7 @@ def test_insertion_order_invariance():
     b = build_map(shuffled, voxel_size=1.5)
     # the origin is the first point's voxel, which differs, but keys and
     # centre-anchored sums do not depend on it
-    assert a.keys() == b.keys()
+    assert keys(a) == keys(b)
     np.testing.assert_array_equal(a.n, b.n)
     np.testing.assert_allclose(a.s, b.s, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(a.q, b.q, rtol=1e-9, atol=1e-12)
@@ -126,7 +131,7 @@ def test_merge_equals_single_pass_on_exact_inputs():
     whole = build_map(pts, voxel_size=8.0)
     merged = build_map(pts[:77], voxel_size=8.0)
     merged.commit(merged.stage_frame(pts[77:]))
-    assert merged.keys() == whole.keys()
+    assert keys(merged) == keys(whole)
     assert np.array_equal(merged.n, whole.n)
     assert np.array_equal(merged.s, whole.s)
     assert np.array_equal(merged.q, whole.q)
@@ -146,11 +151,11 @@ def test_covariance_is_symmetric_psd():
 def test_stage_leaves_base_untouched():
     base = build_map(np.zeros((5, 3)) + 0.5, voxel_size=1.0)
     before_version = base.version
-    before = (base.keys(), base.n.copy(), base.s.copy(), base.q.copy())
+    before = (keys(base), base.n.copy(), base.s.copy(), base.q.copy())
 
     stage = base.stage_frame([(0.4, 0.4, 0.4), (3.2, 0.1, 0.1)])
     assert base.version == before_version
-    assert base.keys() == before[0] == [(0, 0, 0)]
+    assert keys(base) == before[0] == [(0, 0, 0)]
     for now, then in zip((base.n, base.s, base.q), before[1:]):
         assert np.array_equal(now, then)
     # (0,0,0) is in the base, (3,0,0) is new
@@ -163,7 +168,7 @@ def test_stage_leaves_base_untouched():
     again = base.stage_frame([(0.4, 0.4, 0.4)])
     assert (base.n[again.rows] + again.n[again.hit]).tolist() == [6]
     base.commit(again)
-    assert base.keys() == [(0, 0, 0)] and base.n.tolist() == [6]
+    assert keys(base) == [(0, 0, 0)] and base.n.tolist() == [6]
 
 
 def test_commit_matches_direct_insert():
@@ -175,7 +180,7 @@ def test_commit_matches_direct_insert():
         staged.commit(staged.stage_frame(frame))
     direct = build_map(np.concatenate(frames), voxel_size=2.0)
 
-    assert staged.keys() == direct.keys()
+    assert keys(staged) == keys(direct)
     assert staged.total_points == direct.total_points
     np.testing.assert_array_equal(staged.n, direct.n)
     np.testing.assert_allclose(staged.s, direct.s, rtol=1e-9, atol=1e-12)
@@ -210,7 +215,7 @@ def test_conservation_through_mixed_operations():
     assert grid.total_points == grid.n.sum() == 550
     grid.prune_outside((0.0, 0.0, 0.0), 5.0)
     assert grid.total_points == grid.n.sum()
-    assert len(grid.keys()) == len(grid.n) == len(grid.s) == len(grid.q)
+    assert len(keys(grid)) == len(grid.n) == len(grid.s) == len(grid.q)
 
 
 def test_prune_uses_voxel_center_strictly():
@@ -221,7 +226,7 @@ def test_prune_uses_voxel_center_strictly():
     # radius exactly at the near voxel's center distance keeps it (strict >)
     removed = grid.prune_outside((0.0, 0.0, 0.0), center_dist)
     assert removed == 1
-    assert grid.keys() == [(0, 0, 0)]
+    assert keys(grid) == [(0, 0, 0)]
     with pytest.raises(ValueError):
         grid.prune_outside((0.0, 0.0, 0.0), 0.0)
 
@@ -255,24 +260,24 @@ def test_root_cache_follows_its_rows():
     assert grid.root.shape == (len(grid), 3, 3) and np.isnan(grid.root).all()
     # tag each row's cached root with its row number, as if the score had run
     grid.root[:] = np.arange(len(grid), dtype=float)[:, None, None]
-    before = {key: float(r) for r, key in enumerate(grid.keys())}
+    before = {key: float(r) for r, key in enumerate(keys(grid))}
 
     frame = rng.normal(scale=6.0, size=(80, 3))
-    touched = set(build_map(frame, voxel_size=2.0).keys())
+    touched = set(keys(build_map(frame, voxel_size=2.0)))
     stage = grid.stage_frame(frame)
     assert stage.hit.any() and not stage.hit.all()
     grid.commit(stage)
     assert grid.root.shape == (len(grid), 3, 3)
-    for r, key in enumerate(grid.keys()):
+    for r, key in enumerate(keys(grid)):
         if key in touched:
             assert np.isnan(grid.root[r]).all()
         else:
             assert (grid.root[r] == before[key]).all()
 
-    after_commit = {key: grid.root[r, 0, 0] for r, key in enumerate(grid.keys())}
+    after_commit = {key: grid.root[r, 0, 0] for r, key in enumerate(keys(grid))}
     assert grid.prune_outside((0.0, 0.0, 0.0), 6.0) > 0
     assert grid.root.shape == (len(grid), 3, 3)
-    for r, key in enumerate(grid.keys()):
+    for r, key in enumerate(keys(grid)):
         np.testing.assert_array_equal(grid.root[r, 0, 0], after_commit[key])
 
 
@@ -291,10 +296,10 @@ def test_prune_bound_agrees_with_full_scan():
             # the farthest centre exactly at the radius, just past it, or anywhere
             radius = [dist.max(), np.nextafter(dist.max(), 0.0),
                       rng.uniform(0.1, 1.2) * dist.max()][step // 2]
-            keys = grid.keys()
-            expected = [key for key, d in zip(keys, dist) if d <= radius]
-            assert grid.prune_outside(center, radius) == len(keys) - len(expected)
-            assert grid.keys() == expected
+            cells = keys(grid)
+            expected = [key for key, d in zip(cells, dist) if d <= radius]
+            assert grid.prune_outside(center, radius) == len(cells) - len(expected)
+            assert keys(grid) == expected
 
 
 def test_prune_skips_the_scan_when_the_box_is_within_radius():

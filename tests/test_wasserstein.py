@@ -9,9 +9,12 @@ from wassmap.keyframe import KeyframeSelector, SelectorConfig
 from wassmap.synth import ScanSpec, generate_scene, loop_path, simulate_scan
 from wassmap.voxel_map import GmmMap, StaleStageError, build_map, moments
 from wassmap.wasserstein import (
+    _CERT_TRACE,
     DissimilarityReport,
     InvalidCovarianceError,
     NoComparableVoxelsError,
+    _psd_certified,
+    _validate_covariances,
     map_dissimilarity,
     w2_batch,
 )
@@ -41,9 +44,10 @@ def sym_sqrt(mat) -> np.ndarray:
     return root.reshape(np.shape(mat))
 
 
-def distances(report: DissimilarityReport) -> dict:
-    """Per-voxel distance keyed by cell index."""
-    cells = map(tuple, report.cells.astype(np.int64).tolist())
+def distances(report: DissimilarityReport, grid: GmmMap) -> dict:
+    """Per-voxel distance keyed by cell index; call before ``grid`` changes,
+    since a commit or prune moves the rows the report names."""
+    cells = map(tuple, grid.cells(report.rows).astype(np.int64).tolist())
     return dict(zip(cells, report.cell_distances.tolist()))
 
 
@@ -77,6 +81,168 @@ def test_sym_sqrt_rejects_bad_matrices():
         sym_sqrt(np.diag([1.0, 1.0, -0.5]))
     with pytest.raises(InvalidCovarianceError):
         sym_sqrt(np.full((3, 3), np.nan))
+
+
+def w2_batch_reference(mu1, sig1, mu2, sig2, root1) -> np.ndarray:
+    """`w2_batch` for valid inputs with a full `eigvalsh` floor check of
+    ``sig2`` and the `einsum` root product, the path the certificate and the
+    explicit root product must reproduce bit for bit."""
+    lam_min = np.linalg.eigvalsh(sig2).min()
+    if lam_min < -1e-9:
+        raise InvalidCovarianceError(f"covariance has eigenvalue {lam_min:.3g}")
+    dmu = mu1 - mu2
+    mean_sq = (dmu * dmu).sum(axis=-1)
+    same_sigma = np.all(sig1 == sig2, axis=(-2, -1))
+    if same_sigma.all():
+        return np.sqrt(mean_sq)
+    todo = np.isnan(root1[:, 0, 0])
+    if todo.any():
+        stale = sig1[todo]
+        lam1, vec1 = np.linalg.eigh(0.5 * (stale + np.swapaxes(stale, -1, -2)))
+        if lam1.min() < -1e-9:
+            raise InvalidCovarianceError(f"covariance has eigenvalue {lam1.min():.3g}")
+        lam1 = np.clip(lam1, 0.0, None)
+        root1[todo] = np.einsum("...ij,...j,...kj->...ik", vec1, np.sqrt(lam1), vec1)
+    inner = root1 @ sig2 @ root1
+    inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
+    cross = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum(axis=-1)
+    traces = np.trace(sig1, axis1=-2, axis2=-1) + np.trace(sig2, axis1=-2, axis2=-1)
+    total = mean_sq + traces - 2.0 * cross
+    if np.any(total < -(1e-9 + 1e-12 * np.maximum(traces, 1.0))):
+        raise InvalidCovarianceError("Wasserstein inner value strongly negative")
+    out = np.sqrt(np.clip(total, 0.0, None))
+    out[same_sigma] = np.sqrt(mean_sq[same_sigma])
+    return out
+
+
+def _floor_message(sig):
+    """The error of a full `eigvalsh` floor check of ``sig``, or None."""
+    lam_min = np.linalg.eigvalsh(sig).min()
+    return f"covariance has eigenvalue {lam_min:.3g}" if lam_min < -1e-9 else None
+
+
+def _screen_message(sig):
+    """The error of the product's floor check of ``sig``, or None."""
+    try:
+        _validate_covariances(sig, eig_floor_checked=False)
+    except InvalidCovarianceError as err:
+        return str(err)
+    return None
+
+
+def _rank_deficient(rng, size, rank):
+    """Planar (rank 2) or linear (rank 1) covariances as V V^T."""
+    vecs = rng.normal(size=(size, 3, rank)) * rng.uniform(1e-3, 1.0, size=(size, 1, rank))
+    return vecs @ np.swapaxes(vecs, -1, -2)
+
+
+def _with_min_eigenvalue(rng, lams, rotate, top=1.0):
+    """Covariances with smallest eigenvalue ``lams`` and the other two in
+    [1e-3, top]; diagonal ones are exact."""
+    size = len(lams)
+    diag = np.stack([rng.uniform(1e-3, top, size), rng.uniform(1e-3, top, size), lams], axis=1)
+    mats = diag[:, :, None] * np.eye(3)
+    if rotate:
+        rot, _ = np.linalg.qr(rng.normal(size=(size, 3, 3)))
+        mats = rot @ mats @ np.swapaxes(rot, -1, -2)
+        mats = 0.5 * (mats + np.swapaxes(mats, -1, -2))
+    return mats
+
+
+def test_psd_certificate_accepts_and_rejects_like_eigvalsh():
+    rng = np.random.default_rng(61)
+    # a few ulps either side of the rejection line and of the shift
+    lams = np.array([edge + k * np.spacing(edge) for edge in (-1e-9, -0.5e-9)
+                     for k in range(-4, 5)] * 4)
+    ordinary = np.concatenate([
+        random_psd(rng, 200) * rng.uniform(1e-4, 10.0, size=(200, 1, 1)),
+        _rank_deficient(rng, 200, 2),
+        _rank_deficient(rng, 200, 1),
+    ])
+    # asymmetric within the tolerance: the lower triangle, which eigvalsh
+    # reads, is indefinite beyond the line and the upper one is not
+    skew = np.diag([2e-9, 2e-9, 1.0])
+    skew[1, 0], skew[0, 1] = 3.3e-9, 2.4e-9
+    near_floor = np.concatenate([_with_min_eigenvalue(rng, lams, rotate=False),
+                                 _with_min_eigenvalue(rng, lams, rotate=True),
+                                 skew[None], skew.T[None]])
+    # rounding in a factorization of these exceeds their distance to the line
+    beyond = -1e-9 - np.repeat(np.arange(1, 9) * 1e-16, 8)
+    near_floor = np.concatenate([near_floor,
+                                 _with_min_eigenvalue(rng, beyond, rotate=True, top=10.0)])
+    # above the trace bound the screen must leave every row to eigvalsh
+    big = np.concatenate([
+        random_psd(rng, 20) * _CERT_TRACE,
+        _with_min_eigenvalue(rng, np.array([-2e-9, -1e-9, -0.5e-9, 0.0]), rotate=False)
+        + np.diag([_CERT_TRACE, 0.0, 0.0]),
+    ])
+    sig = np.concatenate([ordinary, near_floor, big])
+    rejects = np.linalg.eigvalsh(sig).min(axis=-1) < -1e-9
+    certified = _psd_certified(sig)
+
+    assert certified[:len(ordinary)].all()
+    assert not certified[len(ordinary) + len(near_floor):].any()
+    assert not (certified & rejects).any()
+    assert rejects[len(ordinary):].any() and not rejects.all()
+    for row in sig:
+        assert _screen_message(row[None]) == _floor_message(row[None])
+    # in a batch the message names the batch minimum, as the full check does
+    for chunk in np.array_split(rng.permutation(len(sig)), 40):
+        assert _screen_message(sig[chunk]) == _floor_message(sig[chunk])
+
+
+def test_indefinite_overlay_row_names_its_eigenvalue():
+    rng = np.random.default_rng(67)
+    sig1 = random_psd(rng, 50)
+    sig2 = sig1 + 0.01 * random_psd(rng, 50)
+    sig2[7] = np.diag([1.0, 1.0, -1e-3])
+    sig2[31] = _with_min_eigenvalue(rng, np.array([-2e-6]), rotate=True)[0]
+    zero = np.zeros((50, 3))
+    with pytest.raises(InvalidCovarianceError, match="^covariance has eigenvalue -0.001$"):
+        w2_batch(zero, sig1, zero, sig2)
+    sig2[7] = sig1[7]
+    with pytest.raises(InvalidCovarianceError) as info:
+        w2_batch(zero, sig1, zero, sig2)
+    assert str(info.value) == _floor_message(sig2) == "covariance has eigenvalue -2e-06"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scores_and_roots_bitwise_equal_to_reference(seed):
+    rng = np.random.default_rng(seed)
+    size = 300
+    kind = rng.integers(0, 4, size)  # full rank, planar, linear, unchanged
+    sig1 = random_psd(rng, size) * rng.uniform(1e-4, 1.0, size=(size, 1, 1))
+    sig1[kind == 1] = _rank_deficient(rng, size, 2)[kind == 1]
+    sig1[kind == 2] = _rank_deficient(rng, size, 1)[kind == 2]
+    sig2 = sig1 + 0.01 * random_psd(rng, size)
+    # a frame's points in the voxel's plane keep it planar
+    sig2[kind == 1] = sig1[kind == 1] + 0.1 * sig1[kind == 1] @ sig1[kind == 1]
+    sig2[kind == 3] = sig1[kind == 3]
+    if seed % 2:
+        # rows above the certificate's trace bound take the eigvalsh fallback
+        sig1[:10] *= 2 * _CERT_TRACE
+        sig2[:10] *= 2 * _CERT_TRACE
+    sig2 = 0.5 * (sig2 + np.swapaxes(sig2, -1, -2))
+    mu1, mu2 = rng.normal(size=(size, 3)), rng.normal(size=(size, 3))
+
+    # half the rows arrive with their root cached from an earlier frame
+    cached = rng.random(size) < 0.5
+    earlier = np.full((cached.sum(), 3, 3), np.nan)
+    w2_batch_reference(mu1[cached], sig1[cached], mu2[cached], sig1[cached] + np.eye(3), earlier)
+    root = np.full((size, 3, 3), np.nan)
+    root[cached] = earlier
+
+    got_root, want_root = root.copy(), root.copy()
+    got = w2_batch(mu1, sig1, mu2, sig2, got_root)
+    want = w2_batch_reference(mu1, sig1, mu2, sig2, want_root)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_root, want_root) and not np.isnan(got_root).any()
+
+    # an all-unchanged batch takes the shortcut and fills no root
+    got_root, want_root = root.copy(), root.copy()
+    got = w2_batch(mu1, sig1, mu2, sig1, got_root)
+    assert np.array_equal(got, w2_batch_reference(mu1, sig1, mu2, sig1, want_root))
+    assert np.array_equal(got_root, want_root, equal_nan=True)
 
 
 def test_w2_identical_is_exactly_zero():
@@ -198,7 +364,7 @@ def test_map_dissimilarity_matches_per_voxel_oracle():
     assert report.new_count == 0 and report.skipped_count == 0
     assert abs(report.value - 0.5 * (d_a + d_b)) < 1e-9
     assert report.value >= 0.0
-    assert set(distances(report)) == {(0, 0, 0), (2, 0, 0)}
+    assert set(distances(report, grid)) == {(0, 0, 0), (2, 0, 0)}
 
 
 def test_affected_mean_ignores_untouched_voxels():
@@ -249,7 +415,7 @@ def test_new_and_skipped_voxels_are_counted_not_averaged():
     assert report.affected_count == 1
     assert report.skipped_count == 1
     assert report.new_count == 1
-    assert list(distances(report)) == [(0, 0, 0)]
+    assert list(distances(report, grid)) == [(0, 0, 0)]
 
     only_compared = map_dissimilarity(grid, grid.stage_frame(frame[:10]), min_points=5)
     assert report.value == only_compared.value
