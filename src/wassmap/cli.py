@@ -36,12 +36,7 @@ from wassmap.io import (
     write_tum,
 )
 from wassmap.keyframe import KeyframeSelector, SelectorConfig, keyframe_indices
-from wassmap.pose_graph import (
-    GaugeUnderdeterminedError,
-    LMParams,
-    merge_sessions,
-    optimize,
-)
+from wassmap.pose_graph import GaugeUnderdeterminedError, merge_sessions, optimize
 from wassmap.synth import (
     NoiseModel,
     ScanSpec,
@@ -54,8 +49,6 @@ from wassmap.synth import (
     simulate_scan,
 )
 from wassmap.wasserstein import InvalidCovarianceError
-
-logger = logging.getLogger(__name__)
 
 
 class UsageError(Exception):
@@ -74,9 +67,7 @@ class RunConfig:
     tau: float = 0.5
     voxel_size: float = 4.0
     radius: float = 100.0
-    estimator: str = "sample"
     min_points: int = 5
-    agg: str = "affected"
     commit: str = "keyframes"
     seed: int = 0
     max_dt: float = 0.05
@@ -89,9 +80,7 @@ class RunConfig:
             tau=self.tau,
             voxel_size=self.voxel_size,
             radius=self.radius,
-            estimator=self.estimator,
             min_points=self.min_points,
-            aggregation=self.agg,
             commit_policy=policy,
         )
 
@@ -235,11 +224,7 @@ def cmd_merge(args) -> int:
     graph1 = read_graph(args.graph)
     trajectory2 = read_tum(args.trajectory)
     odometry2 = read_edge_list(args.odometry)
-    if args.loops and Path(args.loops).exists():
-        loops = read_edge_list(args.loops)
-    else:
-        loops = []
-        logger.warning("no loop file; sessions are tied only by the initial alignment")
+    loops = read_edge_list(args.loops) if args.loops and Path(args.loops).exists() else []
 
     merged = merge_sessions(
         graph1,
@@ -249,8 +234,7 @@ def cmd_merge(args) -> int:
         _parse_t_init(args.t_init),
         t_init_prior=args.t_init_prior,
     )
-    params = LMParams(max_iterations=args.max_iterations)
-    report = optimize(merged, params=params)
+    report = optimize(merged, max_iterations=args.max_iterations)
 
     write_graph(out / "merged.g2o", merged)
     session2 = [node for node in merged.nodes.values() if node.session == 2]
@@ -338,9 +322,7 @@ def _add_shared_flags(sub):
     sub.add_argument("--voxel-size", dest="voxel_size", type=float, default=None)
     sub.add_argument("--tau", type=float, default=None)
     sub.add_argument("--radius", type=float, default=None)
-    sub.add_argument("--estimator", choices=["sample", "population"], default=None)
     sub.add_argument("--min-points", dest="min_points", type=int, default=None)
-    sub.add_argument("--agg", choices=["affected", "all", "mass"], default=None)
     sub.add_argument("--commit", choices=["keyframes", "always"], default=None)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--config", default=None, help="key=value config file")

@@ -1,17 +1,18 @@
 """Streaming keyframe selection: stage, score, decide, commit, prune.
 
 Each incoming frame is transformed into the map frame, staged onto the
-current voxel map, and scored with the map-level Wasserstein dissimilarity.
-The frame becomes a keyframe when the score exceeds the threshold. What
-happens to the staged update is a policy choice: by default only keyframes
-are committed, so redundant frames leave the map untouched; the alternative
-commits every frame unconditionally. After every processed frame, voxels
-beyond the pruning radius of the current pose are dropped.
+current voxel map, and scored with the map-level Wasserstein dissimilarity:
+the mean W2 distance, under sample covariances, over the voxels the frame
+shares with the map. The frame becomes a keyframe when the score exceeds the
+threshold. What happens to the staged update is a policy choice: by default
+only keyframes are committed, so redundant frames leave the map untouched;
+the alternative commits every frame unconditionally. After every processed
+frame, voxels beyond the pruning radius of the current pose are dropped.
 
 The first frame always bootstraps the map and is a keyframe by definition;
 its score is reported as +inf. Frames that share no usable voxel with the
-map (no overlap, or all shared voxels under the point floor) are decided by
-``no_comparable_policy`` and flagged, with the score recorded as NaN. In
+map (no overlap, or all shared voxels under the point floor) are keyframes
+flagged ``no_comparable``, with the score recorded as NaN. In
 `KeyframeSelector.run_sequence` a frame that fails (no finite point, bad
 pose, numerical error) is flagged ``error`` instead of vanishing.
 """
@@ -27,16 +28,11 @@ import numpy as np
 
 from wassmap.geometry import Pose
 from wassmap.voxel_map import GmmMap
-from wassmap.wasserstein import (
-    AGGREGATION_POLICIES,
-    NoComparableVoxelsError,
-    map_dissimilarity,
-)
+from wassmap.wasserstein import NoComparableVoxelsError, map_dissimilarity
 
 logger = logging.getLogger(__name__)
 
 COMMIT_POLICIES = ("keyframes-only", "always")
-NO_COMPARABLE_POLICIES = ("keyframe", "non-keyframe")
 DECISION_FLAGS = ("bootstrap", "scored", "no_comparable", "error")
 
 
@@ -49,31 +45,20 @@ class SelectorConfig:
     tau: float
     voxel_size: float = 4.0
     radius: float = 100.0
-    estimator: str = "sample"
     min_points: int = 5
-    aggregation: str = "affected"
     commit_policy: str = "keyframes-only"
-    no_comparable_policy: str = "keyframe"
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) or self.tau == math.inf) or self.tau < 0.0:
+        if not self.tau >= 0.0:
             raise ValueError("tau must be >= 0")
         if self.voxel_size <= 0.0:
             raise ValueError("voxel_size must be positive")
         if self.radius <= 0.0:
             raise ValueError("radius must be positive")
-        if self.estimator not in ("sample", "population"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.min_points < 1:
-            raise ValueError("min_points must be >= 1")
-        if self.estimator == "sample" and self.min_points < 2:
+        if self.min_points < 2:
             raise ValueError("sample covariance needs min_points >= 2")
-        if self.aggregation not in AGGREGATION_POLICIES:
-            raise ValueError(f"unknown aggregation {self.aggregation!r}")
         if self.commit_policy not in COMMIT_POLICIES:
             raise ValueError(f"unknown commit_policy {self.commit_policy!r}")
-        if self.no_comparable_policy not in NO_COMPARABLE_POLICIES:
-            raise ValueError(f"unknown no_comparable_policy {self.no_comparable_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -94,11 +79,11 @@ def replay_decisions(decisions, tau: float) -> list[FrameDecision]:
     """Re-threshold recorded scores without touching any map state.
 
     Bootstrap frames stay keyframes and no-comparable frames keep their
-    recorded policy decision; only scored frames are re-decided. Note that a
+    recorded decision; only scored frames are re-decided. Note that a
     live rerun at the new threshold can differ when commits depend on the
     decisions; replay answers "what would thresholding alone have chosen".
     """
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValueError("tau must be >= 0")
     out = []
     for d in decisions:
@@ -174,20 +159,14 @@ class KeyframeSelector:
         if stage.point_count == 0:
             raise EmptyFrameError("frame contains no finite points")
         try:
-            report = map_dissimilarity(
-                self.map,
-                stage,
-                policy=cfg.aggregation,
-                estimator=cfg.estimator,
-                min_points=cfg.min_points,
-            )
+            report = map_dissimilarity(self.map, stage, min_points=cfg.min_points)
             dw = report.value
             keyframe = dw > cfg.tau
             flag = "scored"
         except NoComparableVoxelsError as err:
             report = err.report
             dw = math.nan
-            keyframe = cfg.no_comparable_policy == "keyframe"
+            keyframe = True
             flag = "no_comparable"
 
         if cfg.commit_policy == "always" or keyframe:

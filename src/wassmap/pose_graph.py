@@ -28,9 +28,9 @@ states are quaternion and translation arrays, the Hessian is assembled from
 (the structure g2o exploits). Before the first iteration a connected-component
 pass over the edges finds free nodes that no fixed node or prior reaches; the
 Hessian would be singular, and the error names them. The one-edge and
-one-graph functions (`edge_residual`, `whitened_residual_and_jacobians`,
-`robust_cost`) wrap the same kernel. scipy is imported on the first call to
-`optimize`, so importing the package does not load it.
+one-graph functions (`whitened_residual_and_jacobians`, `robust_cost`) wrap
+the same kernel. scipy is imported on the first call to `optimize`, so
+importing the package does not load it.
 
 The merged two-session problem anchors session 1 (hard-fixed, matching an
 argmin over session-2 poses alone) and initializes session 2 through T_init.
@@ -66,6 +66,13 @@ KERNELS = ("none", "huber")
 # such prior edge holds this one array
 PRIOR_INFORMATION = np.eye(6) * 1e4
 PRIOR_INFORMATION.setflags(write=False)
+
+# Levenberg-Marquardt schedule of `optimize`
+_LAMBDA0 = 1e-4
+_LAMBDA_FACTOR = 10.0
+_LAMBDA_MAX = 1e10
+_COST_TOLERANCE = 1e-6   # relative change of the robust cost
+_GRADIENT_TOLERANCE = 1e-8
 
 
 class GaugeUnderdeterminedError(RuntimeError):
@@ -310,25 +317,17 @@ class _Problem:
         return grad.ravel(), hess.tocsc()
 
 
-def _single_edge(edge: GraphEdge, nodes):
-    poses = nodes.poses() if isinstance(nodes, PoseGraph) else nodes
-    rows, q, t = _state(poses, [edge.i] if edge.j is None else [edge.i, edge.j])
-    edges = _stack_edges([edge], rows)
-    return edges, _residuals(edges, q, t)
-
-
-def edge_residual(edge: GraphEdge, nodes) -> np.ndarray:
-    """Unwhitened 6-vector residual (rotation part first)."""
-    return _single_edge(edge, nodes)[1][0]
-
-
 def whitened_residual_and_jacobians(edge: GraphEdge, nodes):
     """Whitened residual plus analytic Jacobians wrt each endpoint's tangent.
 
-    Right perturbation convention: d/dxi of residual at T <- T exp(xi).
-    Returns (W r, {node_id: W J}).
+    ``nodes`` is a `PoseGraph` or a mapping of node id to pose. Right
+    perturbation convention: d/dxi of residual at T <- T exp(xi).
+    Returns (W r, {node_id: W J}); the residual's rotation part comes first.
     """
-    edges, r = _single_edge(edge, nodes)
+    poses = nodes.poses() if isinstance(nodes, PoseGraph) else nodes
+    rows, q, t = _state(poses, [edge.i] if edge.j is None else [edge.i, edge.j])
+    edges = _stack_edges([edge], rows)
+    r = _residuals(edges, q, t)
     jac_a, jac_b = _jacobians(edges, r)
     wr = edges.whitener[0] @ r[0]
     if edge.j is None:
@@ -344,16 +343,6 @@ def robust_cost(graph: PoseGraph, poses=None) -> float:
 
 
 @dataclass
-class LMParams:
-    max_iterations: int = 100
-    lambda0: float = 1e-4
-    lambda_factor: float = 10.0
-    cost_tolerance: float = 1e-6   # relative change of the robust cost
-    gradient_tolerance: float = 1e-8
-    lambda_max: float = 1e10
-
-
-@dataclass
 class OptimizationReport:
     iterations: int
     initial_cost: float
@@ -364,7 +353,7 @@ class OptimizationReport:
     rejected_steps: int = 0
 
 
-def optimize(graph: PoseGraph, fixed=None, params: LMParams | None = None) -> OptimizationReport:
+def optimize(graph: PoseGraph, fixed=None, max_iterations: int = 100) -> OptimizationReport:
     """Levenberg-Marquardt over the non-fixed nodes; updates poses in place.
 
     Every iteration runs over arrays: one batched residual for all edges,
@@ -374,7 +363,6 @@ def optimize(graph: PoseGraph, fixed=None, params: LMParams | None = None) -> Op
     from scipy.sparse import identity
     from scipy.sparse.linalg import splu
 
-    params = params or LMParams()
     fixed_ids = {n.id for n in graph.nodes.values() if n.fixed}
     if fixed is not None:
         missing = set(fixed) - set(graph.nodes)
@@ -398,17 +386,17 @@ def optimize(graph: PoseGraph, fixed=None, params: LMParams | None = None) -> Op
         return report
     damping = identity(6 * problem.n_free, format="csc")
 
-    lam = params.lambda0
-    for iteration in range(params.max_iterations):
+    lam = _LAMBDA0
+    for iteration in range(max_iterations):
         report.iterations = iteration + 1
         grad, hess = problem.normal_equations(r)
-        if float(np.linalg.norm(grad)) < params.gradient_tolerance:
+        if float(np.linalg.norm(grad)) < _GRADIENT_TOLERANCE:
             report.iterations = iteration
             report.reason = "gradient tolerance"
             break
 
         accepted = False
-        while lam <= params.lambda_max:
+        while lam <= _LAMBDA_MAX:
             step = splu((hess + lam * damping).tocsc()).solve(-grad)
             trial_q, trial_t = q.copy(), t.copy()
             trial_q[free], trial_t[free] = compose_batch((q[free], t[free]),
@@ -417,7 +405,7 @@ def optimize(graph: PoseGraph, fixed=None, params: LMParams | None = None) -> Op
             if trial_cost < cost:
                 accepted = True
                 break
-            lam *= params.lambda_factor
+            lam *= _LAMBDA_FACTOR
             report.rejected_steps += 1
         if not accepted:
             report.reason = "damping limit"
@@ -426,10 +414,10 @@ def optimize(graph: PoseGraph, fixed=None, params: LMParams | None = None) -> Op
         q, t, r = trial_q, trial_t, trial_r
         report.accepted_steps += 1
         report.cost_trace.append(trial_cost)
-        lam = max(lam / params.lambda_factor, 1e-15)
+        lam = max(lam / _LAMBDA_FACTOR, 1e-15)
         relative_drop = (cost - trial_cost) / max(cost, 1e-30)
         cost = trial_cost
-        if cost == 0.0 or relative_drop < params.cost_tolerance:
+        if cost == 0.0 or relative_drop < _COST_TOLERANCE:
             report.reason = "cost tolerance"
             break
 
@@ -458,7 +446,6 @@ def merge_sessions(
     odometry2,
     loops12,
     t_init: Pose,
-    session1_soft_prior: bool = False,
     t_init_prior: bool = False,
 ) -> PoseGraph:
     """Combine an anchored session-1 graph with a new session's trajectory.
@@ -467,19 +454,15 @@ def merge_sessions(
     the merged graph as t_init * pose. ``odometry2`` entries are
     (i, j, measurement, information) with session-local indices; ``loops12``
     entries are (session1_node_id, session2_index, measurement, information)
-    measuring T_1i^{-1} T_2j. Session-1 nodes are hard-fixed unless
-    ``session1_soft_prior`` swaps the anchor for per-node prior edges. The
-    initial guess can additionally be pinned with ``t_init_prior``, which adds
-    a prior factor on the first session-2 node at its initialized pose.
+    measuring T_1i^{-1} T_2j. Session-1 nodes are hard-fixed. The initial
+    guess can additionally be pinned with ``t_init_prior``, which adds a
+    prior factor on the first session-2 node at its initialized pose.
     """
     merged = graph1.copy()
     if not merged.nodes:
         raise ValueError("session-1 graph has no nodes")
     for node in merged.nodes.values():
-        if session1_soft_prior:
-            merged.add_prior(node.id, node.pose, PRIOR_INFORMATION)
-        else:
-            node.fixed = True
+        node.fixed = True
 
     offset = max(merged.nodes) + 1
     for idx, pose in enumerate(trajectory2):

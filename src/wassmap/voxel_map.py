@@ -27,13 +27,13 @@ keys in with one sorted insert; pruning keeps the rows whose cell centre lies
 within the radius. Single writer per map; reads of the base during an open
 stage are fine.
 
-Beside the sums, ``root[r]`` caches the square root of row r's covariance,
-which the Wasserstein score fills lazily for the estimator named in
-``root_estimator``. A NaN row is stale: commit marks every row it adds to or
-opens as stale, and prune compacts the cache with the rows it keeps. The map
-also keeps a box of cells that holds every occupied cell: commit grows it,
-prune leaves it as it is. When the box's farthest cell centre lies within the
-pruning radius, no row can lie outside it and prune skips the scan.
+Beside the sums, ``root[r]`` caches the square root of row r's sample
+covariance, which the Wasserstein score fills lazily. A NaN row is stale:
+commit marks every row it adds to or opens as stale, and prune compacts the
+cache with the rows it keeps. The map also keeps a box of cells that holds
+every occupied cell: commit grows it, prune leaves it as it is. When the
+box's farthest cell centre lies within the pruning radius, no row can lie
+outside it and prune skips the scan.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-Estimator = str  # 'sample' | 'population'
-_ESTIMATORS = ("sample", "population")
 
 _AXIS_BITS = 21
 _KEY_BIAS = 1 << (_AXIS_BITS - 1)
@@ -54,34 +51,29 @@ _UPPER_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 class InsufficientPointsError(ValueError):
-    """Moments requested for a voxel with too few points for the estimator."""
+    """Moments requested for a voxel with fewer than two points."""
 
 
 class StaleStageError(RuntimeError):
     """Commit of a stage whose base map has changed since staging."""
 
 
-def moments(n, s, q, estimator: Estimator = "sample") -> tuple[np.ndarray, np.ndarray]:
-    """Batched means and covariances from per-voxel count and anchored sums.
+def moments(n, s, q) -> tuple[np.ndarray, np.ndarray]:
+    """Batched means and sample covariances from per-voxel count and anchored sums.
 
     ``n`` (M,), ``s`` (M,3) and ``q`` (M,6) as a `GmmMap` stores them.
     Returns ``mu`` (M,3), relative to the anchor the sums were taken about,
-    and ``sigma`` (M,3,3), which does not depend on the anchor. 'sample'
-    divides by n-1 and needs n >= 2; 'population' divides by n.
+    and ``sigma`` (M,3,3), which does not depend on the anchor. The
+    covariance divides by n-1, so every voxel needs n >= 2.
     """
-    if estimator not in _ESTIMATORS:
-        raise ValueError(f"unknown estimator {estimator!r}")
     n = np.asarray(n, dtype=float)
-    floor = 2 if estimator == "sample" else 1
-    if n.size and n.min() < floor:
-        raise InsufficientPointsError(
-            f"{estimator} covariance needs at least {floor} points per voxel")
+    if n.size and n.min() < 2:
+        raise InsufficientPointsError("sample covariance needs at least 2 points per voxel")
     mu = np.asarray(s, dtype=float) / n[:, None]
     # forming the outer product before scaling keeps sigma exactly symmetric
     centered = np.asarray(q, dtype=float)[:, _UPPER] - n[:, None, None] * (
         mu[:, :, None] * mu[:, None, :])
-    denom = n - 1.0 if estimator == "sample" else n
-    return mu, centered / denom[:, None, None]
+    return mu, centered / (n - 1.0)[:, None, None]
 
 
 def _group(points, voxel_size: float, origin):
@@ -182,7 +174,6 @@ class GmmMap:
         self.s = np.empty((0, 3))
         self.q = np.empty((0, 6))
         self.root = np.empty((0, 3, 3))
-        self.root_estimator: Estimator | None = None
         self._box = np.array([[np.inf] * 3, [-np.inf] * 3])  # min and max cell
         self.version = 0
         self.total_points = 0

@@ -16,13 +16,13 @@ plain mean offset, which keeps d(g, g) exactly zero instead of
 sqrt(rounding noise).
 
 Map-level dissimilarity compares a staged frame against its base map voxel by
-voxel and averages under a selectable policy. Voxels are reduced in key
-order, so the result is bit-stable across runs. The base side changes only on
-commit and prune, so the score caches each base row's S1^{1/2} in the map's
-``root`` rows: it factors only the compared rows whose root is stale, stores
-them once the batch passes the eigenvalue floor, and gathers the rest, with
-the same arithmetic per matrix, so scores are bitwise equal. A change of
-estimator changes every base covariance and clears the cache.
+voxel, with sample covariances on both sides, and takes the mean over the
+voxels they share. Voxels are reduced in key order, so the result is
+bit-stable across runs. The base side changes only on commit and prune, so
+the score caches each base row's S1^{1/2} in the map's ``root`` rows: it
+factors only the compared rows whose root is stale, stores them once the
+batch passes the eigenvalue floor, and gathers the rest, with the same
+arithmetic per matrix, so scores are bitwise equal.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from wassmap.voxel_map import GmmMap, StagedUpdate, StaleStageError, moments
-
-AGGREGATION_POLICIES = ("affected", "all", "mass")
 
 _EIG_CLAMP = 1e-9
 _SYM_TOL = 1e-9
@@ -175,35 +173,22 @@ def w2_batch(mu1, sig1, mu2, sig2, root1=None) -> np.ndarray:
     return out
 
 
-def map_dissimilarity(
-    base: GmmMap,
-    stage: StagedUpdate,
-    policy: str = "affected",
-    estimator: str = "sample",
-    min_points: int = 2,
-) -> DissimilarityReport:
-    """Average per-voxel Wasserstein distance between a base map and a stage.
+def map_dissimilarity(base: GmmMap, stage: StagedUpdate,
+                      min_points: int = 2) -> DissimilarityReport:
+    """Mean per-voxel Wasserstein distance between a base map and a stage.
 
     Every voxel the stage touches falls into one of three bins: compared
-    (present in the base with at least ``min_points`` points on both sides),
-    new (absent from the base, excluded from the average), or skipped (shared
-    but under the point floor). Aggregation policies:
-
-      affected  mean over compared voxels (default)
-      all       sum over compared voxels divided by the base map's voxel count
-      mass      mean weighted by each compared voxel's base-side point count
+    (present in the base with at least ``min_points`` points, and never
+    fewer than 2, on both sides), new (absent from the base, excluded from
+    the mean), or skipped (shared but under the point floor).
 
     Raises `NoComparableVoxelsError` (report attached) when nothing compares.
     """
-    if policy not in AGGREGATION_POLICIES:
-        raise ValueError(f"unknown aggregation policy {policy!r}")
-    if estimator not in ("sample", "population"):
-        raise ValueError(f"unknown estimator {estimator!r}")
     if stage.base is not base:
         raise ValueError("stage does not belong to this map")
     if stage.base_version != base.version:
         raise StaleStageError("stage was built against a different map state")
-    floor = max(int(min_points), 2 if estimator == "sample" else 1)
+    floor = max(int(min_points), 2)
 
     matched = np.flatnonzero(stage.hit)
     base_n = base.n[stage.rows]
@@ -224,26 +209,15 @@ def map_dissimilarity(
     # both sides share each voxel's anchor, so the anchored means compare
     # directly and the score does not depend on how far the map is from zero
     n, s, q = base.n[rows], base.s[rows], base.q[rows]
-    mu_base, cov_base = moments(n, s, q, estimator)
+    mu_base, cov_base = moments(n, s, q)
     mu_over, cov_over = moments(n + stage.n[deltas], s + stage.s[deltas],
-                                q + stage.q[deltas], estimator)
-    if base.root_estimator != estimator:
-        base.root.fill(np.nan)
-        base.root_estimator = estimator
+                                q + stage.q[deltas])
     roots = base.root[rows]
     dists = w2_batch(mu_base, cov_base, mu_over, cov_over, roots)
     base.root[rows] = roots
 
-    if policy == "affected":
-        value = float(dists.mean())
-    elif policy == "all":
-        value = float(dists.sum() / len(base))
-    else:
-        weights = n.astype(float)
-        value = float((dists * weights).sum() / weights.sum())
-
     return DissimilarityReport(
-        value=value,
+        value=float(dists.mean()),
         rows=rows,
         cell_distances=dists,
         affected_count=len(rows),

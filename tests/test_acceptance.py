@@ -55,11 +55,11 @@ def keys(grid) -> list[tuple[int, int, int]]:
 
 def _voxel_gaussians(grid) -> dict:
     """Per-voxel (n, mean, sample covariance), the covariance None below 2 points."""
-    mu, _ = moments(grid.n, grid.s, grid.q, "population")
-    mu = mu + grid.centres()
+    # the mean that `moments` forms, taken here so that 1-point voxels have one too
+    mu = grid.s / grid.n[:, None] + grid.centres()
     sigma = [None] * len(grid)
     rows = np.flatnonzero(grid.n >= 2)
-    for r, cov in zip(rows, moments(grid.n[rows], grid.s[rows], grid.q[rows], "sample")[1]):
+    for r, cov in zip(rows, moments(grid.n[rows], grid.s[rows], grid.q[rows])[1]):
         sigma[r] = cov
     return {key: (int(n), m, c) for key, n, m, c in zip(keys(grid), grid.n, mu, sigma)}
 

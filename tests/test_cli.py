@@ -65,9 +65,7 @@ class TestConfigPrecedence:
             tau = 1.5
             voxel_size = None
             radius = None
-            estimator = None
             min_points = None
-            agg = None
             commit = None
             seed = None
             max_dt = None
@@ -79,7 +77,7 @@ class TestConfigPrecedence:
         assert cfg.radius == 100.0     # default
 
     def test_unknown_key_is_usage_error(self, tmp_path, capsys):
-        for line in ("bogus=1", "threads=1"):
+        for line in ("bogus=1", "threads=1", "agg=mass", "estimator=population"):
             cfg_file = tmp_path / "run.cfg"
             cfg_file.write_text(f"tau=0.2\n{line}\n")
             code = run("synth", "--config", cfg_file, "--out", tmp_path / "o")
@@ -89,6 +87,10 @@ class TestConfigPrecedence:
     def test_bad_flag_exits_one(self, capsys):
         assert run("keyframes", "--clouds") == 1
         assert run("unknown-command") == 1
+        for flag in (("--agg", "mass"), ("--estimator", "population")):
+            capsys.readouterr()
+            assert run("keyframes", "--clouds", "c", "--trajectory", "t.tum", *flag) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_config_echoed(self, corridor_dataset):
         text = (corridor_dataset / "config.txt").read_text()
@@ -291,7 +293,7 @@ class TestMergeCommand:
                        "--loops", tmp_path / "absent.txt",
                        "--t-init-prior", "--out", out)
         assert code == 0
-        assert any("loop" in r.message for r in caplog.records)
+        assert sum("loop" in r.message for r in caplog.records) == 1
         assert (out / "merged.g2o").exists()
 
     def test_gauge_underdetermined_exits_two(self, two_session_dataset, tmp_path, capsys):

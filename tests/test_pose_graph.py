@@ -15,7 +15,6 @@ from wassmap.pose_graph import (
     GraphEdge,
     PRIOR_INFORMATION,
     PoseGraph,
-    edge_residual,
     evaluate_ate,
     merge_sessions,
     optimize,
@@ -71,13 +70,16 @@ def test_residual_zero_for_consistent_measurements():
     graph.add_node(0, t0)
     graph.add_node(1, t1)
     edge = graph.add_edge("odometry", 0, 1, t0.inverse() * t1, np.eye(6))
-    np.testing.assert_allclose(edge_residual(edge, graph), np.zeros(6), atol=1e-12)
+    # identity information: the whitened residual is the residual itself
+    np.testing.assert_allclose(whitened_residual_and_jacobians(edge, graph)[0],
+                               np.zeros(6), atol=1e-12)
 
     prior = graph.add_prior(0, t0, np.eye(6))
-    np.testing.assert_allclose(edge_residual(prior, graph), np.zeros(6), atol=1e-12)
+    np.testing.assert_allclose(whitened_residual_and_jacobians(prior, graph)[0],
+                               np.zeros(6), atol=1e-12)
     np.testing.assert_allclose(
-        edge_residual(graph.add_prior(1, Pose.identity(), np.eye(6)),
-                      {0: Pose.identity(), 1: Pose.identity()}),
+        whitened_residual_and_jacobians(graph.add_prior(1, Pose.identity(), np.eye(6)),
+                                        {0: Pose.identity(), 1: Pose.identity()})[0],
         np.zeros(6), atol=1e-15,
     )
 
@@ -92,7 +94,7 @@ def test_residual_of_small_perturbation_is_the_perturbation():
     for scale in (1e-3, 1e-4, 1e-5, 1e-6):
         xi = rng.normal(scale=scale, size=6)
         poses = {0: t0, 1: t1 * se3_exp(xi)}
-        r = edge_residual(edge, poses)
+        r = whitened_residual_and_jacobians(edge, poses)[0]
         assert abs(np.linalg.norm(r) - np.linalg.norm(xi)) < 10.0 * scale ** 2
         np.testing.assert_allclose(r, xi, atol=10.0 * scale ** 2)
 
@@ -375,22 +377,6 @@ def test_merge_loop_edges_and_flags():
     with pytest.raises(ValueError):
         merge_sessions(graph1, traj2, odo2, [(99, 0, Pose.identity(), np.eye(6))],
                        Pose.identity())
-
-
-def test_merge_soft_prior_mode():
-    rng = np.random.default_rng(27)
-    graph1 = _session1_graph(rng)
-    traj2 = [random_pose(rng) for _ in range(3)]
-    odo2 = [(0, 1, traj2[0].inverse() * traj2[1], np.eye(6)),
-            (1, 2, traj2[1].inverse() * traj2[2], np.eye(6))]
-    merged = merge_sessions(graph1, traj2, odo2, [], Pose.identity(),
-                            session1_soft_prior=True, t_init_prior=True)
-    assert not any(n.fixed for n in merged.nodes.values())
-    priors = [e for e in merged.edges if e.kind == "prior"]
-    # one soft prior per session-1 node plus the alignment prior
-    assert len(priors) == len(graph1.nodes) + 1
-    report = optimize(merged)  # anchored by the priors alone
-    assert report.final_cost <= report.initial_cost
 
 
 def test_monotone_cost_trace_on_noisy_graph():

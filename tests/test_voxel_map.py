@@ -18,7 +18,7 @@ def keys(grid) -> list[tuple[int, int, int]]:
 def voxel_gaussians(grid):
     """Per-voxel (absolute mean, sample covariance) keyed by cell, for n >= 2."""
     rows = np.flatnonzero(grid.n >= 2)
-    mu, sigma = moments(grid.n[rows], grid.s[rows], grid.q[rows], "sample")
+    mu, sigma = moments(grid.n[rows], grid.s[rows], grid.q[rows])
     cells = keys(grid)
     return {cells[r]: (m, c) for r, m, c in zip(rows, mu + grid.centres()[rows], sigma)}
 
@@ -67,28 +67,17 @@ def test_keys_beyond_packing_range_rejected():
 def test_hand_computed_moments():
     grid = build_map([(1.0, 0.5, 0.5), (3.0, 0.5, 0.5)], voxel_size=4.0)
     assert grid.n.tolist() == [2]
-    mu, sigma = moments(grid.n, grid.s, grid.q, "sample")
+    mu, sigma = moments(grid.n, grid.s, grid.q)
     np.testing.assert_allclose(mu[0] + grid.centres()[0], (2.0, 0.5, 0.5))
     np.testing.assert_allclose(sigma[0], np.diag([2.0, 0.0, 0.0]))
-    _, sigma = moments(grid.n, grid.s, grid.q, "population")
-    np.testing.assert_allclose(sigma[0], np.diag([1.0, 0.0, 0.0]))
 
 
 def test_sample_covariance_needs_two_points():
     grid = build_map([(0.5, 0.5, 0.5)], voxel_size=1.0)
     with pytest.raises(InsufficientPointsError):
-        moments(grid.n, grid.s, grid.q, "sample")
-    # population estimate of a single point is the zero matrix
-    _, sigma = moments(grid.n, grid.s, grid.q, "population")
-    np.testing.assert_allclose(sigma[0], np.zeros((3, 3)))
+        moments(grid.n, grid.s, grid.q)
     with pytest.raises(InsufficientPointsError):
-        moments([0], np.zeros((1, 3)), np.zeros((1, 6)), "population")
-
-
-def test_unknown_estimator_rejected():
-    grid = build_map(np.eye(3), voxel_size=4.0)
-    with pytest.raises(ValueError):
-        moments(grid.n, grid.s, grid.q, "mle")
+        moments([0], np.zeros((1, 3)), np.zeros((1, 6)))
 
 
 def test_incremental_matches_batch():
@@ -143,7 +132,7 @@ def test_covariance_is_symmetric_psd():
         pts = rng.normal(size=(rng.integers(2, 40), 3)) * rng.uniform(0.01, 10.0)
         grid = build_map(pts + 500.0, voxel_size=1000.0)
         assert len(grid) == 1
-        _, cov = moments(grid.n, grid.s, grid.q, "sample")
+        _, cov = moments(grid.n, grid.s, grid.q)
         np.testing.assert_allclose(cov[0], cov[0].T)
         assert np.linalg.eigvalsh(cov[0]).min() >= -1e-9
 

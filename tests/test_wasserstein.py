@@ -341,14 +341,13 @@ def _two_voxel_setup(rng, extra_voxels=0):
     return grid, frame, (base_a, base_b)
 
 
-def _gaussian(pts, estimator):
-    return GaussianComponent(np.mean(pts, axis=0),
-                             np.cov(pts, rowvar=False, ddof=1 if estimator == "sample" else 0))
+def _gaussian(pts):
+    return GaussianComponent(np.mean(pts, axis=0), np.cov(pts, rowvar=False, ddof=1))
 
 
-def _expected_voxel_distance(base_pts, frame_pts, estimator="sample"):
+def _expected_voxel_distance(base_pts, frame_pts):
     merged = np.concatenate([base_pts, frame_pts])
-    return w2(_gaussian(base_pts, estimator), _gaussian(merged, estimator))
+    return w2(_gaussian(base_pts), _gaussian(merged))
 
 
 def test_map_dissimilarity_matches_per_voxel_oracle():
@@ -377,25 +376,6 @@ def test_affected_mean_ignores_untouched_voxels():
     small = map_dissimilarity(grid_small, grid_small.stage_frame(frame))
     big = map_dissimilarity(grid_big, grid_big.stage_frame(frame))
     assert small.value == big.value
-
-    # the all-voxels mean rescales by affected / total
-    all_small = map_dissimilarity(grid_small, grid_small.stage_frame(frame), policy="all")
-    all_big = map_dissimilarity(grid_big, grid_big.stage_frame(frame), policy="all")
-    assert abs(all_small.value - small.value * 2 / len(grid_small)) < 1e-12
-    assert abs(all_big.value - big.value * 2 / len(grid_big)) < 1e-12
-    assert all_big.value < all_small.value
-
-
-def test_mass_weighted_mean():
-    rng = np.random.default_rng(43)
-    grid, frame, (base_a, base_b) = _two_voxel_setup(rng)
-    stage = grid.stage_frame(frame)
-    report = map_dissimilarity(grid, stage, policy="mass")
-
-    d_a = _expected_voxel_distance(base_a, frame[:15])
-    d_b = _expected_voxel_distance(base_b, frame[15:])
-    expected = (len(base_a) * d_a + len(base_b) * d_b) / (len(base_a) + len(base_b))
-    assert abs(report.value - expected) < 1e-9
 
 
 def test_new_and_skipped_voxels_are_counted_not_averaged():
@@ -442,18 +422,6 @@ def test_stage_ownership_and_policy_validation():
     stage = a.stage_frame(np.zeros((4, 3)) + 0.4)
     with pytest.raises(ValueError):
         map_dissimilarity(b, stage)
-    with pytest.raises(ValueError):
-        map_dissimilarity(a, stage, policy="median")
-    with pytest.raises(ValueError):
-        map_dissimilarity(a, stage, estimator="mle")
-
-
-def test_population_estimator_allows_single_point_voxels():
-    grid = build_map([(0.5, 0.5, 0.5)], voxel_size=1.0)
-    stage = grid.stage_frame([(0.6, 0.5, 0.5)])
-    report = map_dissimilarity(grid, stage, estimator="population", min_points=1)
-    assert report.affected_count == 1
-    assert report.value > 0.0
 
 
 def test_stale_stage_not_scored():
@@ -476,13 +444,13 @@ def scan_sequence():
     return frames
 
 
-def _assert_roots_fresh(grid, estimator):
+def _assert_roots_fresh(grid):
     """Every cached root equals, bit for bit, a fresh root of its covariance."""
     assert grid.root.shape == (len(grid), 3, 3)
     cached = np.flatnonzero(~np.isnan(grid.root[:, 0, 0]))
     assert np.isnan(np.delete(grid.root, cached, axis=0)).all()
     if len(cached):
-        _, cov = moments(grid.n[cached], grid.s[cached], grid.q[cached], estimator)
+        _, cov = moments(grid.n[cached], grid.s[cached], grid.q[cached])
         np.testing.assert_array_equal(grid.root[cached], sym_sqrt(cov))
     return len(cached)
 
@@ -502,7 +470,7 @@ def test_cached_roots_score_like_cold_ones(scan_sequence, policy, tau):
         cold.map.root.fill(np.nan)
         got, want = warm.process_frame(points, pose), cold.process_frame(points, pose)
         assert (got.flag, got.dw, got.keyframe) == (want.flag, want.dw, want.keyframe)
-        cached.append(_assert_roots_fresh(warm.map, "sample"))
+        cached.append(_assert_roots_fresh(warm.map))
     # the sequence reaches every kind of map change the cache must follow;
     # committing every frame restales each compared row, so only skipped
     # frames leave roots for the next frame to read
@@ -511,22 +479,6 @@ def test_cached_roots_score_like_cold_ones(scan_sequence, policy, tau):
         assert not all(opens) and max(cached) == 0
     else:
         assert max(cached) > 0
-
-
-def test_estimator_switch_refills_the_cache():
-    rng = np.random.default_rng(53)
-    points = rng.normal(scale=3.0, size=(4000, 3))
-    frame = rng.normal(scale=3.0, size=(800, 3))
-    warm = build_map(points, voxel_size=2.0)
-    stage = warm.stage_frame(frame)
-    for estimator in ("sample", "population", "sample"):
-        cold = build_map(points, voxel_size=2.0)
-        got = map_dissimilarity(warm, stage, estimator=estimator)
-        want = map_dissimilarity(cold, cold.stage_frame(frame), estimator=estimator)
-        assert got.value == want.value
-        np.testing.assert_array_equal(got.cell_distances, want.cell_distances)
-        assert warm.root_estimator == estimator
-        assert _assert_roots_fresh(warm, estimator) == got.affected_count
 
 
 def test_invalid_base_row_is_never_cached():
