@@ -224,7 +224,9 @@ def cmd_merge(args) -> int:
     graph1 = read_graph(args.graph)
     trajectory2 = read_tum(args.trajectory)
     odometry2 = read_edge_list(args.odometry)
-    loops = read_edge_list(args.loops) if args.loops and Path(args.loops).exists() else []
+    if args.loops is not None and not Path(args.loops).exists():
+        raise UsageError(f"loop file not found: {args.loops}")
+    loops = read_edge_list(args.loops) if args.loops is not None else []
 
     merged = merge_sessions(
         graph1,

@@ -242,6 +242,16 @@ class Pose:
         return out
 
 
+def as_points(points, dtype=float) -> np.ndarray:
+    """``points`` as an (N, 3) array, (0, 3) if empty; ValueError on any other shape."""
+    pts = np.asarray(points, dtype=dtype)
+    if pts.size == 0:
+        return pts.reshape(0, 3)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points have shape {pts.shape}, expected (N, 3)")
+    return pts
+
+
 def stack_poses(poses) -> tuple[np.ndarray, np.ndarray]:
     """A sequence of poses as one batch ``(q (N, 4), t (N, 3))``."""
     poses = list(poses)

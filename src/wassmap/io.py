@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wassmap.geometry import Pose, Rotation
+from wassmap.geometry import Pose, Rotation, as_points
 from wassmap.pose_graph import PoseGraph
 
 logger = logging.getLogger(__name__)
@@ -241,7 +241,7 @@ def write_pcd(path, points, mode: str = "binary") -> None:
     """Write x y z points as PCD v0.7; values are stored as 32-bit floats."""
     if mode not in ("binary", "ascii"):
         raise ValueError(f"unsupported DATA mode {mode!r}")
-    pts = np.asarray(points, dtype=np.float32).reshape(-1, 3)
+    pts = as_points(points, np.float32)
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
     n = len(pts)

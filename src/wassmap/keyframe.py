@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from wassmap.geometry import Pose
+from wassmap.geometry import Pose, as_points
 from wassmap.voxel_map import GmmMap
 from wassmap.wasserstein import NoComparableVoxelsError, map_dissimilarity
 
@@ -112,7 +112,7 @@ class KeyframeSelector:
         return self.map is not None
 
     def _checked_points(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
+        pts = as_points(points)
         if len(pts) == 0:
             raise EmptyFrameError("frame contains no points")
         return pts

@@ -27,13 +27,9 @@ keys in with one sorted insert; pruning keeps the rows whose cell centre lies
 within the radius. Single writer per map; reads of the base during an open
 stage are fine.
 
-Beside the sums, ``root[r]`` caches the square root of row r's sample
-covariance, which the Wasserstein score fills lazily. A NaN row is stale:
-commit marks every row it adds to or opens as stale, and prune compacts the
-cache with the rows it keeps. The map also keeps a box of cells that holds
-every occupied cell: commit grows it, prune leaves it as it is. When the
-box's farthest cell centre lies within the pruning radius, no row can lie
-outside it and prune skips the scan.
+The map also keeps a box of cells that holds every occupied cell: commit
+grows it, prune leaves it as it is. When the box's farthest cell centre lies
+within the pruning radius, no row can lie outside it and prune skips the scan.
 """
 
 from __future__ import annotations
@@ -41,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from wassmap.geometry import as_points
 
 _AXIS_BITS = 21
 _KEY_BIAS = 1 << (_AXIS_BITS - 1)
@@ -84,7 +82,7 @@ def _group(points, voxel_size: float, origin):
     first finite point becomes the origin. Returns
     (origin, keys (K,), n (K,), s (K,3), q (K,6), rejected).
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = as_points(points)
     rejected = 0
     if not np.isfinite(pts).all():
         finite = np.isfinite(pts).all(axis=1)
@@ -173,7 +171,6 @@ class GmmMap:
         self.n = np.empty(0, dtype=np.int64)
         self.s = np.empty((0, 3))
         self.q = np.empty((0, 6))
-        self.root = np.empty((0, 3, 3))
         self._box = np.array([[np.inf] * 3, [-np.inf] * 3])  # min and max cell
         self.version = 0
         self.total_points = 0
@@ -231,7 +228,7 @@ class GmmMap:
             self.total_points -= int(self.n[outside].sum())
             keep = ~outside
             self._keys, self.n = self._keys[keep], self.n[keep]
-            self.s, self.q, self.root = self.s[keep], self.q[keep], self.root[keep]
+            self.s, self.q = self.s[keep], self.q[keep]
             self.version += 1
         return removed
 
@@ -248,7 +245,6 @@ class GmmMap:
         self.n[rows] += stage.n[hit]
         self.s[rows] += stage.s[hit]
         self.q[rows] += stage.q[hit]
-        self.root[rows] = np.nan
         self.origin = stage.origin  # chosen by the stage when the map had none
         new = ~hit
         if new.any():
@@ -257,7 +253,6 @@ class GmmMap:
             self.n = np.insert(self.n, at, stage.n[new])
             self.s = np.insert(self.s, at, stage.s[new], axis=0)
             self.q = np.insert(self.q, at, stage.q[new], axis=0)
-            self.root = np.insert(self.root, at, np.nan, axis=0)
             cells = _decode(stage.keys[new], self.origin)
             self._box = np.stack([np.minimum(self._box[0], cells.min(axis=0)),
                                   np.maximum(self._box[1], cells.max(axis=0))])

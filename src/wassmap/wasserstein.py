@@ -4,25 +4,24 @@ For Gaussians the distance has the closed form
 
     W2^2 = |mu1 - mu2|^2 + tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2})
 
-computed here with symmetric eigendecompositions of 3x3 matrices. Voxels with
-coplanar or collinear points give rank-deficient covariances, so eigenvalues
-in [-1e-9, 0) are clamped to zero; anything more negative is rejected as an
-invalid covariance. The frame side's covariances are checked against that
-floor by a closed-form 3x3 Cholesky certificate (`_psd_certified`); only the
-rows it cannot certify go to `eigvalsh`, so accept/reject and the message are
-those of a full `eigvalsh` check. When the two covariances are bitwise equal
-the trace term vanishes identically and the distance is returned as the
-plain mean offset, which keeps d(g, g) exactly zero instead of
-sqrt(rounding noise).
+The cross term needs only the eigenvalues of S1 S2, which are those of
+F^T S2 F for any F with F F^T = S1 (Bhatia, Jain & Lim, Expo. Math. 2019).
+F is the closed-form 3x3 Cholesky factor of S1 (`_cholesky`), or, on rows it
+cannot certify (rank-deficient, or beyond its trace bound), V diag(sqrt(lam))
+from `eigh`. Voxels with coplanar or collinear points give rank-deficient
+covariances, so eigenvalues in [-1e-9, 0) are clamped to zero; anything more
+negative is rejected as an invalid covariance. The frame side's covariances
+are checked against that floor by the same Cholesky, shifted by half the
+tolerance; only the rows it cannot certify go to `eigvalsh`, so accept/reject
+and the message are those of a full `eigvalsh` check. When the two
+covariances are bitwise equal the trace term vanishes identically and the
+distance is returned as the plain mean offset, which keeps d(g, g) exactly
+zero instead of sqrt(rounding noise).
 
 Map-level dissimilarity compares a staged frame against its base map voxel by
 voxel, with sample covariances on both sides, and takes the mean over the
 voxels they share. Voxels are reduced in key order, so the result is
-bit-stable across runs. The base side changes only on commit and prune, so
-the score caches each base row's S1^{1/2} in the map's ``root`` rows: it
-factors only the compared rows whose root is stale, stores them once the
-batch passes the eigenvalue floor, and gathers the rest, with the same
-arithmetic per matrix, so scores are bitwise equal.
+bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from wassmap.voxel_map import GmmMap, StagedUpdate, StaleStageError, moments
 
 _EIG_CLAMP = 1e-9
 _SYM_TOL = 1e-9
-_CERT_TRACE = 1e3  # m^2; see _psd_certified
+_CERT_TRACE = 1e3  # m^2; see _cholesky
 
 
 class InvalidCovarianceError(ValueError):
@@ -64,38 +63,42 @@ class DissimilarityReport:
     skipped_count: int = 0   # shared voxels under the point-count floor
 
 
-def _psd_certified(sig: np.ndarray) -> np.ndarray:
-    """(B,) mask of rows whose `eigvalsh` minimum cannot fall below -_EIG_CLAMP.
+def _cholesky(sig: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form lower Cholesky factor L of A = fl(S + shift I), (B,3,3), not
+    meaningful on rows that fail a pivot, and the (B,) mask of rows it
+    certifies: those whose `eigvalsh` minimum cannot fall below -c, c = _EIG_CLAMP.
 
-    A row is certified when the closed-form Cholesky factorization of
-    A = fl(S + (c/2) I), c = _EIG_CLAMP, runs to completion (three positive
-    pivots) and tr A < _CERT_TRACE. S is read from its lower triangle, the
-    one `eigvalsh` reads. With unit roundoff u = 2^-53 and n = 3, Higham
-    (Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3)
-    gives the computed factor R with R^T R = A + dA, |dA| <= g4 |R^T| |R|,
-    g4 = 4u / (1 - 4u). Hence ||dA||_2 <= g4 ||R||_F^2 and, since
-    ||R||_F^2 = tr A + tr dA, ||dA||_2 <= g4 / (1 - g4) tr A < 5u tr A.
-    R^T R is positive definite, and forming the shift rounds each diagonal
-    entry by at most u tr A, so lambda_min(S) >= -c/2 - 6u tr A. `eigvalsh`
-    is backward stable: it returns the eigenvalues of S + F with
-    ||F||_2 <= p u ||S||_2 <= p u (tr A + c), where LAPACK's p(n) is a few
-    dozen at n = 3. Its minimum then stays at or above -c whenever
-    (7 + p) u tr A <= c/2, which tr A < 1e3 m^2 meets for any p up to 4,000:
-    two orders of magnitude of margin. The points of one voxel of side s
-    have a sample covariance of trace at most 1.5 s^2, so only voxels wider
-    than 25 m can reach the bound. Rows at or above it and rows that fail a
-    pivot are left to `eigvalsh`.
+    S is read from its lower triangle, the one `eigvalsh` reads. A row is
+    certified when its three pivots are positive and tr A < _CERT_TRACE.
+    With unit roundoff u = 2^-53 and n = 3, Higham (Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.3) gives the computed factor with
+    L L^T = A + dA, |dA| <= g4 |L| |L^T|, g4 = 4u / (1 - 4u). Hence
+    ||dA||_2 <= g4 ||L||_F^2 and, since ||L||_F^2 = tr A + tr dA,
+    ||dA||_2 <= g4 / (1 - g4) tr A < 5u tr A. L L^T is positive definite, and
+    forming the shift rounds each diagonal entry by at most u tr A, so
+    lambda_min(S) >= -shift - 6u tr A. `eigvalsh` is backward stable: it
+    returns the eigenvalues of S + F with ||F||_2 <= p u (tr A + c), where
+    LAPACK's p(n) is a few dozen at n = 3. Its minimum then stays at or above
+    -c whenever shift + (7 + p) u tr A <= c: with tr A < 1e3 m^2, for any p up
+    to 4,000 at the overlay's shift c/2 and up to 9,000 unshifted, two orders
+    of magnitude of margin. The points of one voxel of side s have a sample
+    covariance of trace at most 1.5 s^2, so only voxels wider than 25 m can
+    reach the bound; the rows that do, or that fail a pivot, go to LAPACK.
     """
-    a00 = sig[:, 0, 0] + 0.5 * _EIG_CLAMP
-    a11 = sig[:, 1, 1] + 0.5 * _EIG_CLAMP
-    a22 = sig[:, 2, 2] + 0.5 * _EIG_CLAMP
+    a00 = sig[:, 0, 0] + shift
+    a11 = sig[:, 1, 1] + shift
+    a22 = sig[:, 2, 2] + shift
+    low = np.zeros(sig.shape)
     with np.errstate(all="ignore"):  # a row that fails turns NaN and fails below
-        r00 = np.sqrt(a00)
-        r01, r02 = sig[:, 1, 0] / r00, sig[:, 2, 0] / r00
-        p1 = a11 - r01 * r01
-        r12 = (sig[:, 2, 1] - r01 * r02) / np.sqrt(p1)
-        p2 = a22 - r02 * r02 - r12 * r12
-        return (a00 > 0) & (p1 > 0) & (p2 > 0) & (a00 + a11 + a22 < _CERT_TRACE)
+        l00 = low[:, 0, 0] = np.sqrt(a00)
+        l10 = low[:, 1, 0] = sig[:, 1, 0] / l00
+        l20 = low[:, 2, 0] = sig[:, 2, 0] / l00
+        p1 = a11 - l10 * l10
+        l11 = low[:, 1, 1] = np.sqrt(p1)
+        l21 = low[:, 2, 1] = (sig[:, 2, 1] - l10 * l20) / l11
+        p2 = a22 - l20 * l20 - l21 * l21
+        low[:, 2, 2] = np.sqrt(p2)
+        return low, (a00 > 0) & (p1 > 0) & (p2 > 0) & (a00 + a11 + a22 < _CERT_TRACE)
 
 
 def _validate_covariances(sig: np.ndarray, eig_floor_checked: bool) -> None:
@@ -107,22 +110,20 @@ def _validate_covariances(sig: np.ndarray, eig_floor_checked: bool) -> None:
     if not eig_floor_checked:
         # every failing row is uncertified, so it holds this minimum and the
         # message names the same eigenvalue as a check of the whole batch
-        rest = sig[~_psd_certified(sig)]
+        rest = sig[~_cholesky(sig, 0.5 * _EIG_CLAMP)[1]]
         lam_min = np.linalg.eigvalsh(rest).min() if len(rest) else 0.0
         if lam_min < -_EIG_CLAMP:
             raise InvalidCovarianceError(f"covariance has eigenvalue {lam_min:.3g}")
 
 
-def w2_batch(mu1, sig1, mu2, sig2, root1=None) -> np.ndarray:
+def w2_batch(mu1, sig1, mu2, sig2) -> np.ndarray:
     """Pairwise Wasserstein distances for aligned batches of Gaussians.
 
     Shapes (B,3) and (B,3,3); returns (B,). Inputs are validated once per
-    batch. The eigenvalue floor of ``sig2`` is cleared by a closed-form
-    Cholesky certificate, with `eigvalsh` only on the rows it cannot certify,
-    so the per-pair cost is one batched `eigvalsh` of the cross term plus an
-    `eigh` for each S1^{1/2} not given in ``root1``.
-    ``root1`` (B,3,3), if given, holds known S1^{1/2} and NaN rows for the
-    ones to compute; those are filled in place unless the batch is rejected.
+    batch. The cross term takes F = L, the unshifted `_cholesky` factor of
+    ``sig1``, on each row with three positive pivots and tr S1 < 1e3 m^2:
+    there lambda_min(S1) >= -6u tr S1 > -1e-9, so the floor holds unchecked.
+    Other rows take F = V diag(sqrt(lambda)) from `eigh`, which checks it.
     """
     mu1 = np.asarray(mu1, dtype=float).reshape(-1, 3)
     mu2 = np.asarray(mu2, dtype=float).reshape(-1, 3)
@@ -141,24 +142,18 @@ def w2_batch(mu1, sig1, mu2, sig2, root1=None) -> np.ndarray:
     mean_sq = (dmu * dmu).sum(axis=-1)
     same_sigma = np.all(sig1 == sig2, axis=(-2, -1))
     if same_sigma.all():
-        # the trace term vanishes identically, skip the matrix roots
+        # the trace term vanishes identically, skip the factorizations
         return np.sqrt(mean_sq)
 
-    s1h = np.full(sig1.shape, np.nan) if root1 is None else root1
-    todo = np.isnan(s1h[:, 0, 0])
-    if todo.any():
-        stale = sig1[todo]
-        lam1, vec1 = np.linalg.eigh(0.5 * (stale + np.swapaxes(stale, -1, -2)))
+    sym1 = 0.5 * (sig1 + np.swapaxes(sig1, -1, -2))
+    factor, certified = _cholesky(sym1)
+    if not certified.all():
+        rest = ~certified
+        lam1, vec1 = np.linalg.eigh(sym1[rest])
         if lam1.min() < -_EIG_CLAMP:
             raise InvalidCovarianceError(f"covariance has eigenvalue {lam1.min():.3g}")
-        lam1 = np.clip(lam1, 0.0, None)
-        # V diag(sqrt(lam)) V^T with einsum's products and order of sums,
-        # so the roots are bitwise those of the three-operand einsum
-        sv = vec1 * np.sqrt(lam1)[:, None, :]
-        s1h[todo] = (sv[:, :, None, 0] * vec1[:, None, :, 0]
-                     + sv[:, :, None, 1] * vec1[:, None, :, 1]
-                     + sv[:, :, None, 2] * vec1[:, None, :, 2])
-    inner = s1h @ sig2 @ s1h
+        factor[rest] = vec1 * np.sqrt(np.clip(lam1, 0.0, None))[:, None, :]
+    inner = np.swapaxes(factor, -1, -2) @ sig2 @ factor
     inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
     cross = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum(axis=-1)
 
@@ -212,9 +207,7 @@ def map_dissimilarity(base: GmmMap, stage: StagedUpdate,
     mu_base, cov_base = moments(n, s, q)
     mu_over, cov_over = moments(n + stage.n[deltas], s + stage.s[deltas],
                                 q + stage.q[deltas])
-    roots = base.root[rows]
-    dists = w2_batch(mu_base, cov_base, mu_over, cov_over, roots)
-    base.root[rows] = roots
+    dists = w2_batch(mu_base, cov_base, mu_over, cov_over)
 
     return DissimilarityReport(
         value=float(dists.mean()),

@@ -290,11 +290,22 @@ class TestMergeCommand:
             code = run("merge", "--graph", two_session_dataset / "session1.g2o",
                        "--trajectory", two_session_dataset / "session2_estimate.tum",
                        "--odometry", two_session_dataset / "session2_odometry.txt",
-                       "--loops", tmp_path / "absent.txt",
                        "--t-init-prior", "--out", out)
         assert code == 0
         assert sum("loop" in r.message for r in caplog.records) == 1
         assert (out / "merged.g2o").exists()
+
+    def test_explicit_missing_loops_file_is_a_usage_error(self, two_session_dataset,
+                                                          tmp_path, capsys):
+        out = tmp_path / "typo"
+        absent = tmp_path / "absent.txt"
+        code = run("merge", "--graph", two_session_dataset / "session1.g2o",
+                   "--trajectory", two_session_dataset / "session2_estimate.tum",
+                   "--odometry", two_session_dataset / "session2_odometry.txt",
+                   "--loops", absent, "--t-init-prior", "--out", out)
+        assert code == 1
+        assert f"loop file not found: {absent}" in capsys.readouterr().err
+        assert not (out / "merged.g2o").exists()
 
     def test_gauge_underdetermined_exits_two(self, two_session_dataset, tmp_path, capsys):
         # no loops and no alignment prior leaves session 2 as a floating

@@ -147,6 +147,12 @@ class TestPcd:
         cloud = read_pcd(f)
         assert cloud.points.shape == (0, 3)
 
+    def test_write_rejects_points_that_are_not_n_by_3(self, tmp_path):
+        f = tmp_path / "xyzi.pcd"
+        with pytest.raises(ValueError, match=r"shape \(300, 4\)"):
+            write_pcd(f, np.zeros((300, 4)))
+        assert not f.exists()
+
     def test_cloud_dir_ordered_by_stem(self, tmp_path):
         for stamp in (0.3, 0.1, 0.2):
             write_pcd(tmp_path / f"{stamp:.6f}.pcd", np.full((1, 3), stamp))

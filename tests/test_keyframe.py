@@ -198,6 +198,23 @@ def test_failed_bootstrap_frame_gets_error_row_and_next_frame_bootstraps():
     assert keyframe_indices(decisions) == [2]
 
 
+def test_frame_of_the_wrong_shape_is_an_error_row():
+    # 300 xyz+intensity rows would otherwise be scored as 400 xyz points
+    rng = np.random.default_rng(16)
+    xyzi = np.concatenate([make_frame(rng, n=300), rng.uniform(size=(300, 1))], axis=1)
+    selector = KeyframeSelector(base_config())
+    with pytest.raises(ValueError, match=r"shape \(300, 4\)"):
+        selector.bootstrap(xyzi, Pose.identity())
+    assert not selector.bootstrapped
+    with pytest.raises(EmptyFrameError):
+        selector.bootstrap(np.empty((0, 4)), Pose.identity())
+
+    decisions = selector.run_sequence([(make_frame(rng), Pose.identity()),
+                                       (xyzi, Pose.identity())])
+    assert [d.flag for d in decisions] == ["bootstrap", "error"]
+    assert not decisions[1].keyframe and math.isnan(decisions[1].dw)
+
+
 def test_all_nan_frame_after_bootstrap_is_an_error_not_a_keyframe():
     rng = np.random.default_rng(15)
     selector = KeyframeSelector(base_config())

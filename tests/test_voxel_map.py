@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -243,31 +245,17 @@ def test_map_rejects_bad_voxel_size():
         GmmMap(voxel_size=-1.0)
 
 
-def test_root_cache_follows_its_rows():
-    rng = np.random.default_rng(67)
-    grid = build_map(rng.normal(scale=4.0, size=(600, 3)), voxel_size=2.0)
-    assert grid.root.shape == (len(grid), 3, 3) and np.isnan(grid.root).all()
-    # tag each row's cached root with its row number, as if the score had run
-    grid.root[:] = np.arange(len(grid), dtype=float)[:, None, None]
-    before = {key: float(r) for r, key in enumerate(keys(grid))}
-
-    frame = rng.normal(scale=6.0, size=(80, 3))
-    touched = set(keys(build_map(frame, voxel_size=2.0)))
-    stage = grid.stage_frame(frame)
-    assert stage.hit.any() and not stage.hit.all()
-    grid.commit(stage)
-    assert grid.root.shape == (len(grid), 3, 3)
-    for r, key in enumerate(keys(grid)):
-        if key in touched:
-            assert np.isnan(grid.root[r]).all()
-        else:
-            assert (grid.root[r] == before[key]).all()
-
-    after_commit = {key: grid.root[r, 0, 0] for r, key in enumerate(keys(grid))}
-    assert grid.prune_outside((0.0, 0.0, 0.0), 6.0) > 0
-    assert grid.root.shape == (len(grid), 3, 3)
-    for r, key in enumerate(keys(grid)):
-        np.testing.assert_array_equal(grid.root[r, 0, 0], after_commit[key])
+def test_points_other_than_n_by_3_name_their_shape():
+    # 300 xyz+intensity rows would otherwise regroup into 400 xyz points
+    grid = build_map(np.zeros((10, 3)) + 0.5, voxel_size=1.0)
+    for bad in (np.zeros((300, 4)), np.zeros(6), np.zeros((2, 3, 3))):
+        for call in (grid.insert_points, grid.stage_frame):
+            with pytest.raises(ValueError, match=re.escape(f"shape {bad.shape}")):
+                call(bad)
+    assert len(grid) == 1 and grid.total_points == 10
+    # empty input of any shape is zero points
+    assert grid.stage_frame(np.empty((0, 4))).point_count == 0
+    assert len(build_map([], voxel_size=1.0)) == 0
 
 
 def test_prune_bound_agrees_with_full_scan():

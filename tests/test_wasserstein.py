@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 
 from wassmap.geometry import Rotation
-from wassmap.keyframe import KeyframeSelector, SelectorConfig
-from wassmap.synth import ScanSpec, generate_scene, loop_path, simulate_scan
-from wassmap.voxel_map import GmmMap, StaleStageError, build_map, moments
+from wassmap.voxel_map import GmmMap, StaleStageError, build_map
 from wassmap.wasserstein import (
     _CERT_TRACE,
     DissimilarityReport,
     InvalidCovarianceError,
     NoComparableVoxelsError,
-    _psd_certified,
+    _cholesky,
     _validate_covariances,
     map_dissimilarity,
     w2_batch,
@@ -34,16 +32,6 @@ def w2(g1: GaussianComponent, g2: GaussianComponent) -> float:
     return float(w2_batch(g1.mu[None], g1.sigma[None], g2.mu[None], g2.sigma[None])[0])
 
 
-def sym_sqrt(mat) -> np.ndarray:
-    """S^{1/2} of one matrix or a batch, as the score computes it for the
-    map's root cache."""
-    sig = np.asarray(mat, dtype=float).reshape(-1, 3, 3)
-    root = np.full(sig.shape, np.nan)
-    zero = np.zeros((len(sig), 3))
-    w2_batch(zero, sig, zero, np.zeros(sig.shape), root)
-    return root.reshape(np.shape(mat))
-
-
 def distances(report: DissimilarityReport, grid: GmmMap) -> dict:
     """Per-voxel distance keyed by cell index; call before ``grid`` changes,
     since a commit or prune moves the rows the report names."""
@@ -56,37 +44,22 @@ def random_psd(rng, size=None):
     return a @ np.swapaxes(a, -1, -2)
 
 
-def test_sym_sqrt_trivials():
-    np.testing.assert_allclose(sym_sqrt(np.eye(3)), np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(
-        sym_sqrt(np.diag([4.0, 9.0, 16.0])), np.diag([2.0, 3.0, 4.0]), atol=1e-12
-    )
-
-
-def test_sym_sqrt_rank_deficient_squares_back():
-    rng = np.random.default_rng(5)
-    rot = Rotation.from_rotvec(rng.normal(size=3)).as_matrix()
-    mat = rot @ np.diag([4.0, 1.0, 0.0]) @ rot.T
-    root = sym_sqrt(mat)
-    np.testing.assert_allclose(root @ root, mat, rtol=1e-6, atol=1e-9)
-    np.testing.assert_allclose(root, root.T)
-
-
-def test_sym_sqrt_rejects_bad_matrices():
+def test_w2_batch_rejects_bad_base_covariances():
+    zero, good = np.zeros((1, 3)), 2.0 * np.eye(3)[None]
     bad = np.eye(3)
-    bad[0, 1] = 0.5  # asymmetric
-    with pytest.raises(InvalidCovarianceError):
-        sym_sqrt(bad)
-    with pytest.raises(InvalidCovarianceError):
-        sym_sqrt(np.diag([1.0, 1.0, -0.5]))
-    with pytest.raises(InvalidCovarianceError):
-        sym_sqrt(np.full((3, 3), np.nan))
+    bad[0, 1] = 0.5
+    cases = [(bad, "^covariance asymmetric by 0.5$"),
+             (np.diag([1.0, 1.0, -0.5]), "^covariance has eigenvalue -0.5$"),
+             (np.full((3, 3), np.nan), "^non-finite covariance$")]
+    for sig1, message in cases:
+        with pytest.raises(InvalidCovarianceError, match=message):
+            w2_batch(zero, sig1[None], zero, good)
 
 
-def w2_batch_reference(mu1, sig1, mu2, sig2, root1) -> np.ndarray:
+def w2_batch_reference(mu1, sig1, mu2, sig2) -> np.ndarray:
     """`w2_batch` for valid inputs with a full `eigvalsh` floor check of
-    ``sig2`` and the `einsum` root product, the path the certificate and the
-    explicit root product must reproduce bit for bit."""
+    ``sig2`` and the cross term through the symmetric root S1^{1/2} from
+    `eigh`: tr((S1^{1/2} S2 S1^{1/2})^{1/2})."""
     lam_min = np.linalg.eigvalsh(sig2).min()
     if lam_min < -1e-9:
         raise InvalidCovarianceError(f"covariance has eigenvalue {lam_min:.3g}")
@@ -95,14 +68,10 @@ def w2_batch_reference(mu1, sig1, mu2, sig2, root1) -> np.ndarray:
     same_sigma = np.all(sig1 == sig2, axis=(-2, -1))
     if same_sigma.all():
         return np.sqrt(mean_sq)
-    todo = np.isnan(root1[:, 0, 0])
-    if todo.any():
-        stale = sig1[todo]
-        lam1, vec1 = np.linalg.eigh(0.5 * (stale + np.swapaxes(stale, -1, -2)))
-        if lam1.min() < -1e-9:
-            raise InvalidCovarianceError(f"covariance has eigenvalue {lam1.min():.3g}")
-        lam1 = np.clip(lam1, 0.0, None)
-        root1[todo] = np.einsum("...ij,...j,...kj->...ik", vec1, np.sqrt(lam1), vec1)
+    lam1, vec1 = np.linalg.eigh(0.5 * (sig1 + np.swapaxes(sig1, -1, -2)))
+    if lam1.min() < -1e-9:
+        raise InvalidCovarianceError(f"covariance has eigenvalue {lam1.min():.3g}")
+    root1 = np.einsum("...ij,...j,...kj->...ik", vec1, np.sqrt(np.clip(lam1, 0.0, None)), vec1)
     inner = root1 @ sig2 @ root1
     inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
     cross = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum(axis=-1)
@@ -178,11 +147,13 @@ def test_psd_certificate_accepts_and_rejects_like_eigvalsh():
     ])
     sig = np.concatenate([ordinary, near_floor, big])
     rejects = np.linalg.eigvalsh(sig).min(axis=-1) < -1e-9
-    certified = _psd_certified(sig)
+    certified = _cholesky(sig, 0.5e-9)[1]
 
     assert certified[:len(ordinary)].all()
     assert not certified[len(ordinary) + len(near_floor):].any()
     assert not (certified & rejects).any()
+    # the unshifted factor the base side uses certifies no rejected row either
+    assert not (_cholesky(sig)[1] & rejects).any()
     assert rejects[len(ordinary):].any() and not rejects.all()
     for row in sig:
         assert _screen_message(row[None]) == _floor_message(row[None])
@@ -208,6 +179,8 @@ def test_indefinite_overlay_row_names_its_eigenvalue():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_scores_and_roots_bitwise_equal_to_reference(seed):
+    """Scores over mixed rows (full rank, planar, linear, unchanged, beyond the
+    certificate's trace bound) match the square-root reference."""
     rng = np.random.default_rng(seed)
     size = 300
     kind = rng.integers(0, 4, size)  # full rank, planar, linear, unchanged
@@ -219,30 +192,65 @@ def test_scores_and_roots_bitwise_equal_to_reference(seed):
     sig2[kind == 1] = sig1[kind == 1] + 0.1 * sig1[kind == 1] @ sig1[kind == 1]
     sig2[kind == 3] = sig1[kind == 3]
     if seed % 2:
-        # rows above the certificate's trace bound take the eigvalsh fallback
+        # rows above the certificate's trace bound take the eigvalsh and eigh fallbacks
         sig1[:10] *= 2 * _CERT_TRACE
         sig2[:10] *= 2 * _CERT_TRACE
     sig2 = 0.5 * (sig2 + np.swapaxes(sig2, -1, -2))
     mu1, mu2 = rng.normal(size=(size, 3)), rng.normal(size=(size, 3))
 
-    # half the rows arrive with their root cached from an earlier frame
-    cached = rng.random(size) < 0.5
-    earlier = np.full((cached.sum(), 3, 3), np.nan)
-    w2_batch_reference(mu1[cached], sig1[cached], mu2[cached], sig1[cached] + np.eye(3), earlier)
-    root = np.full((size, 3, 3), np.nan)
-    root[cached] = earlier
+    # both sources of the factor: Cholesky and eigh
+    assert _cholesky(sig1)[1].any() and not _cholesky(sig1)[1].all()
+    got = w2_batch(mu1, sig1, mu2, sig2)
+    want = w2_batch_reference(mu1, sig1, mu2, sig2)
+    # The reference's root loses digits where S1 is ill-conditioned: up to
+    # 3e-12 relative on the full-rank rows here. On rank-deficient rows either
+    # path rounds each zero eigenvalue of the cross product to about
+    # u tr S1 tr S2, which its square root lifts to sqrt(u tr S1 tr S2) in W2^2.
+    full = kind % 3 == 0
+    np.testing.assert_allclose(got[full], want[full], rtol=1e-11)
+    traces = np.trace(sig1, axis1=1, axis2=2) * np.trace(sig2, axis1=1, axis2=2)
+    assert (np.abs(got**2 - want**2) <= 16 * np.sqrt(2.0**-53 * traces))[~full].all()
 
-    got_root, want_root = root.copy(), root.copy()
-    got = w2_batch(mu1, sig1, mu2, sig2, got_root)
-    want = w2_batch_reference(mu1, sig1, mu2, sig2, want_root)
-    assert np.array_equal(got, want)
-    assert np.array_equal(got_root, want_root) and not np.isnan(got_root).any()
+    # an all-unchanged batch takes the shortcut
+    got = w2_batch(mu1, sig1, mu2, sig1)
+    assert np.array_equal(got, w2_batch_reference(mu1, sig1, mu2, sig1))
 
-    # an all-unchanged batch takes the shortcut and fills no root
-    got_root, want_root = root.copy(), root.copy()
-    got = w2_batch(mu1, sig1, mu2, sig1, got_root)
-    assert np.array_equal(got, w2_batch_reference(mu1, sig1, mu2, sig1, want_root))
-    assert np.array_equal(got_root, want_root, equal_nan=True)
+
+def test_near_singular_commuting_pairs_match_the_closed_form():
+    # S1 = Q diag(a1, a2, eps) Q^T and S2 = Q diag(b) Q^T commute, so
+    # W2 = |sqrt(a) - sqrt(b)|; a planar base voxel against a frame that
+    # thickens it by millimetres
+    rng = np.random.default_rng(1)
+    size = 100
+    for eps in (1e-10, 1e-12):
+        rot, _ = np.linalg.qr(rng.normal(size=(size, 3, 3)))
+        a = np.stack([rng.uniform(0.01, 0.1, size), rng.uniform(0.01, 0.1, size),
+                      np.full(size, eps)], axis=1)
+        b = np.stack([a[:, 0] * rng.uniform(0.5, 2.0, size), a[:, 1] * rng.uniform(0.5, 2.0, size),
+                      rng.uniform(1e-6, 1e-4, size)], axis=1)
+        sig1, sig2 = (rot @ (d[:, :, None] * np.eye(3)) @ np.swapaxes(rot, -1, -2) for d in (a, b))
+        sig1, sig2 = (0.5 * (s + np.swapaxes(s, -1, -2)) for s in (sig1, sig2))
+        zero = np.zeros((size, 3))
+        exact = np.sqrt(((np.sqrt(a) - np.sqrt(b)) ** 2).sum(axis=1))
+        assert np.abs(w2_batch(zero, sig1, zero, sig2) - exact).max() <= 1e-9
+
+
+def test_planar_base_rows_take_the_eigh_factor():
+    # points with z == 0 give a covariance whose third row and column are
+    # exactly zero, so the Cholesky's last pivot is zero and the row goes to eigh
+    rng = np.random.default_rng(73)
+    size = 200
+    base = rng.normal(scale=0.2, size=(size, 30, 3))
+    base[:, :, 2] = 0.0
+    frame = rng.normal(scale=0.2, size=(size, 10, 3))
+    frame[::2, :, 2] = 0.0  # half the frames keep the voxel planar
+    both = np.concatenate([base, frame], axis=1)
+    sig1 = np.stack([np.cov(p, rowvar=False) for p in base])
+    sig2 = np.stack([np.cov(p, rowvar=False) for p in both])
+    mu1, mu2 = base.mean(axis=1), both.mean(axis=1)
+    assert not _cholesky(sig1)[1].any()
+    np.testing.assert_allclose(w2_batch(mu1, sig1, mu2, sig2),
+                               w2_batch_reference(mu1, sig1, mu2, sig2), rtol=0, atol=1e-12)
 
 
 def test_w2_identical_is_exactly_zero():
@@ -433,55 +441,7 @@ def test_stale_stage_not_scored():
         map_dissimilarity(grid, stage)
 
 
-@pytest.fixture(scope="module")
-def scan_sequence():
-    """Two dozen close loop_course frames, the eighth scanned twice."""
-    scene = generate_scene("loop_course")
-    poses = loop_path(n_frames=240)[:24]
-    frames = [(simulate_scan(scene, pose, ScanSpec(10.0, 0.01, 10_000, seed=k),
-                             frame_index=k).points, pose) for k, pose in enumerate(poses)]
-    frames.insert(8, frames[7])
-    return frames
-
-
-def _assert_roots_fresh(grid):
-    """Every cached root equals, bit for bit, a fresh root of its covariance."""
-    assert grid.root.shape == (len(grid), 3, 3)
-    cached = np.flatnonzero(~np.isnan(grid.root[:, 0, 0]))
-    assert np.isnan(np.delete(grid.root, cached, axis=0)).all()
-    if len(cached):
-        _, cov = moments(grid.n[cached], grid.s[cached], grid.q[cached])
-        np.testing.assert_array_equal(grid.root[cached], sym_sqrt(cov))
-    return len(cached)
-
-
-@pytest.mark.parametrize("policy,tau", [("keyframes-only", 0.02), ("always", 0.1)])
-def test_cached_roots_score_like_cold_ones(scan_sequence, policy, tau):
-    config = SelectorConfig(tau=tau, voxel_size=1.0, radius=12.0, commit_policy=policy)
-    warm, cold = KeyframeSelector(config), KeyframeSelector(config)
-    frames = scan_sequence
-    warm.bootstrap(*frames[0])
-    cold.bootstrap(*frames[0])
-    opens, pruned, cached = [], [], []
-    commit, prune = warm.map.commit, warm.map.prune_outside
-    warm.map.commit = lambda stage: opens.append(not stage.hit.all()) or commit(stage)
-    warm.map.prune_outside = lambda *args: pruned.append(prune(*args)) or pruned[-1]
-    for points, pose in frames[1:]:
-        cold.map.root.fill(np.nan)
-        got, want = warm.process_frame(points, pose), cold.process_frame(points, pose)
-        assert (got.flag, got.dw, got.keyframe) == (want.flag, want.dw, want.keyframe)
-        cached.append(_assert_roots_fresh(warm.map))
-    # the sequence reaches every kind of map change the cache must follow;
-    # committing every frame restales each compared row, so only skipped
-    # frames leave roots for the next frame to read
-    assert any(opens) and any(pruned)
-    if policy == "always":
-        assert not all(opens) and max(cached) == 0
-    else:
-        assert max(cached) > 0
-
-
-def test_invalid_base_row_is_never_cached():
+def test_invalid_base_row_names_its_eigenvalue():
     rng = np.random.default_rng(59)
     base = np.concatenate([rng.normal(scale=0.2, size=(30, 3)) + (1.0, 1.0, 1.0),
                            rng.normal(scale=0.2, size=(30, 3)) + (3.0, 1.0, 1.0)])
@@ -491,7 +451,5 @@ def test_invalid_base_row_is_never_cached():
     grid.s[1] = 0.0
     frame = np.concatenate([rng.normal(scale=0.2, size=(20, 3)) + (1.0, 1.0, 1.0),
                             rng.normal(scale=0.5, size=(20, 3)) + (3.0, 1.0, 1.0)])
-    for _ in range(2):
-        with pytest.raises(InvalidCovarianceError, match="covariance has eigenvalue -0.001$"):
-            map_dissimilarity(grid, grid.stage_frame(frame))
-        assert np.isnan(grid.root).all()
+    with pytest.raises(InvalidCovarianceError, match="covariance has eigenvalue -0.001$"):
+        map_dissimilarity(grid, grid.stage_frame(frame))
