@@ -1,9 +1,10 @@
 """Command line front end.
 
-Subcommands: keyframes, calibrate, merge, synth. Shared knobs resolve
+Subcommands: keyframes, calibrate, merge, synth; each accepts only the
+options it reads. The selector's settings (keyframes and calibrate) resolve
 with flag > config-file > built-in default precedence, and every command
-echoes its effective configuration into the output directory so results are
-reproducible from their artifacts alone.
+writes each option it accepts but --out, as resolved, to config.txt in the
+output directory, so results are reproducible from their artifacts alone.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 numerical failure.
 """
@@ -11,11 +12,10 @@ Exit codes: 0 success, 1 usage or I/O error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from wassmap.io import (
     write_pcd,
     write_tum,
 )
-from wassmap.keyframe import KeyframeSelector, SelectorConfig, keyframe_indices
+from wassmap.keyframe import COMMIT_POLICIES, KeyframeSelector, SelectorConfig, keyframe_indices
 from wassmap.pose_graph import GaugeUnderdeterminedError, merge_sessions, optimize
 from wassmap.synth import (
     NoiseModel,
@@ -62,31 +62,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    tau: float = 0.5
-    voxel_size: float = 4.0
-    radius: float = 100.0
-    min_points: int = 5
-    commit: str = "keyframes"
-    seed: int = 0
-    max_dt: float = 0.05
-
-    def selector_config(self) -> SelectorConfig:
-        policy = {"keyframes": "keyframes-only", "always": "always"}.get(self.commit)
-        if policy is None:
-            raise UsageError(f"unknown commit policy {self.commit!r}")
-        return SelectorConfig(
-            tau=self.tau,
-            voxel_size=self.voxel_size,
-            radius=self.radius,
-            min_points=self.min_points,
-            commit_policy=policy,
-        )
-
-
-def _read_config_file(path) -> dict:
-    casts = {f.name: type(f.default) for f in fields(RunConfig)}
+def _read_config_file(path, defaults: dict) -> dict:
+    """key=value lines; each value is cast to the type of its key's default."""
     out = {}
     path = Path(path)
     if not path.exists():
@@ -99,35 +76,40 @@ def _read_config_file(path) -> dict:
             raise UsageError(f"{path}:{line_no}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in casts:
+        if key not in defaults:
             raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
         try:
-            out[key] = casts[key](value.strip())
+            out[key] = type(defaults[key])(value.strip())
         except ValueError:
             raise UsageError(f"{path}:{line_no}: bad value for {key}") from None
     return out
 
 
-def resolve_config(args) -> RunConfig:
-    """Layer defaults, config file, then flags; flags win."""
-    values = {f.name: f.default for f in fields(RunConfig)}
-    if getattr(args, "config", None):
-        values.update(_read_config_file(args.config))
-    for name in values:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    return RunConfig(**values)
+def resolve_config(args):
+    """Fill the selector's settings and pairing's `max_dt` into `args` where
+    no flag set them: from the config file, else the default. Returns `args`."""
+    defaults = {f.name: f.default for f in fields(SelectorConfig)}
+    defaults["max_dt"] = 0.05
+    from_file = _read_config_file(args.config, defaults) if args.config is not None else {}
+    for name, default in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, from_file.get(name, default))
+    return args
 
 
-def _echo_config(out_dir: Path, command: str, cfg: RunConfig) -> None:
-    lines = [f"command={command}"]
-    lines += [f"{f.name}={getattr(cfg, f.name)}" for f in fields(RunConfig)]
+def _echo_config(out_dir: Path, args) -> None:
+    """config.txt: the command, then each option it accepts but --out."""
+    lines = [f"command={args.command}"]
+    for name, value in vars(args).items():
+        if name not in ("command", "func", "out"):
+            if isinstance(value, list):
+                value = " ".join(map(str, value))
+            lines.append(f"{name}={value}")
     (out_dir / "config.txt").write_text("\n".join(lines) + "\n")
 
 
 def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out", None) or "out")
+    out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -135,13 +117,15 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 # keyframes / calibrate
 
-def _run_selection(args, cfg: RunConfig):
+def _run_selection(args):
+    resolve_config(args)
     clouds = read_cloud_dir(args.clouds)
     if not clouds:
         raise UsageError(f"no .pcd files under {args.clouds}")
     trajectory = read_tum(args.trajectory)
-    pairs, dropped = pair_frames(clouds, trajectory, max_dt=cfg.max_dt)
-    selector = KeyframeSelector(cfg.selector_config())
+    pairs, dropped = pair_frames(clouds, trajectory, max_dt=args.max_dt)
+    config = SelectorConfig(**{f.name: getattr(args, f.name) for f in fields(SelectorConfig)})
+    selector = KeyframeSelector(config)
     decisions = selector.run_sequence(
         (cloud.points, pose, cloud.timestamp) for cloud, pose in pairs
     )
@@ -149,10 +133,9 @@ def _run_selection(args, cfg: RunConfig):
 
 
 def cmd_keyframes(args) -> int:
-    cfg = resolve_config(args)
+    decisions, dropped = _run_selection(args)
     out = _out_dir(args)
-    decisions, dropped = _run_selection(args, cfg)
-    _echo_config(out, "keyframes", cfg)
+    _echo_config(out, args)
 
     write_decisions_csv(out / "decisions.csv", decisions)
     selected = keyframe_indices(decisions)
@@ -173,10 +156,10 @@ def cmd_keyframes(args) -> int:
 def cmd_calibrate(args) -> int:
     # score every frame against the always-updated map so the distribution
     # reflects self-distance, independent of any particular threshold
-    cfg = dataclasses.replace(resolve_config(args), commit="always")
+    args.commit = "always"
+    decisions, _ = _run_selection(args)
     out = _out_dir(args)
-    decisions, _ = _run_selection(args, cfg)
-    _echo_config(out, "calibrate", cfg)
+    _echo_config(out, args)
 
     scores = np.array([d.dw for d in decisions
                        if d.flag == "scored" and math.isfinite(d.dw)])
@@ -217,9 +200,8 @@ def _parse_t_init(values) -> Pose:
 
 
 def cmd_merge(args) -> int:
-    cfg = resolve_config(args)
     out = _out_dir(args)
-    _echo_config(out, "merge", cfg)
+    _echo_config(out, args)
 
     graph1 = read_graph(args.graph)
     trajectory2 = read_tum(args.trajectory)
@@ -263,24 +245,22 @@ def cmd_merge(args) -> int:
 # synth
 
 def cmd_synth(args) -> int:
-    cfg = resolve_config(args)
     out = _out_dir(args)
-    _echo_config(out, "synth", cfg)
+    _echo_config(out, args)
 
-    if args.kind in ("corridor", "room", "loop_course"):
+    if args.kind in ("corridor", "loop_course"):
         scene = generate_scene(args.kind)
         if args.kind == "loop_course":
             path = loop_path(n_frames=args.frames)
         else:
-            length = 40.0 if args.kind == "corridor" else 10.0
-            path = corridor_path(length, args.frames)
+            path = corridor_path(40.0, args.frames)
         clouds_dir = out / "clouds"
         clouds_dir.mkdir(exist_ok=True)
         entries = []
         for k, pose in enumerate(path):
             stamp = 0.1 * k
             spec = ScanSpec(args.max_range, args.noise, args.points,
-                            seed=cfg.seed + k)
+                            seed=args.seed + k)
             cloud = simulate_scan(scene, pose, spec, frame_index=k, timestamp=stamp)
             write_pcd(clouds_dir / f"{stamp:012.6f}.pcd", cloud.points)
             entries.append(TrajectoryEntry(stamp, pose))
@@ -288,48 +268,43 @@ def cmd_synth(args) -> int:
         print(f"kind={args.kind} frames={len(path)} out={out}")
         return 0
 
-    if args.kind == "two_session":
-        paths = (corridor_path(40.0, args.frames, height=1.5),
-                 corridor_path(40.0, args.frames, height=1.6))
-        # rotation noise tracks translation noise unless set explicitly, so
-        # --noise 0 really produces exact measurements
-        if args.noise_rot is None:
-            sigma_r = math.radians(10.0 * args.noise)
-        else:
-            sigma_r = math.radians(args.noise_rot)
-        noise = NoiseModel(sigma_t=args.noise, sigma_r=sigma_r)
-        data = generate_two_session(None, paths, noise, seed=cfg.seed,
-                                    n_loops=args.loops)
-        write_tum(out / "session1_truth.tum", data.truth1)
-        write_tum(out / "session2_truth.tum", data.truth2)
-        estimate1 = compose_odometry(data.truth1[0].pose, data.odometry1)
-        write_graph(out / "session1.g2o",
-                    build_session_graph(estimate1, data.odometry1, session=1))
-        estimate2 = compose_odometry(data.truth2[0].pose, data.odometry2)
-        write_tum(out / "session2_estimate.tum",
-                  [TrajectoryEntry(e.timestamp, p)
-                   for e, p in zip(data.truth2, estimate2)])
-        write_edge_list(out / "session2_odometry.txt", data.odometry2)
-        write_edge_list(out / "loops.txt", data.loops)
-        print(f"kind=two_session frames={args.frames} loops={len(data.loops)} out={out}")
-        return 0
-
-    raise UsageError(f"unknown synth kind {args.kind!r}")
+    paths = (corridor_path(40.0, args.frames, height=1.5),
+             corridor_path(40.0, args.frames, height=1.6))
+    # rotation noise tracks translation noise unless set explicitly, so
+    # --noise 0 really produces exact measurements
+    if args.noise_rot is None:
+        sigma_r = math.radians(10.0 * args.noise)
+    else:
+        sigma_r = math.radians(args.noise_rot)
+    noise = NoiseModel(sigma_t=args.noise, sigma_r=sigma_r)
+    data = generate_two_session(None, paths, noise, seed=args.seed,
+                                n_loops=args.loops)
+    write_tum(out / "session1_truth.tum", data.truth1)
+    write_tum(out / "session2_truth.tum", data.truth2)
+    estimate1 = compose_odometry(data.truth1[0].pose, data.odometry1)
+    write_graph(out / "session1.g2o",
+                build_session_graph(estimate1, data.odometry1, session=1))
+    estimate2 = compose_odometry(data.truth2[0].pose, data.odometry2)
+    write_tum(out / "session2_estimate.tum",
+              [TrajectoryEntry(e.timestamp, p)
+               for e, p in zip(data.truth2, estimate2)])
+    write_edge_list(out / "session2_odometry.txt", data.odometry2)
+    write_edge_list(out / "loops.txt", data.loops)
+    print(f"kind=two_session frames={args.frames} loops={len(data.loops)} out={out}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # wiring
 
-def _add_shared_flags(sub):
+def _add_selector_flags(sub):
     sub.add_argument("--voxel-size", dest="voxel_size", type=float, default=None)
     sub.add_argument("--tau", type=float, default=None)
     sub.add_argument("--radius", type=float, default=None)
     sub.add_argument("--min-points", dest="min_points", type=int, default=None)
-    sub.add_argument("--commit", choices=["keyframes", "always"], default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--config", default=None, help="key=value config file")
-    sub.add_argument("--out", default=None, help="output directory")
+    sub.add_argument("--commit", choices=COMMIT_POLICIES, default=None)
     sub.add_argument("--max-dt", dest="max_dt", type=float, default=None)
+    sub.add_argument("--config", default=None, help="key=value config file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,13 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     kf = commands.add_parser("keyframes", help="select keyframes from clouds + poses")
     kf.add_argument("--clouds", required=True, help="directory of .pcd files")
     kf.add_argument("--trajectory", required=True, help="poses in TUM format")
-    _add_shared_flags(kf)
+    _add_selector_flags(kf)
     kf.set_defaults(func=cmd_keyframes)
 
     cal = commands.add_parser("calibrate", help="score distribution and suggested tau")
     cal.add_argument("--clouds", required=True)
     cal.add_argument("--trajectory", required=True)
-    _add_shared_flags(cal)
+    _add_selector_flags(cal)
     cal.set_defaults(func=cmd_calibrate)
 
     mg = commands.add_parser("merge", help="merge a second session into a graph")
@@ -357,12 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar=("X", "Y", "Z", "QX", "QY", "QZ", "QW"))
     mg.add_argument("--t-init-prior", dest="t_init_prior", action="store_true")
     mg.add_argument("--max-iterations", type=int, default=100)
-    _add_shared_flags(mg)
     mg.set_defaults(func=cmd_merge)
 
     sy = commands.add_parser("synth", help="generate a synthetic dataset")
     sy.add_argument("--kind", default="corridor",
-                    choices=["corridor", "room", "loop_course", "two_session"])
+                    choices=["corridor", "loop_course", "two_session"])
     sy.add_argument("--frames", type=int, default=40)
     sy.add_argument("--points", type=int, default=2000)
     sy.add_argument("--noise", type=float, default=0.01,
@@ -372,9 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "defaults to 10 deg per meter of --noise")
     sy.add_argument("--max-range", dest="max_range", type=float, default=20.0)
     sy.add_argument("--loops", type=int, default=10)
-    _add_shared_flags(sy)
+    sy.add_argument("--seed", type=int, default=0)
     sy.set_defaults(func=cmd_synth)
 
+    for sub in (kf, cal, mg, sy):
+        sub.add_argument("--out", default=None, help="output directory")
     return parser
 
 

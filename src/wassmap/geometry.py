@@ -48,7 +48,11 @@ def _quat_exp(rotvec: np.ndarray) -> np.ndarray:
 
 
 def _quat_log(q: np.ndarray) -> np.ndarray:
-    """Unit quaternions (..., 4) to axis-angle (..., 3) with angle in [0, pi]."""
+    """Unit quaternions (..., 4) to axis-angle (..., 3) with angle in [0, pi].
+
+    At angle exactly pi the axis sign is that of the canonical (w >= 0)
+    quaternion, so the branch is stable across calls.
+    """
     q = np.where(q[..., :1] < 0.0, -q, q)
     u = q[..., 1:]
     vn = np.sqrt((u * u).sum(axis=-1))
@@ -152,14 +156,6 @@ class Rotation:
 
     def as_matrix(self) -> np.ndarray:
         return _quat_matrix(self.as_quat())
-
-    def as_rotvec(self) -> np.ndarray:
-        """Axis-angle with angle in [0, pi].
-
-        At angle exactly pi the axis sign is inherited from the canonical
-        (w >= 0) quaternion; that branch is stable and consistent across calls.
-        """
-        return _quat_log(self.as_quat())
 
     @property
     def angle(self) -> float:
@@ -322,7 +318,7 @@ def se3_log(pose) -> np.ndarray:
     """Pose to twist; unique for rotation angles below pi.
 
     Takes a `Pose` or a batch ``(q, t)``. At angle exactly pi the branch
-    follows Rotation.as_rotvec.
+    follows `_quat_log`.
     """
     q, t = _as_batch(pose)
     w = _quat_log(q)

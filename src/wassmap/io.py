@@ -428,6 +428,26 @@ def _parse_pose(path, tokens, line_no) -> Pose:
     return Pose(rotation, (tx, ty, tz))
 
 
+def _parse_edge(path, tokens, line_no, n_ids):
+    """An edge record's tokens, record name first, to (ids, measurement,
+    information): `n_ids` endpoints, a pose and a 21-entry upper triangle."""
+    expected = 1 + n_ids + 7 + 21
+    if len(tokens) != expected:
+        raise ParseError(path, f"edge needs {expected} tokens, got {len(tokens)}", line=line_no)
+    try:
+        ids = [int(t) for t in tokens[1:1 + n_ids]]
+    except ValueError:
+        raise ParseError(path, "bad edge endpoint", line=line_no) from None
+    measurement = _parse_pose(path, tokens[1 + n_ids:8 + n_ids], line_no)
+    try:
+        values = [float(t) for t in tokens[8 + n_ids:]]
+    except ValueError:
+        raise ParseError(path, "non-numeric information entry", line=line_no) from None
+    if not all(math.isfinite(v) for v in values):
+        raise ParseError(path, "non-finite information entry", line=line_no)
+    return ids, measurement, _info_from_upper(values)
+
+
 def write_graph(path, graph: PoseGraph) -> None:
     lines = []
     for node_id in sorted(graph.nodes):
@@ -508,24 +528,7 @@ def read_graph(path) -> PoseGraph:
         if tokens[0] in ("EDGE_SE3:QUAT", "EDGE_SE3_PRIOR"):
             flush_nodes()
             prior = tokens[0] == "EDGE_SE3_PRIOR"
-            n_ids = 1 if prior else 2
-            expected = 1 + n_ids + 7 + 21
-            if len(tokens) != expected:
-                raise ParseError(
-                    path, f"edge needs {expected} tokens, got {len(tokens)}", line=line_no
-                )
-            try:
-                ids = [int(t) for t in tokens[1:1 + n_ids]]
-            except ValueError:
-                raise ParseError(path, "bad edge endpoint", line=line_no) from None
-            measurement = _parse_pose(path, tokens[1 + n_ids:8 + n_ids], line_no)
-            try:
-                values = [float(t) for t in tokens[8 + n_ids:]]
-            except ValueError:
-                raise ParseError(path, "non-numeric information entry", line=line_no) from None
-            if not all(math.isfinite(v) for v in values):
-                raise ParseError(path, "non-finite information entry", line=line_no)
-            info = _info_from_upper(values)
+            ids, measurement, info = _parse_edge(path, tokens, line_no, 1 if prior else 2)
 
             if pending_kind:
                 kind = pending_kind[0]
@@ -565,20 +568,8 @@ def read_edge_list(path):
         tokens = line.split()
         if tokens[0] != "EDGE_SE3:QUAT":
             raise ParseError(path, f"unknown record {tokens[0]!r}", line=line_no)
-        if len(tokens) != 31:
-            raise ParseError(path, f"edge needs 31 tokens, got {len(tokens)}", line=line_no)
-        try:
-            i, j = int(tokens[1]), int(tokens[2])
-        except ValueError:
-            raise ParseError(path, "bad edge endpoint", line=line_no) from None
-        measurement = _parse_pose(path, tokens[3:10], line_no)
-        try:
-            values = [float(t) for t in tokens[10:]]
-        except ValueError:
-            raise ParseError(path, "non-numeric information entry", line=line_no) from None
-        if not all(math.isfinite(v) for v in values):
-            raise ParseError(path, "non-finite information entry", line=line_no)
-        edges.append((i, j, measurement, _info_from_upper(values)))
+        (i, j), measurement, info = _parse_edge(path, tokens, line_no, 2)
+        edges.append((i, j, measurement, info))
     return edges
 
 

@@ -32,7 +32,7 @@ from wassmap.wasserstein import NoComparableVoxelsError, map_dissimilarity
 
 logger = logging.getLogger(__name__)
 
-COMMIT_POLICIES = ("keyframes-only", "always")
+COMMIT_POLICIES = ("keyframes", "always")
 DECISION_FLAGS = ("bootstrap", "scored", "no_comparable", "error")
 
 
@@ -42,11 +42,11 @@ class EmptyFrameError(ValueError):
 
 @dataclass(frozen=True)
 class SelectorConfig:
-    tau: float
+    tau: float = 0.5
     voxel_size: float = 4.0
     radius: float = 100.0
     min_points: int = 5
-    commit_policy: str = "keyframes-only"
+    commit: str = "keyframes"  # one of COMMIT_POLICIES
 
     def __post_init__(self):
         if not self.tau >= 0.0:
@@ -57,8 +57,8 @@ class SelectorConfig:
             raise ValueError("radius must be positive")
         if self.min_points < 2:
             raise ValueError("sample covariance needs min_points >= 2")
-        if self.commit_policy not in COMMIT_POLICIES:
-            raise ValueError(f"unknown commit_policy {self.commit_policy!r}")
+        if self.commit not in COMMIT_POLICIES:
+            raise ValueError(f"unknown commit policy {self.commit!r}")
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class KeyframeSelector:
             keyframe = True
             flag = "no_comparable"
 
-        if cfg.commit_policy == "always" or keyframe:
+        if cfg.commit == "always" or keyframe:
             self.map.commit(stage)
         self.map.prune_outside(pose.translation, cfg.radius)
 

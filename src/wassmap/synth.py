@@ -89,9 +89,9 @@ def _box_patches(x0, x1, y0, y1, z0, z1) -> list[Patch]:
 
 
 def generate_scene(kind: str, dims=None, density: float = 100.0) -> Scene:
-    """Deterministic patch lists for the three built-in layouts.
+    """Deterministic patch lists for the two built-in layouts.
 
-    corridor/room dims are (length, width, height); loop_course dims are
+    corridor dims are (length, width, height); loop_course dims are
     (outer side, corridor width, height) for a closed rectangular circuit.
     """
     if kind == "corridor":
@@ -99,11 +99,6 @@ def generate_scene(kind: str, dims=None, density: float = 100.0) -> Scene:
         if min(length, width, height) <= 0:
             raise ValueError("dimensions must be positive")
         patches = _box_patches(0.0, length, -width / 2.0, width / 2.0, 0.0, height)
-    elif kind == "room":
-        length, width, height = dims or (10.0, 10.0, 3.0)
-        if min(length, width, height) <= 0:
-            raise ValueError("dimensions must be positive")
-        patches = _box_patches(0.0, length, 0.0, width, 0.0, height)
     elif kind == "loop_course":
         side, width, height = dims or (30.0, 4.0, 3.0)
         if min(side, width, height) <= 0 or width * 2.0 >= side:

@@ -36,6 +36,7 @@ from wassmap.voxel_map import GmmMap, StagedUpdate, StaleStageError, moments
 _EIG_CLAMP = 1e-9
 _SYM_TOL = 1e-9
 _CERT_TRACE = 1e3  # m^2; see _cholesky
+_U = 2.0**-53  # unit roundoff
 
 
 class InvalidCovarianceError(ValueError):
@@ -124,6 +125,17 @@ def w2_batch(mu1, sig1, mu2, sig2) -> np.ndarray:
     ``sig1``, on each row with three positive pivots and tr S1 < 1e3 m^2:
     there lambda_min(S1) >= -6u tr S1 > -1e-9, so the floor holds unchecked.
     Other rows take F = V diag(sqrt(lambda)) from `eigh`, which checks it.
+
+    W2^2 below -(9c + 8u (tr S1 + tr S2) + 64 sqrt(u tr S1 tr S2)), c =
+    _EIG_CLAMP, is rejected; nothing the checks above accept gets there.
+    Exactly, F F^T is S1's positive part and S2's symmetric part has
+    eigenvalues >= -2c (its floor plus the tolerated asymmetry): W2^2 >= -9c.
+    F F^T = S1 + dA, ||dA|| < 5u tr S1 (`_cholesky`); forming F^T S2 F adds
+    at most 6u tr S1 tr S2 and `eigvalsh` p u tr S1 tr S2, p a few dozen. As
+    |sqrt(a) - sqrt(b)| <= sqrt(|a - b|), the doubled sum of three roots
+    lowers W2^2 by at most 6 sqrt((11 + p) u tr S1 tr S2) < 64 sqrt(u tr S1
+    tr S2) for p up to 100; a flat voxel's zero eigenvalue is lifted to that
+    size. Near zero the sums round by at most 8u (tr S1 + tr S2).
     """
     mu1 = np.asarray(mu1, dtype=float).reshape(-1, 3)
     mu2 = np.asarray(mu2, dtype=float).reshape(-1, 3)
@@ -157,9 +169,10 @@ def w2_batch(mu1, sig1, mu2, sig2) -> np.ndarray:
     inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
     cross = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum(axis=-1)
 
-    traces = np.trace(sig1, axis1=-2, axis2=-1) + np.trace(sig2, axis1=-2, axis2=-1)
+    tr1, tr2 = np.trace(sig1, axis1=-2, axis2=-1), np.trace(sig2, axis1=-2, axis2=-1)
+    traces = tr1 + tr2
     total = mean_sq + traces - 2.0 * cross
-    floor = -(_EIG_CLAMP + 1e-12 * np.maximum(traces, 1.0))
+    floor = -(9 * _EIG_CLAMP + 8 * _U * traces + 64 * np.sqrt(_U * np.maximum(tr1 * tr2, 0.0)))
     if np.any(total < floor):
         raise InvalidCovarianceError("Wasserstein inner value strongly negative")
     out = np.sqrt(np.clip(total, 0.0, None))

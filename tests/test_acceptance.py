@@ -172,7 +172,7 @@ def test_ac2_wasserstein_closed_forms_and_metric_axioms():
 def _corridor_decisions(poses, seed_base, commit="always"):
     scene = generate_scene("corridor")
     config = SelectorConfig(tau=0.2, voxel_size=2.0, radius=1000.0,
-                            commit_policy=commit)
+                            commit=commit)
     selector = KeyframeSelector(config)
     decisions = []
     for k, pose in enumerate(poses):
@@ -232,7 +232,7 @@ def test_ac4_revisit_coverage_has_no_new_voxels():
     scene = generate_scene("loop_course", (30.0, 4.0, 3.0), density=100.0)
     poses = loop_path(side=30.0, width=4.0, n_frames=30, laps=2)
     config = SelectorConfig(tau=0.05, voxel_size=2.0, radius=1000.0,
-                            commit_policy="always")
+                            commit="always")
     selector = KeyframeSelector(config)
     decisions = []
     for k, pose in enumerate(poses):
@@ -360,7 +360,7 @@ def test_ac7_realtime_benchmark_soft_target():
         frames.append((rng.uniform(lo, lo + [50.0, 50.0, 40.0], size=(50_000, 3)),
                        Pose.identity()))
     selector = KeyframeSelector(SelectorConfig(tau=0.5, voxel_size=4.0, radius=1000.0,
-                                               commit_policy="always"))
+                                               commit="always"))
     decisions = selector.run_sequence(frames)
 
     failures = []

@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import math
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import wassmap.keyframe
-from wassmap.cli import RunConfig, main, resolve_config
+from wassmap.cli import build_parser, main, resolve_config
 from wassmap.io import read_graph, read_tum, write_pcd
 from wassmap.wasserstein import InvalidCovarianceError
 
@@ -67,7 +68,6 @@ class TestConfigPrecedence:
             radius = None
             min_points = None
             commit = None
-            seed = None
             max_dt = None
 
         cfg = resolve_config(Args())
@@ -77,10 +77,11 @@ class TestConfigPrecedence:
         assert cfg.radius == 100.0     # default
 
     def test_unknown_key_is_usage_error(self, tmp_path, capsys):
-        for line in ("bogus=1", "threads=1", "agg=mass", "estimator=population"):
+        for line in ("bogus=1", "threads=1", "agg=mass", "estimator=population", "seed=1"):
             cfg_file = tmp_path / "run.cfg"
             cfg_file.write_text(f"tau=0.2\n{line}\n")
-            code = run("synth", "--config", cfg_file, "--out", tmp_path / "o")
+            code = run("keyframes", "--clouds", "c", "--trajectory", "t.tum",
+                       "--config", cfg_file, "--out", tmp_path / "o")
             assert code == 1
             assert "unknown config key" in capsys.readouterr().err
 
@@ -92,11 +93,45 @@ class TestConfigPrecedence:
             assert run("keyframes", "--clouds", "c", "--trajectory", "t.tum", *flag) == 1
             assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_removed_flags_are_unrecognized(self, capsys):
+        for argv in (("merge", "--graph", "g", "--trajectory", "t", "--odometry", "o",
+                      "--tau", "0.3"),
+                     ("synth", "--voxel-size", "1"),
+                     ("keyframes", "--clouds", "c", "--trajectory", "t", "--seed", "1")):
+            capsys.readouterr()
+            assert run(*argv) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_config_echoed(self, corridor_dataset):
         text = (corridor_dataset / "config.txt").read_text()
         assert "command=synth" in text
-        assert "voxel_size=4.0" in text
+        assert "voxel_size" not in text
         assert "seed=5" in text
+
+    def test_config_lists_every_accepted_option(self, corridor_dataset,
+                                                two_session_dataset, tmp_path):
+        clouds = ("--clouds", corridor_dataset / "clouds",
+                  "--trajectory", corridor_dataset / "trajectory.tum")
+        argvs = {
+            "keyframes": clouds,
+            "calibrate": clouds,
+            "merge": ("--graph", two_session_dataset / "session1.g2o",
+                      "--trajectory", two_session_dataset / "session2_estimate.tum",
+                      "--odometry", two_session_dataset / "session2_odometry.txt",
+                      "--loops", two_session_dataset / "loops.txt"),
+        }
+        outs = {"synth": corridor_dataset}
+        for command, argv in argvs.items():
+            outs[command] = tmp_path / command
+            assert run(command, *argv, "--out", outs[command]) == 0
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for command, out in outs.items():
+            accepted = {a.dest for a in subparsers.choices[command]._actions}
+            keys = [line.split("=", 1)[0]
+                    for line in (out / "config.txt").read_text().splitlines()]
+            assert len(keys) == len(set(keys))
+            assert set(keys) == {"command"} | accepted - {"help", "out"}
 
 
 class TestSynthCommand:
@@ -269,6 +304,21 @@ class TestMergeCommand:
         assert "final_cost=" in report and "cost_trace=" in report
         trace = [float(v) for v in report.splitlines()[-1].split("=")[1].split()]
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+
+    def test_config_records_merge_options(self, two_session_dataset, tmp_path):
+        out = tmp_path / "merge"
+        code = run("merge", "--graph", two_session_dataset / "session1.g2o",
+                   "--trajectory", two_session_dataset / "session2_estimate.tum",
+                   "--odometry", two_session_dataset / "session2_odometry.txt",
+                   "--loops", two_session_dataset / "loops.txt",
+                   "--t-init", "0", "0", "0", "0", "0", "0", "1",
+                   "--max-iterations", "3", "--out", out)
+        assert code == 0
+        lines = (out / "config.txt").read_text().splitlines()
+        assert "max_iterations=3" in lines
+        assert "t_init=0.0 0.0 0.0 0.0 0.0 0.0 1.0" in lines
+        assert "t_init_prior=False" in lines
+        assert not any(line.startswith("tau=") for line in lines)
 
     def test_exact_measurements_reach_zero_cost(self, tmp_path):
         data = tmp_path / "exact"

@@ -42,7 +42,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="sample covariance needs min_points >= 2"):
         SelectorConfig(tau=0.1, min_points=1)
     with pytest.raises(ValueError):
-        SelectorConfig(tau=0.1, commit_policy="sometimes")
+        SelectorConfig(tau=0.1, commit="sometimes")
 
 
 def test_bootstrap_decision_and_voxel_count():
@@ -144,7 +144,7 @@ def test_commit_policies():
     keep.process_frame(noisy, Pose.identity())
     assert keep.map.total_points == before  # non-keyframe stage discarded
 
-    always = KeyframeSelector(base_config(tau=math.inf, commit_policy="always"))
+    always = KeyframeSelector(base_config(tau=math.inf, commit="always"))
     always.bootstrap(pts, Pose.identity())
     before = always.map.total_points
     always.process_frame(noisy, Pose.identity())

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import wassmap.wasserstein
 from wassmap.geometry import Rotation
 from wassmap.voxel_map import GmmMap, StaleStageError, build_map
 from wassmap.wasserstein import (
@@ -233,6 +234,45 @@ def test_near_singular_commuting_pairs_match_the_closed_form():
         zero = np.zeros((size, 3))
         exact = np.sqrt(((np.sqrt(a) - np.sqrt(b)) ** 2).sum(axis=1))
         assert np.abs(w2_batch(zero, sig1, zero, sig2) - exact).max() <= 1e-9
+
+
+def _flat_pair(seed, eps):
+    """Commuting S1 = Q diag(a1, a2, eps) Q^T and S2 = Q diag(a1, a2, 4 eps) Q^T,
+    a ~ U(0.1, 1) m^2: a flat voxel that a frame thickens by a hair."""
+    rng = np.random.default_rng(seed)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    a = rng.uniform(0.1, 1.0, 2)
+    sig1, sig2 = (rot @ np.diag([a[0], a[1], c * eps]) @ rot.T for c in (1.0, 4.0))
+    return 0.5 * (sig1 + sig1.T), 0.5 * (sig2 + sig2.T)
+
+
+def test_flat_commuting_pairs_are_accepted():
+    # the cross term's near-zero eigenvalue rounds to about u tr S1 tr S2,
+    # which its square root lifts to ~1e-8 in W2^2, far below -1e-9
+    zero = np.zeros((1, 3))
+    for eps in (1e-10, 1e-12, 1e-14):
+        for seed in range(200):
+            sig1, sig2 = _flat_pair(seed, eps)
+            assert w2_batch(zero, sig1[None], zero, sig2[None])[0] < 1e-4
+
+
+def test_pair_below_the_inner_value_floor_is_rejected(monkeypatch):
+    # S2 = S1 - alpha n n^T along the flat normal n has W2^2 = 2 eps - alpha,
+    # with alpha twice the floor's size
+    sig1, _ = _flat_pair(0, 1e-10)
+    normal = np.linalg.eigh(sig1)[1][:, 0]
+    tr = np.trace(sig1)
+    floor = 9e-9 + 16 * 2.0**-53 * tr + 64 * np.sqrt(2.0**-53 * tr * tr)
+    sig2 = sig1 - 2 * floor * np.outer(normal, normal)
+    zero = np.zeros((1, 3))
+    with pytest.raises(InvalidCovarianceError, match="^covariance has eigenvalue"):
+        w2_batch(zero, sig1[None], zero, sig2[None])
+    # past the frame-side eigenvalue check, the floor itself rejects the pair
+    monkeypatch.setattr(wassmap.wasserstein, "_validate_covariances",
+                        lambda sig, eig_floor_checked: None)
+    with pytest.raises(InvalidCovarianceError,
+                       match="^Wasserstein inner value strongly negative$"):
+        w2_batch(zero, sig1[None], zero, sig2[None])
 
 
 def test_planar_base_rows_take_the_eigh_factor():
