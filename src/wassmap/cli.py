@@ -28,6 +28,7 @@ from wassmap.io import (
     read_cloud_dir,
     read_edge_list,
     read_graph,
+    read_pcd,
     read_tum,
     write_decisions_csv,
     write_edge_list,
@@ -86,10 +87,12 @@ def _read_config_file(path, defaults: dict) -> dict:
 
 
 def resolve_config(args):
-    """Fill the selector's settings and pairing's `max_dt` into `args` where
-    no flag set them: from the config file, else the default. Returns `args`."""
+    """Fill the selector's settings and pairing's `max_dt` that the command
+    takes into `args` where no flag set them: from the config file, else the
+    default. Returns `args`."""
     defaults = {f.name: f.default for f in fields(SelectorConfig)}
     defaults["max_dt"] = 0.05
+    defaults = {name: value for name, value in defaults.items() if hasattr(args, name)}
     from_file = _read_config_file(args.config, defaults) if args.config is not None else {}
     for name, default in defaults.items():
         if getattr(args, name) is None:
@@ -117,23 +120,36 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 # keyframes / calibrate
 
-def _run_selection(args):
+def _run_selection(args, **settings):
+    """One decision per cloud under `args.clouds`, in time order. `settings`
+    fix selector settings the command does not take as options."""
     resolve_config(args)
     clouds = read_cloud_dir(args.clouds)
     if not clouds:
         raise UsageError(f"no .pcd files under {args.clouds}")
     trajectory = read_tum(args.trajectory)
-    pairs, dropped = pair_frames(clouds, trajectory, max_dt=args.max_dt)
-    config = SelectorConfig(**{f.name: getattr(args, f.name) for f in fields(SelectorConfig)})
-    selector = KeyframeSelector(config)
-    decisions = selector.run_sequence(
-        (cloud.points, pose, cloud.timestamp) for cloud, pose in pairs
-    )
-    return decisions, dropped
+    poses = pair_frames([stamp for _, stamp in clouds], trajectory, max_dt=args.max_dt)
+    taken = {f.name: getattr(args, f.name) for f in fields(SelectorConfig) if hasattr(args, f.name)}
+    selector = KeyframeSelector(SelectorConfig(**taken, **settings))
+    return selector.run_sequence(_read_frames(clouds, poses))
+
+
+def _read_frames(clouds, poses):
+    """(points, pose, timestamp) of each cloud, read only when its turn
+    comes; an unpaired cloud is not read, and a read's `ParseError` takes
+    the place of the points so that the frame gets an error row."""
+    for (path, stamp), pose in zip(clouds, poses):
+        points = None
+        if pose is not None:
+            try:
+                points = read_pcd(path).points
+            except ParseError as err:
+                points = err
+        yield points, pose, stamp
 
 
 def cmd_keyframes(args) -> int:
-    decisions, dropped = _run_selection(args)
+    decisions = _run_selection(args)
     out = _out_dir(args)
     _echo_config(out, args)
 
@@ -147,6 +163,7 @@ def cmd_keyframes(args) -> int:
     (out / "scores.csv").write_text("\n".join(score_lines) + "\n")
 
     errors = sum(d.flag == "error" for d in decisions)
+    dropped = sum(d.flag == "unpaired" for d in decisions)
     print(f"frames={len(decisions)} keyframes={len(selected)} dropped={dropped} "
           f"errors={errors}")
     print(f"wrote {out / 'decisions.csv'}")
@@ -156,8 +173,7 @@ def cmd_keyframes(args) -> int:
 def cmd_calibrate(args) -> int:
     # score every frame against the always-updated map so the distribution
     # reflects self-distance, independent of any particular threshold
-    args.commit = "always"
-    decisions, _ = _run_selection(args)
+    decisions = _run_selection(args, commit="always")
     out = _out_dir(args)
     _echo_config(out, args)
 
@@ -297,12 +313,18 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
-def _add_selector_flags(sub):
+def _add_selector_flags(sub, threshold: bool):
+    """The inputs and selector settings; `--tau` and `--commit` only when
+    the command reports keyframes (`threshold`)."""
+    sub.add_argument("--clouds", required=True, help="directory of .pcd files")
+    sub.add_argument("--trajectory", required=True, help="poses in TUM format")
     sub.add_argument("--voxel-size", dest="voxel_size", type=float, default=None)
-    sub.add_argument("--tau", type=float, default=None)
+    if threshold:
+        sub.add_argument("--tau", type=float, default=None)
     sub.add_argument("--radius", type=float, default=None)
     sub.add_argument("--min-points", dest="min_points", type=int, default=None)
-    sub.add_argument("--commit", choices=COMMIT_POLICIES, default=None)
+    if threshold:
+        sub.add_argument("--commit", choices=COMMIT_POLICIES, default=None)
     sub.add_argument("--max-dt", dest="max_dt", type=float, default=None)
     sub.add_argument("--config", default=None, help="key=value config file")
 
@@ -312,15 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     kf = commands.add_parser("keyframes", help="select keyframes from clouds + poses")
-    kf.add_argument("--clouds", required=True, help="directory of .pcd files")
-    kf.add_argument("--trajectory", required=True, help="poses in TUM format")
-    _add_selector_flags(kf)
+    _add_selector_flags(kf, threshold=True)
     kf.set_defaults(func=cmd_keyframes)
 
+    # calibrate commits every frame and reports no keyframe bit
     cal = commands.add_parser("calibrate", help="score distribution and suggested tau")
-    cal.add_argument("--clouds", required=True)
-    cal.add_argument("--trajectory", required=True)
-    _add_selector_flags(cal)
+    _add_selector_flags(cal, threshold=False)
     cal.set_defaults(func=cmd_calibrate)
 
     mg = commands.add_parser("merge", help="merge a second session into a graph")

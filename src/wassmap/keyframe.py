@@ -13,8 +13,9 @@ The first frame always bootstraps the map and is a keyframe by definition;
 its score is reported as +inf. Frames that share no usable voxel with the
 map (no overlap, or all shared voxels under the point floor) are keyframes
 flagged ``no_comparable``, with the score recorded as NaN. In
-`KeyframeSelector.run_sequence` a frame that fails (no finite point, bad
-pose, numerical error) is flagged ``error`` instead of vanishing.
+`KeyframeSelector.run_sequence` a frame that fails (unreadable, no finite
+point, bad pose, numerical error) is flagged ``error`` and a frame without a
+pose ``unpaired``, instead of vanishing.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from wassmap.wasserstein import NoComparableVoxelsError, map_dissimilarity
 logger = logging.getLogger(__name__)
 
 COMMIT_POLICIES = ("keyframes", "always")
-DECISION_FLAGS = ("bootstrap", "scored", "no_comparable", "error")
+DECISION_FLAGS = ("bootstrap", "scored", "no_comparable", "error", "unpaired")
 
 
 class EmptyFrameError(ValueError):
@@ -64,8 +65,8 @@ class SelectorConfig:
 @dataclass(frozen=True)
 class FrameDecision:
     frame_index: int          # 1-based position in the input sequence
-    pose: Pose
-    dw: float                 # +inf for bootstrap, NaN when nothing compared or on error
+    pose: Pose | None         # None when unpaired
+    dw: float                 # +inf for bootstrap, NaN when not compared
     keyframe: bool
     flag: str                 # one of DECISION_FLAGS
     affected_count: int = 0
@@ -191,23 +192,37 @@ class KeyframeSelector:
     def run_sequence(self, frames) -> list[FrameDecision]:
         """Process an ordered sequence of (points, pose[, timestamp]) frames.
 
-        A frame that raises `ValueError` (empty frame, bad pose, invalid
-        covariance, voxel out of range) does not abort the run: it gets an
-        ``error`` decision, is not a keyframe and leaves the map as it was.
-        A frame that fails at bootstrap leaves the selector unbootstrapped,
-        so the next frame bootstraps.
+        Every frame gets one decision. A frame whose pose is None is flagged
+        ``unpaired``: it is not scored and leaves the map as it was. A frame
+        that raises `ValueError` (empty frame, bad pose, invalid covariance,
+        voxel out of range), or whose points are the `ValueError` that
+        reading them raised, does not abort the run: it gets an ``error``
+        decision, is not a keyframe and leaves the map as it was. A frame
+        that fails at bootstrap leaves the selector unbootstrapped, so the
+        next frame bootstraps. Each frame's points are let go before the next
+        frame is drawn, so a lazy `frames` holds one frame at a time.
         """
         out = []
-        for entry in frames:
-            points, pose, *rest = entry
+        for points, pose, *rest in frames:
             timestamp = rest[0] if rest else None
-            step = self.process_frame if self.bootstrapped else self.bootstrap
-            try:
-                decision = step(points, pose, timestamp)
-            except ValueError as err:
-                logger.warning("frame %d failed: %s", self._frames_seen, err)
-                decision = FrameDecision(self._frames_seen, pose, math.nan, False,
-                                         "error", timestamp=timestamp)
-                self.decisions.append(decision)
+            index = self._frames_seen + 1
+            if pose is None:
+                decision = self._unscored(index, pose, "unpaired", timestamp)
+            else:
+                step = self.process_frame if self.bootstrapped else self.bootstrap
+                try:
+                    if isinstance(points, ValueError):
+                        raise points
+                    decision = step(points, pose, timestamp)
+                except ValueError as err:
+                    logger.warning("frame %d failed: %s", index, err)
+                    decision = self._unscored(index, pose, "error", timestamp)
+            del points  # before `frames` reads the next one
             out.append(decision)
         return out
+
+    def _unscored(self, index: int, pose, flag: str, timestamp) -> FrameDecision:
+        self._frames_seen = index
+        decision = FrameDecision(index, pose, math.nan, False, flag, timestamp=timestamp)
+        self.decisions.append(decision)
+        return decision

@@ -172,9 +172,6 @@ class PoseGraph:
             other.edges.append(twin)
         return other
 
-    def session_ids(self, session: int) -> list[int]:
-        return sorted(n.id for n in self.nodes.values() if n.session == session)
-
 
 # The batched kernel. Node states are arrays with one row per node plus a
 # last row holding the identity, so that a prior on node i is the binary edge
@@ -426,18 +423,6 @@ def optimize(graph: PoseGraph, fixed=None, max_iterations: int = 100) -> Optimiz
             graph.nodes[problem.ids[k]].pose = Pose(Rotation(*q[k].tolist()), t[k])
     report.final_cost = cost
     return report
-
-
-def evaluate_ate(estimate, ground_truth) -> float:
-    """RMSE of translation errors between index-aligned trajectories."""
-    if len(estimate) != len(ground_truth):
-        raise ValueError("trajectories differ in length")
-    if len(estimate) == 0:
-        raise ValueError("empty trajectory")
-    err = np.array(
-        [est.translation - ref.translation for est, ref in zip(estimate, ground_truth)]
-    )
-    return float(np.sqrt((err ** 2).sum(axis=1).mean()))
 
 
 def merge_sessions(

@@ -259,10 +259,3 @@ class GmmMap:
         self.total_points += stage.point_count
         self.rejected_points += stage.rejected
         self.version += 1
-
-
-def build_map(points, voxel_size: float = 4.0) -> GmmMap:
-    """One-shot map over a point list; equivalent to repeated insertion."""
-    grid = GmmMap(voxel_size)
-    grid.insert_points(points)
-    return grid

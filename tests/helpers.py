@@ -1,0 +1,41 @@
+"""Test-side shortcuts built on the package's public pieces."""
+
+from pathlib import Path
+
+import numpy as np
+
+from wassmap.voxel_map import GmmMap
+
+
+def build_map(points, voxel_size: float = 4.0) -> GmmMap:
+    """One-shot map over a point list; equivalent to repeated insertion."""
+    grid = GmmMap(voxel_size)
+    grid.insert_points(points)
+    return grid
+
+
+def evaluate_ate(estimate, ground_truth) -> float:
+    """RMSE of translation errors between index-aligned pose lists."""
+    if len(estimate) != len(ground_truth):
+        raise ValueError("trajectories differ in length")
+    if len(estimate) == 0:
+        raise ValueError("empty trajectory")
+    err = np.array(
+        [est.translation - ref.translation for est, ref in zip(estimate, ground_truth)]
+    )
+    return float(np.sqrt((err ** 2).sum(axis=1).mean()))
+
+
+def session_ids(graph, session: int) -> list[int]:
+    return sorted(n.id for n in graph.nodes.values() if n.session == session)
+
+
+def write_ascii_pcd(path, points) -> None:
+    """x y z points as an ASCII PCD v0.7 file, the layout `read_pcd` also reads."""
+    pts = np.asarray(points, dtype=np.float32).reshape(-1, 3)
+    header = (
+        "VERSION 0.7\nFIELDS x y z\nSIZE 4 4 4\nTYPE F F F\nCOUNT 1 1 1\n"
+        f"WIDTH {len(pts)}\nHEIGHT 1\nPOINTS {len(pts)}\nDATA ascii\n"
+    )
+    rows = "".join("%.9g %.9g %.9g\n" % tuple(p) for p in pts)
+    Path(path).write_text(header + rows, encoding="ascii")

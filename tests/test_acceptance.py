@@ -18,12 +18,14 @@ from wassmap.io import ParseError, TrajectoryEntry, read_graph, read_pcd, read_t
     write_pcd, write_tum
 from wassmap.keyframe import KeyframeSelector, SelectorConfig, keyframe_indices, \
     replay_decisions
-from wassmap.pose_graph import PoseGraph, evaluate_ate, merge_sessions, optimize, \
+from wassmap.pose_graph import PoseGraph, merge_sessions, optimize, \
     whitened_residual_and_jacobians
 from wassmap.synth import NoiseModel, ScanSpec, build_session_graph, compose_odometry, \
     corridor_path, generate_scene, generate_two_session, loop_path, simulate_scan
-from wassmap.voxel_map import GmmMap, build_map, moments
+from wassmap.voxel_map import GmmMap, moments
 from wassmap.wasserstein import w2_batch
+
+from helpers import build_map, evaluate_ate, write_ascii_pcd
 
 
 @dataclass(frozen=True)
@@ -388,9 +390,9 @@ def test_ac8_io_round_trips_and_fuzzed_parsers(tmp_path):
     points = rng.uniform(-50.0, 50.0, size=(500, 3))
     first = tmp_path / "031.500000.pcd"
     second = tmp_path / "raw.pcd"
-    write_pcd(first, points, mode="binary")
+    write_pcd(first, points)
     frame = read_pcd(first)
-    write_pcd(second, frame.points, mode="binary")
+    write_pcd(second, frame.points)
     if first.read_bytes() != second.read_bytes():
         failures.append("binary cloud round trip is not byte-identical")
     if frame.timestamp != 31.5:
@@ -421,7 +423,7 @@ def test_ac8_io_round_trips_and_fuzzed_parsers(tmp_path):
         + " ".join(["1" if r == c else "0"
                     for r in range(6) for c in range(r, 6)]) + "\n")
     ascii_cloud = tmp_path / "a.pcd"
-    write_pcd(ascii_cloud, points[:20], mode="ascii")
+    write_ascii_pcd(ascii_cloud, points[:20])
     seeds = [first.read_bytes(), ascii_cloud.read_bytes(),
              traj.read_bytes(), graph_file.read_bytes()]
 

@@ -1,14 +1,19 @@
 import argparse
 import filecmp
 import math
+import os
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wassmap.cli
 import wassmap.keyframe
 from wassmap.cli import build_parser, main, resolve_config
-from wassmap.io import read_graph, read_tum, write_pcd
+from wassmap.geometry import Pose
+from wassmap.io import TrajectoryEntry, read_graph, read_tum, write_pcd, write_tum
 from wassmap.wasserstein import InvalidCovarianceError
 
 
@@ -47,6 +52,46 @@ def _fail_fourth_score(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(wassmap.keyframe, "map_dissimilarity", score)
+
+
+def _copy_clouds(dataset: Path, clouds: Path) -> list[Path]:
+    """Copy a dataset's clouds into `clouds`; returns the copies in time order."""
+    clouds.mkdir()
+    for p in (dataset / "clouds").glob("*.pcd"):
+        (clouds / p.name).write_bytes(p.read_bytes())
+    return sorted(clouds.glob("*.pcd"))
+
+
+def _decision_rows(out: Path) -> list[list[str]]:
+    return [r.split(",") for r in (out / "decisions.csv").read_text().splitlines()[1:]]
+
+
+def _keyframe_files(out: Path, clouds: list[Path]) -> list[str]:
+    return [clouds[int(k) - 1].name for k in (out / "keyframes.txt").read_text().split()]
+
+
+def _selection_peak_bytes(tmp_path: Path, frames: int) -> int:
+    """Peak traced memory of one `keyframes` run over `frames` copies of a
+    20,000-point cloud, all at the same pose."""
+    data = tmp_path / f"frames{frames}"
+    clouds = data / "clouds"
+    clouds.mkdir(parents=True)
+    points = np.random.default_rng(0).uniform(-10.0, 10.0, size=(20_000, 3))
+    first = clouds / f"{0.0:012.6f}.pcd"
+    write_pcd(first, points)
+    for k in range(1, frames):
+        os.link(first, clouds / f"{0.1 * k:012.6f}.pcd")
+    write_tum(data / "trajectory.tum",
+              [TrajectoryEntry(0.1 * k, Pose.identity()) for k in range(frames)])
+    argv = ("keyframes", "--clouds", clouds, "--trajectory", data / "trajectory.tum",
+            "--out", data / "out")
+    assert run(*argv) == 0   # warm: imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _tree_bytes(root: Path) -> dict:
@@ -196,6 +241,104 @@ class TestKeyframesCommand:
         assert (frame, dw, keyframe, flag) == ("5", "nan", "0", "error")
         assert "5" not in (out / "keyframes.txt").read_text().split()
 
+    def test_unpaired_cloud_keeps_every_index_on_its_file(self, corridor_dataset,
+                                                           tmp_path, capsys):
+        # the same eleven paired frames, once with the fifth cloud's file
+        # removed and once with its pose removed
+        trajectory = (corridor_dataset / "trajectory.tum").read_text().splitlines()
+        without_pose = tmp_path / "trajectory.tum"
+        without_pose.write_text("\n".join(trajectory[:4] + trajectory[5:]) + "\n")
+        all_clouds = _copy_clouds(corridor_dataset, tmp_path / "all")
+        fewer_clouds = _copy_clouds(corridor_dataset, tmp_path / "fewer")
+        fewer_clouds.pop(4).unlink()
+
+        outs = {"file": tmp_path / "no_file", "pose": tmp_path / "no_pose"}
+        assert run("keyframes", "--clouds", tmp_path / "fewer",
+                   "--trajectory", corridor_dataset / "trajectory.tum",
+                   "--tau", "0", "--out", outs["file"]) == 0
+        capsys.readouterr()
+        assert run("keyframes", "--clouds", tmp_path / "all", "--trajectory", without_pose,
+                   "--tau", "0", "--out", outs["pose"]) == 0
+        summary = capsys.readouterr().out
+        assert "frames=12 " in summary and "dropped=1 " in summary
+
+        rows = _decision_rows(outs["pose"])
+        assert [r[0] for r in rows] == [str(k) for k in range(1, 13)]
+        assert rows[4][2:5] == ["nan", "0", "unpaired"]
+        assert [r[4] for r in rows].count("unpaired") == 1
+        for row in rows:
+            stem = all_clouds[int(row[0]) - 1].stem
+            assert float(row[1]) == pytest.approx(float(stem))
+        named = _keyframe_files(outs["pose"], all_clouds)
+        assert all_clouds[4].name not in named
+        assert named == _keyframe_files(outs["file"], fewer_clouds)
+        assert len(named) > 5
+
+    def test_unreadable_cloud_gets_error_row(self, corridor_dataset, tmp_path, capsys,
+                                             caplog):
+        clouds = _copy_clouds(corridor_dataset, tmp_path / "clouds")
+        raw = clouds[5].read_bytes()
+        clouds[5].write_bytes(raw[:len(raw) // 2])
+        out = tmp_path / "kf"
+        with caplog.at_level("WARNING", logger="wassmap.keyframe"):
+            code = run("keyframes", "--clouds", tmp_path / "clouds",
+                       "--trajectory", corridor_dataset / "trajectory.tum",
+                       "--tau", "0.3", "--out", out)
+        assert code == 0
+        assert "errors=1" in capsys.readouterr().out
+        rows = _decision_rows(out)
+        assert len(rows) == 12
+        assert [rows[5][0]] + rows[5][2:5] == ["6", "nan", "0", "error"]
+        assert all(r[4] == "scored" for r in rows[6:])
+        assert any("frame 6 failed" in r.message and "truncated" in r.message
+                   and clouds[5].name in r.message for r in caplog.records)
+
+    def test_non_numeric_stem_is_unpaired(self, corridor_dataset, tmp_path, caplog):
+        clouds = _copy_clouds(corridor_dataset, tmp_path / "clouds")
+        (tmp_path / "clouds" / "scan_x.pcd").write_bytes(clouds[0].read_bytes())
+        out = tmp_path / "kf"
+        with caplog.at_level("WARNING", logger="wassmap.io"):
+            code = run("keyframes", "--clouds", tmp_path / "clouds",
+                       "--trajectory", corridor_dataset / "trajectory.tum",
+                       "--tau", "0.3", "--out", out)
+        assert code == 0
+        assert any("scan_x.pcd" in r.message for r in caplog.records)
+        rows = _decision_rows(out)
+        assert len(rows) == 13
+        assert rows[12][:5] == ["13", "", "nan", "0", "unpaired"]
+        assert "13" not in (out / "keyframes.txt").read_text().split()
+
+        plain = tmp_path / "plain"
+        assert run("keyframes", "--clouds", corridor_dataset / "clouds",
+                   "--trajectory", corridor_dataset / "trajectory.tum",
+                   "--tau", "0.3", "--out", plain) == 0
+        assert (out / "scores.csv").read_text().splitlines()[:13] == \
+            (plain / "scores.csv").read_text().splitlines()
+
+    def test_each_cloud_is_let_go_before_the_next_is_read(self, corridor_dataset,
+                                                          tmp_path, monkeypatch):
+        real = wassmap.cli.read_pcd
+        read = []
+
+        def read_pcd(path):
+            assert all(points() is None for points in read)
+            cloud = real(path)
+            read.append(weakref.ref(cloud.points))
+            return cloud
+
+        monkeypatch.setattr(wassmap.cli, "read_pcd", read_pcd)
+        assert run("keyframes", "--clouds", corridor_dataset / "clouds",
+                   "--trajectory", corridor_dataset / "trajectory.tum",
+                   "--out", tmp_path / "kf") == 0
+        assert len(read) == 12
+
+    def test_memory_does_not_grow_with_the_sequence(self, tmp_path):
+        # every cloud is read in its turn and let go before the next one, so
+        # three times the frames must not mean three times the memory
+        short = _selection_peak_bytes(tmp_path, 40)
+        long = _selection_peak_bytes(tmp_path, 120)
+        assert long <= 1.1 * short, (short, long)
+
     def test_invalid_covariance_gets_error_row(self, corridor_dataset, tmp_path, capsys,
                                                monkeypatch):
         _fail_fourth_score(monkeypatch)
@@ -266,6 +409,20 @@ class TestCalibrateCommand:
         values = dict(line.split("=") for line in (out / "calibration.txt").read_text().splitlines())
         assert values["errors"] == "1"
         assert int(values["scored"]) == int(clean["scored"]) - 1
+
+    def test_takes_neither_tau_nor_commit(self, corridor_dataset, tmp_path, capsys):
+        inputs = ("calibrate", "--clouds", corridor_dataset / "clouds",
+                  "--trajectory", corridor_dataset / "trajectory.tum")
+        for flag in (("--tau", "0.3"), ("--commit", "always")):
+            capsys.readouterr()
+            assert run(*inputs, *flag, "--out", tmp_path / "c") == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
+        for line in ("tau=0.3", "commit=always"):
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(f"voxel_size=4\n{line}\n")
+            assert run(*inputs, "--config", cfg_file, "--out", tmp_path / "c") == 1
+            assert "unknown config key" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_deterministic_across_runs(self, corridor_dataset, tmp_path):
         outs = []

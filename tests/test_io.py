@@ -5,7 +5,6 @@ import pytest
 
 from wassmap.geometry import Pose, Rotation, se3_exp
 from wassmap.io import (
-    CloudFrame,
     ParseError,
     TrajectoryEntry,
     pair_frames,
@@ -22,6 +21,8 @@ from wassmap.io import (
 )
 from wassmap.keyframe import FrameDecision
 from wassmap.pose_graph import PoseGraph
+
+from helpers import write_ascii_pcd
 
 
 def random_pose(rng):
@@ -46,7 +47,7 @@ class TestPcd:
         rng = np.random.default_rng(0)
         pts = rng.normal(scale=10.0, size=(257, 3)).astype(np.float32)
         f = tmp_path / "0.100000.pcd"
-        write_pcd(f, pts, mode="binary")
+        write_pcd(f, pts, )
         cloud = read_pcd(f)
         assert cloud.points.shape == (257, 3)
         assert np.array_equal(cloud.points.astype(np.float32), pts)
@@ -55,15 +56,15 @@ class TestPcd:
         assert cloud.timestamp == pytest.approx(0.1)
         # writing what was read reproduces the file byte for byte
         g = tmp_path / "again.pcd"
-        write_pcd(g, cloud.points, mode="binary")
+        write_pcd(g, cloud.points, )
         assert f.read_bytes() == g.read_bytes()
 
     def test_ascii_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(40, 3)).astype(np.float32)
-        f = tmp_path / "scan.pcd"
-        write_pcd(f, pts, mode="ascii")
-        cloud = read_pcd(f, timestamp=2.5)
+        f = tmp_path / "2.5.pcd"
+        write_ascii_pcd(f, pts)
+        cloud = read_pcd(f)
         # %.9g preserves float32 exactly
         assert np.array_equal(cloud.points.astype(np.float32), pts)
         assert cloud.timestamp == 2.5
@@ -97,7 +98,7 @@ class TestPcd:
     def test_truncated_binary_reports_offset(self, tmp_path):
         f = tmp_path / "trunc.pcd"
         pts = np.ones((10, 3), dtype="<f4")
-        write_pcd(f, pts, mode="binary")
+        write_pcd(f, pts, )
         raw = f.read_bytes()
         f.write_bytes(raw[:-5])
         with pytest.raises(ParseError, match="truncated") as err:
@@ -143,7 +144,7 @@ class TestPcd:
 
     def test_empty_cloud(self, tmp_path):
         f = tmp_path / "empty.pcd"
-        write_pcd(f, np.empty((0, 3)), mode="ascii")
+        write_ascii_pcd(f, np.empty((0, 3)))
         cloud = read_pcd(f)
         assert cloud.points.shape == (0, 3)
 
@@ -153,12 +154,21 @@ class TestPcd:
             write_pcd(f, np.zeros((300, 4)))
         assert not f.exists()
 
-    def test_cloud_dir_ordered_by_stem(self, tmp_path):
+    def test_cloud_dir_ordered_by_stem(self, tmp_path, caplog):
         for stamp in (0.3, 0.1, 0.2):
             write_pcd(tmp_path / f"{stamp:.6f}.pcd", np.full((1, 3), stamp))
-        clouds = read_cloud_dir(tmp_path)
-        assert [c.timestamp for c in clouds] == [pytest.approx(s) for s in (0.1, 0.2, 0.3)]
-        assert [c.frame_index for c in clouds] == [0, 1, 2]
+        write_pcd(tmp_path / "scan_x.pcd", np.zeros((1, 3)))
+        with caplog.at_level("WARNING", logger="wassmap.io"):
+            clouds = read_cloud_dir(tmp_path)
+        assert [p.name for p, _ in clouds] == ["0.100000.pcd", "0.200000.pcd",
+                                               "0.300000.pcd", "scan_x.pcd"]
+        assert [s for _, s in clouds] == [pytest.approx(0.1), pytest.approx(0.2),
+                                          pytest.approx(0.3), None]
+        assert [r.message for r in caplog.records] == [
+            f"{tmp_path / 'scan_x.pcd'}: file name is not a timestamp; "
+            "the cloud stays unpaired"]
+        # the stem that orders a cloud is the stem that stamps it
+        assert read_pcd(tmp_path / "scan_x.pcd").timestamp is None
 
 
 # ---------------------------------------------------------------------------
@@ -230,44 +240,42 @@ class TestPairFrames:
         rng = np.random.default_rng(3)
         traj = [TrajectoryEntry(float(t), random_pose(rng))
                 for t in np.sort(rng.uniform(0, 60, size=200))]
-        clouds = [CloudFrame(k, float(rng.uniform(-1, 61)), np.zeros((1, 3)))
-                  for k in range(150)]
+        stamps = [float(rng.uniform(-1, 61)) for _ in range(150)]
         max_dt = 0.05
 
-        expected, expected_dropped = [], 0
-        for cloud in clouds:
-            gaps = [abs(e.timestamp - cloud.timestamp) for e in traj]
+        expected = []
+        for stamp in stamps:
+            gaps = [abs(e.timestamp - stamp) for e in traj]
             best = int(np.argmin(gaps))
-            if gaps[best] > max_dt:
-                expected_dropped += 1
-            else:
-                expected.append((cloud.frame_index, best))
+            expected.append(None if gaps[best] > max_dt else traj[best].pose)
 
-        pairs, dropped = pair_frames(clouds, traj, max_dt=max_dt)
-        assert dropped == expected_dropped
-        assert len(pairs) == len(expected)
-        for (cloud, pose), (frame_index, traj_index) in zip(pairs, expected):
-            assert cloud.frame_index == frame_index
-            assert poses_close(pose, traj[traj_index].pose, 0.0)
+        poses = pair_frames(stamps, traj, max_dt=max_dt)
+        assert len(poses) == len(stamps)
+        assert any(pose is None for pose in poses)
+        for pose, want in zip(poses, expected):
+            if want is None:
+                assert pose is None
+            else:
+                assert poses_close(pose, want, 0.0)
 
     def test_drop_counting_and_order(self):
-        traj = [TrajectoryEntry(0.0, Pose.identity()), TrajectoryEntry(1.0, Pose.identity())]
-        clouds = [CloudFrame(0, 0.01, np.zeros((1, 3))),
-                  CloudFrame(1, 0.5, np.zeros((1, 3))),
-                  CloudFrame(2, 1.02, np.zeros((1, 3)))]
-        pairs, dropped = pair_frames(clouds, traj)
-        assert dropped == 1
-        assert [c.frame_index for c, _ in pairs] == [0, 2]
+        traj = [TrajectoryEntry(0.0, Pose.identity()),
+                TrajectoryEntry(1.0, Pose(Rotation.identity(), (1.0, 0.0, 0.0)))]
+        poses = pair_frames([0.01, 0.5, 1.02, None], traj)
+        assert poses[0] is traj[0].pose
+        assert poses[1] is None
+        assert poses[2] is traj[1].pose
+        # a cloud without a stamp is not paired, not even with the first pose
+        assert poses[3] is None
 
     def test_zero_survivors_errors(self):
         traj = [TrajectoryEntry(100.0, Pose.identity())]
-        clouds = [CloudFrame(0, 0.0, np.zeros((1, 3)))]
         with pytest.raises(ValueError, match="no cloud paired"):
-            pair_frames(clouds, traj)
+            pair_frames([0.0, None], traj)
         with pytest.raises(ValueError):
             pair_frames([], traj)
         with pytest.raises(ValueError):
-            pair_frames(clouds, [])
+            pair_frames([0.0], [])
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,26 @@ def test_run_sequence_skips_bad_frames():
     assert selector.decisions == decisions
 
 
+def test_unpaired_and_unread_frames_get_rows_and_leave_the_map():
+    rng = np.random.default_rng(17)
+    pts = make_frame(rng)
+    selector = KeyframeSelector(base_config())
+    decisions = selector.run_sequence([
+        (None, None, 0.5),                                      # no pose
+        (ValueError("x.pcd: truncated"), Pose.identity(), 1.0),  # read failed
+        (pts, Pose.identity(), 1.5),
+    ])
+    assert [d.flag for d in decisions] == ["unpaired", "error", "bootstrap"]
+    assert [d.frame_index for d in decisions] == [1, 2, 3]
+    assert [d.timestamp for d in decisions] == [0.5, 1.0, 1.5]
+    version = selector.map.version
+    later = selector.run_sequence([(pts, None)])
+    assert (later[0].frame_index, later[0].flag, later[0].keyframe) == (4, "unpaired", False)
+    assert math.isnan(later[0].dw) and later[0].pose is None
+    assert selector.map.version == version
+    assert keyframe_indices(replay_decisions(decisions + later, 0.0)) == [3]
+
+
 def test_failed_bootstrap_frame_gets_error_row_and_next_frame_bootstraps():
     selector = KeyframeSelector(base_config())
     pts = make_frame(np.random.default_rng(14))

@@ -15,7 +15,6 @@ from wassmap.pose_graph import (
     GraphEdge,
     PRIOR_INFORMATION,
     PoseGraph,
-    evaluate_ate,
     merge_sessions,
     optimize,
     robust_cost,
@@ -24,6 +23,8 @@ from wassmap.pose_graph import (
     _residuals,
     _robust,
 )
+
+from helpers import evaluate_ate, session_ids
 
 
 def random_pose(rng, rot_scale=0.8, trans_scale=2.0) -> Pose:
@@ -326,11 +327,11 @@ def test_merge_identity_t_init_keeps_poses():
         (i, i + 1, traj2[i].inverse() * traj2[i + 1], np.eye(6)) for i in range(3)
     ]
     merged = merge_sessions(graph1, traj2, odo2, [], Pose.identity())
-    ids2 = merged.session_ids(2)
+    ids2 = session_ids(merged, 2)
     assert ids2 == [3, 4, 5, 6]
     for nid, pose in zip(ids2, traj2):
         assert poses_close(merged.nodes[nid].pose, pose, tol=1e-12)
-    assert all(merged.nodes[i].fixed for i in merged.session_ids(1))
+    assert all(merged.nodes[i].fixed for i in session_ids(merged, 1))
 
 
 def test_merge_without_loops_warns_and_preserves_shape(caplog):
@@ -354,7 +355,7 @@ def test_merge_without_loops_warns_and_preserves_shape(caplog):
     # its relative shape since odometry is the only constraint
     anchored = merge_sessions(graph1, traj2, odo2, [], t_init, t_init_prior=True)
     optimize(anchored)
-    ids2 = anchored.session_ids(2)
+    ids2 = session_ids(anchored, 2)
     for (i, j, measurement, _), _unused in zip(odo2, ids2):
         got = anchored.nodes[ids2[i]].pose.inverse() * anchored.nodes[ids2[j]].pose
         assert poses_close(got, measurement, tol=1e-9)

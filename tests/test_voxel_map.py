@@ -7,9 +7,10 @@ from wassmap.voxel_map import (
     GmmMap,
     InsufficientPointsError,
     StaleStageError,
-    build_map,
     moments,
 )
+
+from helpers import build_map
 
 
 def keys(grid) -> list[tuple[int, int, int]]:

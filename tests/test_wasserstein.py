@@ -6,7 +6,7 @@ import pytest
 
 import wassmap.wasserstein
 from wassmap.geometry import Rotation
-from wassmap.voxel_map import GmmMap, StaleStageError, build_map
+from wassmap.voxel_map import GmmMap, StaleStageError
 from wassmap.wasserstein import (
     _CERT_TRACE,
     DissimilarityReport,
@@ -17,6 +17,8 @@ from wassmap.wasserstein import (
     map_dissimilarity,
     w2_batch,
 )
+
+from helpers import build_map
 
 
 @dataclass(frozen=True)
