@@ -136,15 +136,18 @@ def _run_selection(args, **settings):
 
 def _read_frames(clouds, poses):
     """(points, pose, timestamp) of each cloud, read only when its turn
-    comes; an unpaired cloud is not read, and a read's `ParseError` takes
-    the place of the points so that the frame gets an error row."""
+    comes; an unpaired cloud is not read, and a read that fails takes the
+    place of the points, as a `ParseError` naming the file, so that the frame
+    gets an error row."""
     for (path, stamp), pose in zip(clouds, poses):
         points = None
         if pose is not None:
             try:
-                points = read_pcd(path).points
+                points = read_pcd(path)
             except ParseError as err:
                 points = err
+            except OSError as err:  # a directory, a file without read permission
+                points = ParseError(path, err.strerror or str(err))
         yield points, pose, stamp
 
 

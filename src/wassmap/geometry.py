@@ -232,8 +232,10 @@ class Pose:
         return self.rotation.rotate(p) + self.translation
 
     def transform_points(self, pts: np.ndarray) -> np.ndarray:
-        """R p + t for an (N, 3) array."""
-        out = np.asarray(pts, dtype=float) @ self.rotation.as_matrix().T
+        """R p + t for an (N, 3) array; a non-finite row stays non-finite."""
+        # inf * 0 is NaN in a row the voxel map drops and counts; no warning
+        with np.errstate(invalid="ignore"):
+            out = np.asarray(pts, dtype=float) @ self.rotation.as_matrix().T
         out += self.translation
         return out
 

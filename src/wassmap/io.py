@@ -47,14 +47,6 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass
-class CloudFrame:
-    frame_index: int
-    timestamp: float | None
-    points: np.ndarray
-    dropped: int = 0  # non-finite rows removed on read
-
-
 @dataclass(frozen=True)
 class TrajectoryEntry:
     timestamp: float
@@ -112,9 +104,9 @@ def _int_field(path, header, key, line_no):
         raise ParseError(path, f"bad {key} value {values[0]!r}", line=line_no) from None
 
 
-def read_pcd(path) -> CloudFrame:
-    """Read one PCD v0.7 file; x, y, z must be 4-byte floats. The timestamp
-    is `stem_timestamp` of the file name (the usual `<seconds>.pcd` layout)."""
+def read_pcd(path) -> np.ndarray:
+    """Read one PCD v0.7 file's x, y, z (4-byte floats) as an (N, 3) float64
+    array, every row as stored, non-finite ones included."""
     path = Path(path)
     raw = path.read_bytes()
     header, offset, line_no = _pcd_header(path, raw)
@@ -217,16 +209,7 @@ def read_pcd(path) -> CloudFrame:
             xyz[:, k] = records[axis]
     else:
         raise ParseError(path, f"unsupported DATA mode {mode!r}", line=line_no)
-
-    xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
-    dropped = 0
-    finite = np.isfinite(xyz)
-    if not finite.all():  # the per-row reduction costs ~20x the whole-array test
-        finite = finite.all(axis=1)
-        dropped = len(xyz) - int(finite.sum())
-        xyz = xyz[finite]
-
-    return CloudFrame(0, stem_timestamp(path), xyz, dropped)
+    return xyz
 
 
 def write_pcd(path, points) -> None:
@@ -276,15 +259,27 @@ def read_cloud_dir(directory) -> list[tuple[Path, float | None]]:
 # ---------------------------------------------------------------------------
 # TUM trajectories
 
-def read_tum(path) -> list[TrajectoryEntry]:
-    path = Path(path)
+def _decode_lines(path):
     try:
-        text = path.read_text(encoding="ascii")
+        text = Path(path).read_text(encoding="ascii")
     except UnicodeDecodeError:
         raise ParseError(path, "non-ascii bytes") from None
+    return text.splitlines()
+
+
+def _format_pose(pose: Pose) -> str:
+    t = pose.translation
+    q = pose.rotation
+    return "%.17g %.17g %.17g %.17g %.17g %.17g %.17g" % (
+        t[0], t[1], t[2], q.x, q.y, q.z, q.w
+    )
+
+
+def read_tum(path) -> list[TrajectoryEntry]:
+    path = Path(path)
     entries: list[TrajectoryEntry] = []
     previous = None
-    for line_no, line in enumerate(text.splitlines(), 1):
+    for line_no, line in enumerate(_decode_lines(path), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -323,12 +318,7 @@ def write_tum(path, entries) -> None:
         if previous is not None and timestamp <= previous:
             raise ValueError(f"non-monotonic timestamp {timestamp}")
         previous = timestamp
-        q = pose.rotation
-        t = pose.translation
-        lines.append(
-            "%.9f %.17g %.17g %.17g %.17g %.17g %.17g %.17g"
-            % (timestamp, t[0], t[1], t[2], q.x, q.y, q.z, q.w)
-        )
+        lines.append("%.9f " % timestamp + _format_pose(pose))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="ascii")
 
 
@@ -383,26 +373,22 @@ def write_decisions_csv(path, decisions) -> None:
 # ---------------------------------------------------------------------------
 # Graph files (g2o-style)
 
-def _format_pose(pose: Pose) -> str:
-    t = pose.translation
-    q = pose.rotation
-    return "%.17g %.17g %.17g %.17g %.17g %.17g %.17g" % (
-        t[0], t[1], t[2], q.x, q.y, q.z, q.w
-    )
+# the 21 upper-triangular entries of a 6x6 information matrix, row-major
+_UPPER = np.triu_indices(6)
 
 
-def _upper_triangle(info: np.ndarray) -> list[float]:
-    return [float(info[r, c]) for r in range(6) for c in range(r, 6)]
+def _format_edge(ids, measurement, information) -> str:
+    """The record `_parse_edge` reads: EDGE_SE3_PRIOR for one endpoint,
+    EDGE_SE3:QUAT for two."""
+    record = "EDGE_SE3_PRIOR" if len(ids) == 1 else "EDGE_SE3:QUAT"
+    upper = " ".join("%.17g" % v for v in information[_UPPER])
+    return " ".join([record, *map(str, ids), _format_pose(measurement), upper])
 
 
 def _info_from_upper(values) -> np.ndarray:
     info = np.zeros((6, 6))
-    it = iter(values)
-    for r in range(6):
-        for c in range(r, 6):
-            v = next(it)
-            info[r, c] = v
-            info[c, r] = v
+    info[_UPPER] = values
+    info[_UPPER[::-1]] = values
     return info
 
 
@@ -449,23 +435,10 @@ def write_graph(path, graph: PoseGraph) -> None:
             lines.append(f"# FIX {node.id}")
         lines.append(f"VERTEX_SE3:QUAT {node.id} {_format_pose(node.pose)}")
     for edge in graph.edges:
-        info = " ".join("%.17g" % v for v in _upper_triangle(edge.information))
         lines.append(f"# KIND {edge.kind} {edge.kernel} {'%.17g' % edge.delta}")
-        if edge.j is None:
-            lines.append(f"EDGE_SE3_PRIOR {edge.i} {_format_pose(edge.measurement)} {info}")
-        else:
-            lines.append(
-                f"EDGE_SE3:QUAT {edge.i} {edge.j} {_format_pose(edge.measurement)} {info}"
-            )
+        ids = (edge.i,) if edge.j is None else (edge.i, edge.j)
+        lines.append(_format_edge(ids, edge.measurement, edge.information))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="ascii")
-
-
-def _decode_lines(path):
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except UnicodeDecodeError:
-        raise ParseError(path, "non-ascii bytes") from None
-    return text.splitlines()
 
 
 def read_graph(path) -> PoseGraph:
@@ -572,6 +545,5 @@ def write_edge_list(path, edges) -> None:
         info = np.asarray(information, dtype=float)
         if info.shape != (6, 6):
             raise ValueError("information must be 6x6")
-        upper = " ".join("%.17g" % v for v in _upper_triangle(info))
-        lines.append(f"EDGE_SE3:QUAT {int(i)} {int(j)} {_format_pose(measurement)} {upper}")
+        lines.append(_format_edge((int(i), int(j)), measurement, info))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="ascii")

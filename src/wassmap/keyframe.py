@@ -1,18 +1,17 @@
 """Streaming keyframe selection: stage, score, decide, commit, prune.
 
-Each incoming frame is transformed into the map frame, staged onto the
-current voxel map, and scored with the map-level Wasserstein dissimilarity:
-the mean W2 distance, under sample covariances, over the voxels the frame
-shares with the map. The frame becomes a keyframe when the score exceeds the
-threshold. What happens to the staged update is a policy choice: by default
-only keyframes are committed, so redundant frames leave the map untouched;
-the alternative commits every frame unconditionally. After every processed
-frame, voxels beyond the pruning radius of the current pose are dropped.
-
-The first frame always bootstraps the map and is a keyframe by definition;
-its score is reported as +inf. Frames that share no usable voxel with the
-map (no overlap, or all shared voxels under the point floor) are keyframes
-flagged ``no_comparable``, with the score recorded as NaN. In
+Every frame takes one path: it is transformed into the map frame and staged
+onto the selector's voxel map, which drops its non-finite points and counts
+them in `GmmMap.rejected_points`. The first frame that stages a point gives
+the map its origin and is a keyframe by definition, with score +inf. Each
+later frame is scored with the map-level Wasserstein dissimilarity, the mean
+W2 distance under sample covariances over the voxels it shares with the map,
+and is a keyframe when the score exceeds the threshold; one that shares no
+usable voxel (no overlap, or all shared voxels under the point floor) is a
+keyframe flagged ``no_comparable``, with score NaN. By default only
+keyframes are committed, so redundant frames leave the map untouched; the
+alternative policy commits every frame. After every frame but the bootstrap
+frame, voxels beyond the pruning radius of the current pose are dropped. In
 `KeyframeSelector.run_sequence` a frame that fails (unreadable, no finite
 point, bad pose, numerical error) is flagged ``error`` and a frame without a
 pose ``unpaired``, instead of vanishing.
@@ -104,93 +103,69 @@ class KeyframeSelector:
 
     def __init__(self, config: SelectorConfig):
         self.config = config
-        self.map: GmmMap | None = None
+        self.map = GmmMap(config.voxel_size)
         self.decisions: list[FrameDecision] = []
         self._frames_seen = 0
 
     @property
     def bootstrapped(self) -> bool:
-        return self.map is not None
-
-    def _checked_points(self, points) -> np.ndarray:
-        pts = as_points(points)
-        if len(pts) == 0:
-            raise EmptyFrameError("frame contains no points")
-        return pts
+        return self.map.origin is not None
 
     def bootstrap(self, points, pose: Pose, timestamp: float | None = None) -> FrameDecision:
         """Build the initial map from the first frame; always a keyframe."""
         if self.bootstrapped:
             raise RuntimeError("selector already bootstrapped")
-        start = time.perf_counter()
-        self._frames_seen += 1
-        pts = self._checked_points(points)
-        if not np.all(np.isfinite(pose.translation)):
-            raise ValueError("non-finite pose")
-        grid = GmmMap(self.config.voxel_size)
-        grid.insert_points(pose.transform_points(pts))
-        if grid.total_points == 0:
-            raise EmptyFrameError("frame contains no finite points")
-        self.map = grid
-        decision = FrameDecision(
-            frame_index=self._frames_seen,
-            pose=pose,
-            dw=math.inf,
-            keyframe=True,
-            flag="bootstrap",
-            new_count=len(grid),
-            millis=(time.perf_counter() - start) * 1e3,
-            timestamp=timestamp,
-        )
-        self.decisions.append(decision)
-        return decision
+        return self._step(points, pose, timestamp)
 
     def process_frame(self, points, pose: Pose, timestamp: float | None = None) -> FrameDecision:
         """Score one frame against the map and apply the configured policies."""
         if not self.bootstrapped:
             raise RuntimeError("selector not bootstrapped")
+        return self._step(points, pose, timestamp)
+
+    def _step(self, points, pose: Pose, timestamp) -> FrameDecision:
+        """Stage one frame, then bootstrap a map without an origin or score
+        against it, commit by policy, prune and record the decision."""
         start = time.perf_counter()
         self._frames_seen += 1
-        pts = self._checked_points(points)
+        pts = as_points(points)
+        if len(pts) == 0:
+            raise EmptyFrameError("frame contains no points")
         if not np.all(np.isfinite(pose.translation)):
             raise ValueError("non-finite pose")
         cfg = self.config
+        bootstrapping = not self.bootstrapped
 
         stage = self.map.stage_frame(pose.transform_points(pts))
         if stage.point_count == 0:
             raise EmptyFrameError("frame contains no finite points")
-        try:
-            report = map_dissimilarity(self.map, stage, min_points=cfg.min_points)
-            dw = report.value
-            keyframe = dw > cfg.tau
-            flag = "scored"
-        except NoComparableVoxelsError as err:
-            report = err.report
-            dw = math.nan
-            keyframe = True
-            flag = "no_comparable"
+        if bootstrapping:
+            dw, keyframe, flag = math.inf, True, "bootstrap"
+            counts = (0, len(stage.keys), 0)
+        else:
+            try:
+                report = map_dissimilarity(self.map, stage, min_points=cfg.min_points)
+                dw, keyframe, flag = report.value, report.value > cfg.tau, "scored"
+            except NoComparableVoxelsError as err:
+                report = err.report
+                dw, keyframe, flag = math.nan, True, "no_comparable"
+            counts = (report.affected_count, report.new_count, report.skipped_count)
 
         if cfg.commit == "always" or keyframe:
             self.map.commit(stage)
-        self.map.prune_outside(pose.translation, cfg.radius)
+        # pruning right after the bootstrap frame would change later scores
+        if not bootstrapping:
+            self.map.prune_outside(pose.translation, cfg.radius)
 
-        decision = FrameDecision(
-            frame_index=self._frames_seen,
-            pose=pose,
-            dw=dw,
-            keyframe=keyframe,
-            flag=flag,
-            affected_count=report.affected_count,
-            new_count=report.new_count,
-            skipped_count=report.skipped_count,
-            millis=(time.perf_counter() - start) * 1e3,
-            timestamp=timestamp,
-        )
+        decision = FrameDecision(self._frames_seen, pose, dw, keyframe, flag, *counts,
+                                 millis=(time.perf_counter() - start) * 1e3,
+                                 timestamp=timestamp)
         self.decisions.append(decision)
         return decision
 
     def run_sequence(self, frames) -> list[FrameDecision]:
-        """Process an ordered sequence of (points, pose[, timestamp]) frames.
+        """Process an ordered sequence of (points, pose[, timestamp]) frames;
+        returns their decisions, the tail of `decisions`.
 
         Every frame gets one decision. A frame whose pose is None is flagged
         ``unpaired``: it is not scored and leaves the map as it was. A frame
@@ -202,27 +177,26 @@ class KeyframeSelector:
         next frame bootstraps. Each frame's points are let go before the next
         frame is drawn, so a lazy `frames` holds one frame at a time.
         """
-        out = []
+        first = len(self.decisions)
         for points, pose, *rest in frames:
             timestamp = rest[0] if rest else None
             index = self._frames_seen + 1
             if pose is None:
-                decision = self._unscored(index, pose, "unpaired", timestamp)
+                self._unscored(index, pose, "unpaired", timestamp)
             else:
+                # by attribute, not `_step`, so that wrappers of either see the call
                 step = self.process_frame if self.bootstrapped else self.bootstrap
                 try:
                     if isinstance(points, ValueError):
                         raise points
-                    decision = step(points, pose, timestamp)
+                    step(points, pose, timestamp)
                 except ValueError as err:
                     logger.warning("frame %d failed: %s", index, err)
-                    decision = self._unscored(index, pose, "error", timestamp)
+                    self._unscored(index, pose, "error", timestamp)
             del points  # before `frames` reads the next one
-            out.append(decision)
-        return out
+        return self.decisions[first:]
 
-    def _unscored(self, index: int, pose, flag: str, timestamp) -> FrameDecision:
+    def _unscored(self, index: int, pose, flag: str, timestamp) -> None:
         self._frames_seen = index
-        decision = FrameDecision(index, pose, math.nan, False, flag, timestamp=timestamp)
-        self.decisions.append(decision)
-        return decision
+        self.decisions.append(FrameDecision(index, pose, math.nan, False, flag,
+                                            timestamp=timestamp))

@@ -350,8 +350,9 @@ class OptimizationReport:
     rejected_steps: int = 0
 
 
-def optimize(graph: PoseGraph, fixed=None, max_iterations: int = 100) -> OptimizationReport:
-    """Levenberg-Marquardt over the non-fixed nodes; updates poses in place.
+def optimize(graph: PoseGraph, max_iterations: int = 100) -> OptimizationReport:
+    """Levenberg-Marquardt over the nodes not marked `GraphNode.fixed`;
+    updates poses in place.
 
     Every iteration runs over arrays: one batched residual for all edges,
     Jacobians for the edges with a free endpoint, a sparse Hessian and one
@@ -360,14 +361,7 @@ def optimize(graph: PoseGraph, fixed=None, max_iterations: int = 100) -> Optimiz
     from scipy.sparse import identity
     from scipy.sparse.linalg import splu
 
-    fixed_ids = {n.id for n in graph.nodes.values() if n.fixed}
-    if fixed is not None:
-        missing = set(fixed) - set(graph.nodes)
-        if missing:
-            raise ValueError(f"fixed ids not in graph: {sorted(missing)}")
-        fixed_ids |= set(fixed)
-
-    problem = _Problem(graph, fixed_ids)
+    problem = _Problem(graph, {n.id for n in graph.nodes.values() if n.fixed})
     loose = problem.unanchored()
     if loose:
         more = f", ... ({len(loose)} in all)" if len(loose) > 10 else ""

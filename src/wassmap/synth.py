@@ -14,8 +14,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from wassmap.geometry import Pose, Rotation, se3_exp
-from wassmap.io import CloudFrame, TrajectoryEntry
+from wassmap.io import TrajectoryEntry
 from wassmap.pose_graph import PoseGraph
+
+
+@dataclass
+class CloudFrame:
+    frame_index: int
+    timestamp: float
+    points: np.ndarray
 
 
 @dataclass(frozen=True)

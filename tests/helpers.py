@@ -14,6 +14,13 @@ def build_map(points, voxel_size: float = 4.0) -> GmmMap:
     return grid
 
 
+def assert_maps_identical(a: GmmMap, b: GmmMap) -> None:
+    """Same origin, keys, counts and sums, bit for bit."""
+    np.testing.assert_array_equal(a.origin, b.origin)
+    for name in ("_keys", "n", "s", "q"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
 def evaluate_ate(estimate, ground_truth) -> float:
     """RMSE of translation errors between index-aligned pose lists."""
     if len(estimate) != len(ground_truth):

@@ -15,7 +15,7 @@ import numpy as np
 
 from wassmap.geometry import Pose, Rotation, se3_exp
 from wassmap.io import ParseError, TrajectoryEntry, read_graph, read_pcd, read_tum, \
-    write_pcd, write_tum
+    stem_timestamp, write_pcd, write_tum
 from wassmap.keyframe import KeyframeSelector, SelectorConfig, keyframe_indices, \
     replay_decisions
 from wassmap.pose_graph import PoseGraph, merge_sessions, optimize, \
@@ -391,11 +391,10 @@ def test_ac8_io_round_trips_and_fuzzed_parsers(tmp_path):
     first = tmp_path / "031.500000.pcd"
     second = tmp_path / "raw.pcd"
     write_pcd(first, points)
-    frame = read_pcd(first)
-    write_pcd(second, frame.points)
+    write_pcd(second, read_pcd(first))
     if first.read_bytes() != second.read_bytes():
         failures.append("binary cloud round trip is not byte-identical")
-    if frame.timestamp != 31.5:
+    if stem_timestamp(first) != 31.5:
         failures.append("cloud timestamp not recovered from the file name")
 
     # trajectory: poses survive a write/read cycle to within renormalization

@@ -293,6 +293,30 @@ class TestKeyframesCommand:
         assert any("frame 6 failed" in r.message and "truncated" in r.message
                    and clouds[5].name in r.message for r in caplog.records)
 
+    def test_cloud_that_cannot_be_opened_gets_error_row(self, corridor_dataset, tmp_path,
+                                                        capsys, caplog):
+        # a directory whose name globs as a cloud, between the third and fourth
+        _copy_clouds(corridor_dataset, tmp_path / "clouds")
+        folder = tmp_path / "clouds" / "0000.250000.pcd"
+        folder.mkdir()
+        out = tmp_path / "kf"
+        with caplog.at_level("WARNING", logger="wassmap.keyframe"):
+            code = run("keyframes", "--clouds", tmp_path / "clouds",
+                       "--trajectory", corridor_dataset / "trajectory.tum",
+                       "--tau", "0.3", "--out", out)
+        assert code == 0
+        assert "errors=1" in capsys.readouterr().out
+        rows = _decision_rows(out)
+        assert len(rows) == 13
+        assert rows[3][:5] == ["4", "0.25", "nan", "0", "error"]
+        assert [r[4] for r in rows].count("error") == 1
+        assert any("frame 4 failed" in r.message and str(folder) in r.message
+                   for r in caplog.records)
+        assert run("calibrate", "--clouds", tmp_path / "clouds",
+                   "--trajectory", corridor_dataset / "trajectory.tum",
+                   "--out", tmp_path / "cal") == 0
+        assert "errors=1" in capsys.readouterr().out
+
     def test_non_numeric_stem_is_unpaired(self, corridor_dataset, tmp_path, caplog):
         clouds = _copy_clouds(corridor_dataset, tmp_path / "clouds")
         (tmp_path / "clouds" / "scan_x.pcd").write_bytes(clouds[0].read_bytes())
@@ -322,9 +346,9 @@ class TestKeyframesCommand:
 
         def read_pcd(path):
             assert all(points() is None for points in read)
-            cloud = real(path)
-            read.append(weakref.ref(cloud.points))
-            return cloud
+            points = real(path)
+            read.append(weakref.ref(points))
+            return points
 
         monkeypatch.setattr(wassmap.cli, "read_pcd", read_pcd)
         assert run("keyframes", "--clouds", corridor_dataset / "clouds",

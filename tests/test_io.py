@@ -13,16 +13,17 @@ from wassmap.io import (
     read_graph,
     read_pcd,
     read_tum,
+    stem_timestamp,
     write_decisions_csv,
     write_edge_list,
     write_graph,
     write_pcd,
     write_tum,
 )
-from wassmap.keyframe import FrameDecision
+from wassmap.keyframe import FrameDecision, KeyframeSelector, SelectorConfig
 from wassmap.pose_graph import PoseGraph
 
-from helpers import write_ascii_pcd
+from helpers import assert_maps_identical, build_map, write_ascii_pcd
 
 
 def random_pose(rng):
@@ -47,16 +48,15 @@ class TestPcd:
         rng = np.random.default_rng(0)
         pts = rng.normal(scale=10.0, size=(257, 3)).astype(np.float32)
         f = tmp_path / "0.100000.pcd"
-        write_pcd(f, pts, )
-        cloud = read_pcd(f)
-        assert cloud.points.shape == (257, 3)
-        assert np.array_equal(cloud.points.astype(np.float32), pts)
-        assert cloud.dropped == 0
-        # file stem supplied the timestamp
-        assert cloud.timestamp == pytest.approx(0.1)
+        write_pcd(f, pts)
+        points = read_pcd(f)
+        assert points.shape == (257, 3) and points.dtype == np.float64
+        assert np.array_equal(points.astype(np.float32), pts)
+        # file stem supplies the timestamp
+        assert stem_timestamp(f) == pytest.approx(0.1)
         # writing what was read reproduces the file byte for byte
         g = tmp_path / "again.pcd"
-        write_pcd(g, cloud.points, )
+        write_pcd(g, points)
         assert f.read_bytes() == g.read_bytes()
 
     def test_ascii_round_trip(self, tmp_path):
@@ -64,10 +64,10 @@ class TestPcd:
         pts = rng.normal(size=(40, 3)).astype(np.float32)
         f = tmp_path / "2.5.pcd"
         write_ascii_pcd(f, pts)
-        cloud = read_pcd(f)
+        points = read_pcd(f)
         # %.9g preserves float32 exactly
-        assert np.array_equal(cloud.points.astype(np.float32), pts)
-        assert cloud.timestamp == 2.5
+        assert np.array_equal(points.astype(np.float32), pts)
+        assert stem_timestamp(f) == 2.5
 
     def test_extra_fields_ignored(self, tmp_path):
         # intensity column interleaved with xyz, both ascii and binary
@@ -79,12 +79,12 @@ class TestPcd:
         )
         fa = tmp_path / "a.pcd"
         fa.write_text(header + "DATA ascii\n1 2 3 9\n4 5 6 8\n")
-        assert np.allclose(read_pcd(fa).points, xyz)
+        assert np.allclose(read_pcd(fa), xyz)
 
         fb = tmp_path / "b.pcd"
         payload = np.hstack([xyz, intensity[:, None]]).astype("<f4").tobytes()
         fb.write_bytes((header + "DATA binary\n").encode() + payload)
-        assert np.array_equal(read_pcd(fb).points, xyz.astype(float))
+        assert np.array_equal(read_pcd(fb), xyz.astype(float))
 
     def test_point_count_mismatch(self, tmp_path):
         f = tmp_path / "short.pcd"
@@ -98,14 +98,14 @@ class TestPcd:
     def test_truncated_binary_reports_offset(self, tmp_path):
         f = tmp_path / "trunc.pcd"
         pts = np.ones((10, 3), dtype="<f4")
-        write_pcd(f, pts, )
+        write_pcd(f, pts)
         raw = f.read_bytes()
         f.write_bytes(raw[:-5])
         with pytest.raises(ParseError, match="truncated") as err:
             read_pcd(f)
         assert "byte offset" in str(err.value)
 
-    def test_nonfinite_rows_dropped_and_counted(self, tmp_path):
+    def test_nonfinite_rows_kept_and_counted_by_the_map(self, tmp_path):
         pts = np.array([[1, 2, 3], [np.nan, 0, 0], [4, 5, 6], [0, np.inf, 0]])
         f = tmp_path / "holes.pcd"
         header = (
@@ -113,9 +113,15 @@ class TestPcd:
             "WIDTH 4\nHEIGHT 1\nPOINTS 4\nDATA binary\n"
         )
         f.write_bytes(header.encode() + pts.astype("<f4").tobytes())
-        cloud = read_pcd(f)
-        assert cloud.dropped == 2
-        assert np.allclose(cloud.points, [[1, 2, 3], [4, 5, 6]])
+        points = read_pcd(f)
+        np.testing.assert_array_equal(points, pts)
+        # the map is the one filter: it drops and counts the two rows
+        selector = KeyframeSelector(SelectorConfig(voxel_size=2.0))
+        selector.bootstrap(points, Pose.identity())
+        assert selector.map.rejected_points == 2
+        finite = build_map(Pose.identity().transform_points(points)[[0, 2]], 2.0)
+        assert_maps_identical(selector.map, finite)
+        assert selector.map.total_points == finite.total_points == 2
 
     def test_structured_errors(self, tmp_path):
         cases = {
@@ -145,8 +151,7 @@ class TestPcd:
     def test_empty_cloud(self, tmp_path):
         f = tmp_path / "empty.pcd"
         write_ascii_pcd(f, np.empty((0, 3)))
-        cloud = read_pcd(f)
-        assert cloud.points.shape == (0, 3)
+        assert read_pcd(f).shape == (0, 3)
 
     def test_write_rejects_points_that_are_not_n_by_3(self, tmp_path):
         f = tmp_path / "xyzi.pcd"
@@ -167,8 +172,6 @@ class TestPcd:
         assert [r.message for r in caplog.records] == [
             f"{tmp_path / 'scan_x.pcd'}: file name is not a timestamp; "
             "the cloud stays unpaired"]
-        # the stem that orders a cloud is the stem that stamps it
-        assert read_pcd(tmp_path / "scan_x.pcd").timestamp is None
 
 
 # ---------------------------------------------------------------------------

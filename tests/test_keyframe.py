@@ -15,6 +15,8 @@ from wassmap.keyframe import (
 )
 from wassmap.synth import ScanSpec, generate_scene, loop_path, simulate_scan
 
+from helpers import assert_maps_identical, build_map
+
 
 def keys(grid) -> list[tuple[int, int, int]]:
     """Cell index (i, j, k) of each map row, in row order."""
@@ -60,6 +62,8 @@ def test_bootstrap_decision_and_voxel_count():
     expected = {tuple(c) for c in np.floor(world / 2.0).astype(int).tolist()}
     assert set(keys(selector.map)) == expected
     assert decision.new_count == len(expected)
+    # the one selector step builds the map a bulk insert of the frame builds
+    assert_maps_identical(selector.map, build_map(world, 2.0))
 
     with pytest.raises(RuntimeError):
         selector.bootstrap(pts, pose)
@@ -163,6 +167,16 @@ def test_pruning_follows_the_pose():
     dists = np.linalg.norm(centers - np.array([50.0, 0.0, 0.0]), axis=1)
     assert (dists <= 30.0).all()
     assert len(selector.map) > 0
+
+
+def test_bootstrap_frame_is_pruned_by_the_next_frame_only():
+    cfg = base_config(tau=math.inf, radius=30.0)
+    selector = KeyframeSelector(cfg)
+    near, far = np.zeros((30, 3)) + 1.0, np.zeros((30, 3)) + 100.0
+    selector.bootstrap(np.concatenate([near, far]), Pose.identity())
+    assert len(selector.map) == 2  # the voxel 100 m out outlives the bootstrap
+    selector.process_frame(near, Pose.identity())
+    assert keys(selector.map) == [(0, 0, 0)]
 
 
 def test_run_sequence_skips_bad_frames():

@@ -163,8 +163,9 @@ def _chain_graph(rng, n=3, perturb=0.05):
 def test_optimize_already_at_minimum():
     rng = np.random.default_rng(9)
     graph, truth = _chain_graph(rng, perturb=0.0)
+    graph.nodes[0].fixed = True
     before = [n.pose.as_matrix() for n in graph.nodes.values()]
-    report = optimize(graph, fixed={0})
+    report = optimize(graph)
     assert report.iterations <= 1
     assert report.reason == "gradient tolerance"
     assert report.initial_cost == report.final_cost
@@ -175,7 +176,8 @@ def test_optimize_already_at_minimum():
 def test_optimize_three_node_chain_converges():
     rng = np.random.default_rng(11)
     graph, truth = _chain_graph(rng, n=3, perturb=0.05)
-    report = optimize(graph, fixed={0})
+    graph.nodes[0].fixed = True
+    report = optimize(graph)
     assert report.final_cost < 1e-10
     for i, pose in enumerate(truth):
         assert poses_close(graph.nodes[i].pose, pose, tol=1e-6)
@@ -188,8 +190,6 @@ def test_gauge_errors():
     graph, _ = _chain_graph(rng)
     with pytest.raises(GaugeUnderdeterminedError):
         optimize(graph)  # nothing fixed, no prior
-    with pytest.raises(ValueError):
-        optimize(graph, fixed={99})
 
     # disconnected free component: nodes 2-3 have no path to the anchor
     split = PoseGraph()
@@ -197,8 +197,9 @@ def test_gauge_errors():
         split.add_node(i, random_pose(rng))
     split.add_edge("odometry", 0, 1, Pose.identity(), np.eye(6))
     split.add_edge("odometry", 2, 3, Pose.identity(), np.eye(6))
+    split.nodes[0].fixed = True
     with pytest.raises(GaugeUnderdeterminedError) as err:
-        optimize(split, fixed={0})
+        optimize(split)
     assert "unanchored nodes: 2, 3;" in str(err.value)
 
 
@@ -218,9 +219,12 @@ def test_stronger_gauge_never_raises_exact_cost():
     graph_a, truth = _chain_graph(rng, n=4, perturb=0.03)
     graph_b = graph_a.copy()
     graph_b.nodes[1].pose = truth[1]  # second anchor consistent with truth
+    graph_a.nodes[0].fixed = True
+    for k in (0, 1):
+        graph_b.nodes[k].fixed = True
 
-    report_a = optimize(graph_a, fixed={0})
-    report_b = optimize(graph_b, fixed={0, 1})
+    report_a = optimize(graph_a)
+    report_b = optimize(graph_b)
     assert report_b.final_cost <= report_a.final_cost + 1e-10
 
 
@@ -283,7 +287,8 @@ def test_huber_downweights_outlier_loop():
             graph.add_edge("odometry", i, i + 1, step, info)
         bogus = Pose(Rotation.identity(), (8.0, 0.0, 0.0))  # truth would be (5,0,0)
         graph.add_edge("loop", 0, 5, bogus, info, kernel=kernel, delta=1.0)
-        optimize(graph, fixed={0})
+        graph.nodes[0].fixed = True
+        optimize(graph)
         results[kernel] = evaluate_ate([graph.nodes[i].pose for i in sorted(graph.nodes)], truth)
 
     # outside the quadratic zone Huber's pull saturates at a constant force,
@@ -386,7 +391,8 @@ def test_monotone_cost_trace_on_noisy_graph():
     # corrupt measurements slightly so the optimum is not exactly zero cost
     for edge in graph.edges:
         edge.measurement = edge.measurement * se3_exp(rng.normal(scale=0.01, size=6))
-    report = optimize(graph, fixed={0})
+    graph.nodes[0].fixed = True
+    report = optimize(graph)
     assert report.final_cost < report.initial_cost
     assert all(b <= a for a, b in zip(report.cost_trace, report.cost_trace[1:]))
     assert report.cost_trace[0] == report.initial_cost
