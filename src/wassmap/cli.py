@@ -210,6 +210,8 @@ def cmd_calibrate(args) -> int:
 def _parse_t_init(values) -> Pose:
     if values is None:
         return Pose.identity()
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"non-finite --t-init value: {' '.join(map(str, values))}")
     x, y, z, qx, qy, qz, qw = values
     try:
         rotation = Rotation(qw, qx, qy, qz)

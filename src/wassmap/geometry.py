@@ -130,38 +130,12 @@ class Rotation:
         """Axis-angle 3-vector (radians) to quaternion."""
         return Rotation(*_quat_exp(np.asarray(v, dtype=float).reshape(3)).tolist())
 
-    @staticmethod
-    def from_matrix(m) -> "Rotation":
-        """Rotation matrix to quaternion via the largest-pivot branch."""
-        m = np.asarray(m, dtype=float)
-        t = m[0, 0] + m[1, 1] + m[2, 2]
-        if t > 0.0:
-            r = math.sqrt(1.0 + t)
-            s = 0.5 / r
-            return Rotation(0.5 * r, (m[2, 1] - m[1, 2]) * s, (m[0, 2] - m[2, 0]) * s, (m[1, 0] - m[0, 1]) * s)
-        i = int(np.argmax([m[0, 0], m[1, 1], m[2, 2]]))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        r = math.sqrt(1.0 + m[i, i] - m[j, j] - m[k, k])
-        s = 0.5 / r
-        q = [0.0, 0.0, 0.0, 0.0]  # w, then xyz
-        q[0] = (m[k, j] - m[j, k]) * s
-        q[1 + i] = 0.5 * r
-        q[1 + j] = (m[j, i] + m[i, j]) * s
-        q[1 + k] = (m[k, i] + m[i, k]) * s
-        return Rotation(q[0], q[1], q[2], q[3])
-
     def as_quat(self) -> np.ndarray:
         """(w, x, y, z) as an array."""
         return np.array([self.w, self.x, self.y, self.z])
 
     def as_matrix(self) -> np.ndarray:
         return _quat_matrix(self.as_quat())
-
-    @property
-    def angle(self) -> float:
-        """Rotation angle in [0, pi]."""
-        vn = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        return 2.0 * math.atan2(vn, abs(self.w))
 
     def __mul__(self, other: "Rotation") -> "Rotation":
         w1, x1, y1, z1 = self.w, self.x, self.y, self.z
@@ -208,11 +182,6 @@ class Pose:
     def identity() -> "Pose":
         return Pose()
 
-    @staticmethod
-    def from_matrix(m) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        return Pose(Rotation.from_matrix(m[:3, :3]), m[:3, 3])
-
     def as_matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rotation.as_matrix()
@@ -226,10 +195,6 @@ class Pose:
     def inverse(self) -> "Pose":
         rinv = self.rotation.inverse()
         return Pose(rinv, -rinv.rotate(self.translation))
-
-    def transform(self, p) -> np.ndarray:
-        """R p + t for one point."""
-        return self.rotation.rotate(p) + self.translation
 
     def transform_points(self, pts: np.ndarray) -> np.ndarray:
         """R p + t for an (N, 3) array; a non-finite row stays non-finite."""
@@ -364,10 +329,6 @@ def se3_left_jacobian(xi) -> np.ndarray:
         if np.abs(term).max(initial=0.0) < 1e-18:
             break
     return out
-
-
-def se3_left_jacobian_inv(xi) -> np.ndarray:
-    return np.linalg.inv(se3_left_jacobian(xi))
 
 
 def se3_right_jacobian_inv(xi) -> np.ndarray:

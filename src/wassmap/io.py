@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from wassmap.geometry import Pose, Rotation, as_points
-from wassmap.pose_graph import PoseGraph
+from wassmap.pose_graph import PoseGraph, check_information
 
 logger = logging.getLogger(__name__)
 
@@ -331,7 +331,7 @@ def pair_frames(stamps, trajectory, max_dt: float = 0.05) -> list[Pose | None]:
     """
     if not stamps or not trajectory:
         raise ValueError("clouds and trajectory must both be non-empty")
-    if max_dt < 0:
+    if not max_dt >= 0:
         raise ValueError("max_dt must be >= 0")
     times = np.array([entry.timestamp for entry in trajectory])
     poses = []
@@ -523,7 +523,8 @@ def read_graph(path) -> PoseGraph:
 
 
 def read_edge_list(path):
-    """EDGE_SE3:QUAT lines as (i, j, measurement, information) tuples."""
+    """EDGE_SE3:QUAT lines as (i, j, measurement, information) tuples; an
+    information matrix that `GraphEdge` rejects raises ParseError at its line."""
     path = Path(path)
     edges = []
     for line_no, line in enumerate(_decode_lines(path), 1):
@@ -534,6 +535,10 @@ def read_edge_list(path):
         if tokens[0] != "EDGE_SE3:QUAT":
             raise ParseError(path, f"unknown record {tokens[0]!r}", line=line_no)
         (i, j), measurement, info = _parse_edge(path, tokens, line_no, 2)
+        try:
+            check_information(info)
+        except ValueError as err:
+            raise ParseError(path, str(err), line=line_no) from None
         edges.append((i, j, measurement, info))
     return edges
 

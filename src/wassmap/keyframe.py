@@ -2,13 +2,14 @@
 
 Every frame takes one path: it is transformed into the map frame and staged
 onto the selector's voxel map, which drops its non-finite points and counts
-them in `GmmMap.rejected_points`. The first frame that stages a point gives
-the map its origin and is a keyframe by definition, with score +inf. Each
-later frame is scored with the map-level Wasserstein dissimilarity, the mean
-W2 distance under sample covariances over the voxels it shares with the map,
-and is a keyframe when the score exceeds the threshold; one that shares no
-usable voxel (no overlap, or all shared voxels under the point floor) is a
-keyframe flagged ``no_comparable``, with score NaN. By default only
+them in the stage; `GmmMap.rejected_points` totals only committed stages'
+counts. The first frame that stages a point gives the map its origin and is
+a keyframe by definition, with score +inf. Each later frame is scored with
+the map-level Wasserstein dissimilarity, the mean W2 distance under sample
+covariances over the voxels it shares with the map, and is a keyframe when
+the score exceeds the threshold; one whose score report compares no voxel
+(no overlap, or all shared voxels under the point floor) is a keyframe
+flagged ``no_comparable``, with score NaN. By default only
 keyframes are committed, so redundant frames leave the map untouched; the
 alternative policy commits every frame. After every frame but the bootstrap
 frame, voxels beyond the pruning radius of the current pose are dropped. In
@@ -28,7 +29,7 @@ import numpy as np
 
 from wassmap.geometry import Pose, as_points
 from wassmap.voxel_map import GmmMap
-from wassmap.wasserstein import NoComparableVoxelsError, map_dissimilarity
+from wassmap.wasserstein import map_dissimilarity
 
 logger = logging.getLogger(__name__)
 
@@ -51,9 +52,9 @@ class SelectorConfig:
     def __post_init__(self):
         if not self.tau >= 0.0:
             raise ValueError("tau must be >= 0")
-        if self.voxel_size <= 0.0:
-            raise ValueError("voxel_size must be positive")
-        if self.radius <= 0.0:
+        if not 0.0 < self.voxel_size < math.inf:
+            raise ValueError("voxel_size must be finite and positive")
+        if not self.radius > 0.0:
             raise ValueError("radius must be positive")
         if self.min_points < 2:
             raise ValueError("sample covariance needs min_points >= 2")
@@ -143,11 +144,10 @@ class KeyframeSelector:
             dw, keyframe, flag = math.inf, True, "bootstrap"
             counts = (0, len(stage.keys), 0)
         else:
-            try:
-                report = map_dissimilarity(self.map, stage, min_points=cfg.min_points)
+            report = map_dissimilarity(stage, min_points=cfg.min_points)
+            if report.affected_count:
                 dw, keyframe, flag = report.value, report.value > cfg.tau, "scored"
-            except NoComparableVoxelsError as err:
-                report = err.report
+            else:
                 dw, keyframe, flag = math.nan, True, "no_comparable"
             counts = (report.affected_count, report.new_count, report.skipped_count)
 

@@ -9,6 +9,10 @@ and for a prior on node i with absolute measurement Z:
     r = log(Z^{-1} * T_i)
 
 with the tangent ordering (rotation, translation) of the geometry module.
+Under right perturbations the Jacobian wrt T_j is Jr^{-1}(r) and the one wrt
+T_i is -Jl^{-1}(r) Ad(Z^{-1}). Since Jl(r) = Ad(exp r) Jr(r) (Barfoot &
+Furgale, T-RO 2014), the latter is -Jr^{-1}(r) Ad(exp(-r) Z^{-1}), so each
+edge inverts one 6x6 Jacobian.
 Residuals are whitened by the upper-triangular factor W with W^T W = info
 (so W = cholesky(info)^T), and a Huber kernel may reshape the whitened norm.
 Loop edges default to Huber(1.0) because they are the outlier-prone kind;
@@ -51,7 +55,6 @@ from wassmap.geometry import (
     compose_batch,
     invert_batch,
     se3_exp,
-    se3_left_jacobian_inv,
     se3_log,
     se3_right_jacobian_inv,
     stack_poses,
@@ -111,15 +114,20 @@ class GraphEdge:
         info = self.information
         if info is not PRIOR_INFORMATION:
             info = np.array(info, dtype=float)
-        if info.shape != (6, 6):
-            raise ValueError("information must be 6x6")
-        if np.abs(info - info.T).max() > 1e-9:
-            raise ValueError("information matrix not symmetric")
-        try:
-            np.linalg.cholesky(info)
-        except np.linalg.LinAlgError:
-            raise ValueError("information matrix not positive definite") from None
+        check_information(info)
         self.information = info
+
+
+def check_information(info: np.ndarray) -> None:
+    """Raise ValueError unless ``info`` is a symmetric positive-definite 6x6 array."""
+    if info.shape != (6, 6):
+        raise ValueError("information must be 6x6")
+    if np.abs(info - info.T).max() > 1e-9:
+        raise ValueError("information matrix not symmetric")
+    try:
+        np.linalg.cholesky(info)
+    except np.linalg.LinAlgError:
+        raise ValueError("information matrix not positive definite") from None
 
 
 class PoseGraph:
@@ -242,9 +250,9 @@ def _cost(edges: _Edges, q: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarra
 
 def _jacobians(edges: _Edges, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whitened Jacobians of each residual wrt the right perturbations of T_a, T_b."""
-    jac_a = -se3_left_jacobian_inv(r) @ adjoint((edges.z_inv_q, edges.z_inv_t))
-    jac_b = se3_right_jacobian_inv(r)
-    return edges.whitener @ jac_a, edges.whitener @ jac_b
+    jac_b = edges.whitener @ se3_right_jacobian_inv(r)
+    jac_a = -jac_b @ adjoint(compose_batch(se3_exp(-r), (edges.z_inv_q, edges.z_inv_t)))
+    return jac_a, jac_b
 
 
 class _Problem:

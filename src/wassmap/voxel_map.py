@@ -163,8 +163,8 @@ class GmmMap:
     """Sorted packed voxel keys with parallel count, sum and outer-sum rows."""
 
     def __init__(self, voxel_size: float = 4.0):
-        if voxel_size <= 0.0:
-            raise ValueError("voxel_size must be positive")
+        if not 0.0 < voxel_size < np.inf:
+            raise ValueError("voxel_size must be finite and positive")
         self.voxel_size = float(voxel_size)
         self.origin: np.ndarray | None = None
         self._keys = np.empty(0, dtype=np.int64)
@@ -191,10 +191,8 @@ class GmmMap:
 
     def insert_points(self, points) -> int:
         """Bulk insert; returns the number of accepted points."""
-        # not stage_frame/commit: a bulk insert is neither a staged frame nor
-        # a commit decision, and the benchmark trace counts those
-        stage = self._stage(points)
-        self._apply(stage)
+        stage = self.stage_frame(points)
+        self.commit(stage)
         return stage.point_count
 
     def stage_frame(self, points) -> StagedUpdate:
@@ -202,37 +200,6 @@ class GmmMap:
 
         Points must already be in the map frame. The base map is not modified.
         """
-        return self._stage(points)
-
-    def commit(self, stage: StagedUpdate) -> None:
-        """Adopt a stage's deltas. Rejects stages from another map state."""
-        if stage.base is not self or stage.base_version != self.version:
-            raise StaleStageError("stage was built against a different map state")
-        self._apply(stage)
-
-    def prune_outside(self, center, radius: float) -> int:
-        """Drop voxels whose cell center is farther than radius from center."""
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
-        if not len(self):
-            return 0
-        center = np.asarray(center, dtype=float).reshape(3)
-        # per axis the farthest centre is at a box face; rounding is monotone,
-        # so no row's distance, computed as below, exceeds the face's
-        far = np.abs((self._box + 0.5) * self.voxel_size - center).max(axis=0)
-        if np.linalg.norm(far[None], axis=1)[0] <= radius:
-            return 0
-        outside = np.linalg.norm(self.centres() - center, axis=1) > radius
-        removed = int(outside.sum())
-        if removed:
-            self.total_points -= int(self.n[outside].sum())
-            keep = ~outside
-            self._keys, self.n = self._keys[keep], self.n[keep]
-            self.s, self.q = self.s[keep], self.q[keep]
-            self.version += 1
-        return removed
-
-    def _stage(self, points) -> StagedUpdate:
         origin, keys, n, s, q, rejected = _group(points, self.voxel_size, self.origin)
         at = np.searchsorted(self._keys, keys)
         hit = at < len(self._keys)
@@ -240,7 +207,10 @@ class GmmMap:
         return StagedUpdate(self, self.version, origin, keys, hit, at[hit],
                             n, s, q, rejected)
 
-    def _apply(self, stage: StagedUpdate) -> None:
+    def commit(self, stage: StagedUpdate) -> None:
+        """Adopt a stage's deltas. Rejects stages from another map state."""
+        if stage.base is not self or stage.base_version != self.version:
+            raise StaleStageError("stage was built against a different map state")
         hit, rows = stage.hit, stage.rows
         self.n[rows] += stage.n[hit]
         self.s[rows] += stage.s[hit]
@@ -259,3 +229,25 @@ class GmmMap:
         self.total_points += stage.point_count
         self.rejected_points += stage.rejected
         self.version += 1
+
+    def prune_outside(self, center, radius: float) -> int:
+        """Drop voxels whose cell center is farther than radius from center."""
+        if not radius > 0.0:
+            raise ValueError("radius must be positive")
+        if not len(self):
+            return 0
+        center = np.asarray(center, dtype=float).reshape(3)
+        # per axis the farthest centre is at a box face; rounding is monotone,
+        # so no row's distance, computed as below, exceeds the face's
+        far = np.abs((self._box + 0.5) * self.voxel_size - center).max(axis=0)
+        if np.linalg.norm(far[None], axis=1)[0] <= radius:
+            return 0
+        outside = np.linalg.norm(self.centres() - center, axis=1) > radius
+        removed = int(outside.sum())
+        if removed:
+            self.total_points -= int(self.n[outside].sum())
+            keep = ~outside
+            self._keys, self.n = self._keys[keep], self.n[keep]
+            self.s, self.q = self.s[keep], self.q[keep]
+            self.version += 1
+        return removed

@@ -20,18 +20,18 @@ zero instead of sqrt(rounding noise).
 
 Map-level dissimilarity compares a staged frame against its base map voxel by
 voxel, with sample covariances on both sides, and takes the mean over the
-voxels they share. Voxels are reduced in key order, so the result is
-bit-stable across runs.
+voxels they share; a frame that shares none scores NaN, in the same report.
+Voxels are reduced in key order, so the result is bit-stable across runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from wassmap.voxel_map import GmmMap, StagedUpdate, StaleStageError, moments
+from wassmap.voxel_map import StagedUpdate, StaleStageError, moments
 
 _EIG_CLAMP = 1e-9
 _SYM_TOL = 1e-9
@@ -43,25 +43,14 @@ class InvalidCovarianceError(ValueError):
     """Covariance is non-symmetric, non-finite, or indefinite beyond tolerance."""
 
 
-class NoComparableVoxelsError(ValueError):
-    """The staged frame shares no voxel with enough points on both sides.
-
-    Carries the partial report so callers can still see new/skipped counts.
-    """
-
-    def __init__(self, message: str, report: "DissimilarityReport"):
-        super().__init__(message)
-        self.report = report
-
-
 @dataclass
 class DissimilarityReport:
-    value: float
-    rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))  # (K,) compared base rows
-    cell_distances: np.ndarray = field(default_factory=lambda: np.empty(0))  # (K,) their W2
-    affected_count: int = 0  # voxels that entered the average
-    new_count: int = 0       # frame voxels absent from the base map
-    skipped_count: int = 0   # shared voxels under the point-count floor
+    value: float                # NaN when no voxel compares
+    rows: np.ndarray            # (K,) compared base rows
+    cell_distances: np.ndarray  # (K,) their W2
+    affected_count: int         # voxels that entered the average
+    new_count: int              # frame voxels absent from the base map
+    skipped_count: int          # shared voxels under the point-count floor
 
 
 def _cholesky(sig: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -181,19 +170,16 @@ def w2_batch(mu1, sig1, mu2, sig2) -> np.ndarray:
     return out
 
 
-def map_dissimilarity(base: GmmMap, stage: StagedUpdate,
-                      min_points: int = 2) -> DissimilarityReport:
-    """Mean per-voxel Wasserstein distance between a base map and a stage.
+def map_dissimilarity(stage: StagedUpdate, min_points: int = 2) -> DissimilarityReport:
+    """Mean per-voxel Wasserstein distance between a stage and its base map.
 
     Every voxel the stage touches falls into one of three bins: compared
     (present in the base with at least ``min_points`` points, and never
     fewer than 2, on both sides), new (absent from the base, excluded from
-    the mean), or skipped (shared but under the point floor).
-
-    Raises `NoComparableVoxelsError` (report attached) when nothing compares.
+    the mean), or skipped (shared but under the point floor). When nothing
+    compares, the report has value NaN and ``affected_count`` 0.
     """
-    if stage.base is not base:
-        raise ValueError("stage does not belong to this map")
+    base = stage.base
     if stage.base_version != base.version:
         raise StaleStageError("stage was built against a different map state")
     floor = max(int(min_points), 2)
@@ -202,17 +188,6 @@ def map_dissimilarity(base: GmmMap, stage: StagedUpdate,
     base_n = base.n[stage.rows]
     usable = (base_n >= floor) & (base_n + stage.n[matched] >= floor)
     rows, deltas = stage.rows[usable], matched[usable]
-    new_count = len(stage.keys) - len(stage.rows)
-    skipped = len(stage.rows) - len(rows)
-
-    if not len(rows):
-        report = DissimilarityReport(
-            value=math.nan,
-            affected_count=0,
-            new_count=new_count,
-            skipped_count=skipped,
-        )
-        raise NoComparableVoxelsError("no comparable voxels", report)
 
     # both sides share each voxel's anchor, so the anchored means compare
     # directly and the score does not depend on how far the map is from zero
@@ -223,10 +198,10 @@ def map_dissimilarity(base: GmmMap, stage: StagedUpdate,
     dists = w2_batch(mu_base, cov_base, mu_over, cov_over)
 
     return DissimilarityReport(
-        value=float(dists.mean()),
+        value=float(dists.mean()) if len(rows) else math.nan,
         rows=rows,
         cell_distances=dists,
         affected_count=len(rows),
-        new_count=new_count,
-        skipped_count=skipped,
+        new_count=len(stage.keys) - len(stage.rows),
+        skipped_count=len(stage.rows) - len(rows),
     )

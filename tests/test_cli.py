@@ -399,6 +399,22 @@ class TestKeyframesCommand:
                 assert float(dw) > 0.0
                 assert keyframe == "1"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--voxel-size", "nan", "voxel_size must be finite and positive"),
+        ("--voxel-size", "inf", "voxel_size must be finite and positive"),
+        ("--radius", "nan", "radius must be positive"),
+        ("--max-dt", "nan", "max_dt must be >= 0"),
+    ])
+    def test_non_finite_settings_exit_one(self, corridor_dataset, tmp_path, capsys,
+                                          flag, value, message):
+        out = tmp_path / "o"
+        code = run("keyframes", "--clouds", corridor_dataset / "clouds",
+                   "--trajectory", corridor_dataset / "trajectory.tum",
+                   flag, value, "--out", out)
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "decisions.csv").exists()
+
     def test_missing_inputs_exit_one(self, tmp_path, capsys):
         code = run("keyframes", "--clouds", tmp_path / "nope",
                    "--trajectory", tmp_path / "missing.tum", "--out", tmp_path / "o")
@@ -537,6 +553,34 @@ class TestMergeCommand:
         assert code == 1
         assert f"loop file not found: {absent}" in capsys.readouterr().err
         assert not (out / "merged.g2o").exists()
+
+    def test_non_finite_t_init_is_a_usage_error(self, two_session_dataset, tmp_path,
+                                                 capsys):
+        out = tmp_path / "nan"
+        code = run("merge", "--graph", two_session_dataset / "session1.g2o",
+                   "--trajectory", two_session_dataset / "session2_estimate.tum",
+                   "--odometry", two_session_dataset / "session2_odometry.txt",
+                   "--loops", two_session_dataset / "loops.txt",
+                   "--t-init", "nan", "0", "0", "0", "0", "0", "1", "--out", out)
+        assert code == 1
+        assert "non-finite --t-init value" in capsys.readouterr().err
+        assert not (out / "merged.g2o").exists()
+
+    def test_invalid_loop_information_names_its_line(self, two_session_dataset,
+                                                      tmp_path, capsys):
+        lines = (two_session_dataset / "loops.txt").read_text().splitlines()
+        tokens = lines[2].split()
+        tokens[10] = "-" + tokens[10]  # first diagonal entry of the information
+        lines[2] = " ".join(tokens)
+        loops = tmp_path / "loops.txt"
+        loops.write_text("\n".join(lines) + "\n")
+        code = run("merge", "--graph", two_session_dataset / "session1.g2o",
+                   "--trajectory", two_session_dataset / "session2_estimate.tum",
+                   "--odometry", two_session_dataset / "session2_odometry.txt",
+                   "--loops", loops, "--out", tmp_path / "o")
+        assert code == 1
+        assert (f"error: {loops}:3: information matrix not positive definite"
+                in capsys.readouterr().err)
 
     def test_gauge_underdetermined_exits_two(self, two_session_dataset, tmp_path, capsys):
         # no loops and no alignment prior leaves session 2 as a floating

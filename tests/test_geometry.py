@@ -26,7 +26,7 @@ def random_pose(rng, max_angle=math.pi - 0.1, max_trans=10.0):
 
 def pose_close(a, b, tol=TOL):
     delta = a.inverse() * b
-    return delta.rotation.angle < tol and np.linalg.norm(delta.translation) < tol
+    return np.linalg.norm(se3_log(delta)[:3]) < tol and np.linalg.norm(delta.translation) < tol
 
 
 def test_quaternion_normalized_and_matrix_orthonormal():
@@ -39,15 +39,6 @@ def test_quaternion_normalized_and_matrix_orthonormal():
         m = r.as_matrix()
         assert np.max(np.abs(m.T @ m - np.eye(3))) < TOL
         assert abs(np.linalg.det(m) - 1.0) < TOL
-
-
-def test_matrix_round_trip():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        r = random_pose(rng).rotation
-        r2 = Rotation.from_matrix(r.as_matrix())
-        # same rotation up to quaternion sign
-        assert (r.inverse() * r2).angle < TOL
 
 
 def test_compose_identity_and_inverse():
@@ -68,7 +59,8 @@ def test_compose_matches_hand_multiplied_matrices():
         ]
     )
     expected = m @ m
-    p = Pose.from_matrix(m)
+    p = Pose(Rotation.from_rotvec([0.0, 0.0, math.pi / 2]), [1.0, 0.0, 0.0])
+    assert np.max(np.abs(p.as_matrix() - m)) < TOL
     got = (p * p).as_matrix()
     assert np.max(np.abs(got - expected)) < TOL
     assert np.allclose((p * p).translation, [1.0, 1.0, 0.0], atol=TOL)
@@ -82,20 +74,20 @@ def test_compose_associative():
 
 
 def test_transform_point_trivial_cases():
-    assert np.allclose(Pose.identity().transform([1, 2, 3]), [1, 2, 3])
+    assert np.allclose(Pose.identity().transform_points([[1, 2, 3]]), [[1, 2, 3]])
     shift = Pose(Rotation.identity(), [1, 0, 0])
-    assert np.allclose(shift.transform([0, 0, 0]), [1, 0, 0])
+    assert np.allclose(shift.transform_points([[0, 0, 0]]), [[1, 0, 0]])
     quarter = Pose(Rotation.from_rotvec([0, 0, math.pi / 2]), [0, 0, 0])
-    assert np.allclose(quarter.transform([1, 0, 0]), [0, 1, 0], atol=TOL)
+    assert np.allclose(quarter.transform_points([[1, 0, 0]]), [[0, 1, 0]], atol=TOL)
 
 
 def test_transform_point_composition_property():
     rng = np.random.default_rng(13)
     for _ in range(200):
         a, b = random_pose(rng), random_pose(rng)
-        p = rng.uniform(-5, 5, size=3)
-        lhs = (a * b).transform(p)
-        rhs = a.transform(b.transform(p))
+        p = rng.uniform(-5, 5, size=(1, 3))
+        lhs = (a * b).transform_points(p)
+        rhs = a.transform_points(b.transform_points(p))
         assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
@@ -105,7 +97,7 @@ def test_transform_points_matches_scalar_transform():
     pts = rng.uniform(-10, 10, size=(50, 3))
     batch = p.transform_points(pts)
     for i in range(len(pts)):
-        assert np.max(np.abs(batch[i] - p.transform(pts[i]))) < TOL
+        assert np.max(np.abs(batch[i] - (p.rotation.rotate(pts[i]) + p.translation))) < TOL
 
 
 def test_group_axioms_seeded():
@@ -120,7 +112,7 @@ def test_group_axioms_seeded():
 def test_exp_trivial_cases():
     assert pose_close(se3_exp(np.zeros(6)), Pose.identity())
     p = se3_exp([0, 0, 0, 1, 2, 3])
-    assert p.rotation.angle < TOL
+    assert np.linalg.norm(se3_log(p)[:3]) < TOL
     assert np.allclose(p.translation, [1, 2, 3], atol=TOL)
 
 

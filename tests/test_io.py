@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -280,6 +281,11 @@ class TestPairFrames:
         with pytest.raises(ValueError):
             pair_frames([0.0], [])
 
+    def test_non_finite_max_dt_rejected(self):
+        traj = [TrajectoryEntry(0.0, Pose.identity())]
+        with pytest.raises(ValueError, match="max_dt must be >= 0"):
+            pair_frames([0.0], traj, max_dt=math.nan)
+
 
 # ---------------------------------------------------------------------------
 # Decisions CSV
@@ -439,6 +445,16 @@ class TestEdgeList:
         f = tmp_path / "bad.txt"
         f.write_text("VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1\n")
         with pytest.raises(ParseError):
+            read_edge_list(f)
+
+    def test_invalid_information_names_its_line(self, tmp_path):
+        rng = np.random.default_rng(8)
+        bad = np.eye(6)
+        bad[2, 2] = -1.0
+        f = tmp_path / "loops.txt"
+        write_edge_list(f, [(0, 1, random_pose(rng), np.eye(6)),
+                            (1, 2, random_pose(rng), bad)])
+        with pytest.raises(ParseError, match=f"^{re.escape(str(f))}:2: information matrix not positive definite$"):
             read_edge_list(f)
 
 

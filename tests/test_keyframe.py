@@ -41,6 +41,12 @@ def test_config_validation():
         SelectorConfig(tau=0.1, voxel_size=0.0)
     with pytest.raises(ValueError):
         SelectorConfig(tau=0.1, radius=-1.0)
+    for voxel_size in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="voxel_size must be finite and positive"):
+            SelectorConfig(tau=0.1, voxel_size=voxel_size)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        SelectorConfig(tau=0.1, radius=math.nan)
+    assert SelectorConfig(tau=0.1, radius=math.inf).radius == math.inf  # never prunes
     with pytest.raises(ValueError, match="sample covariance needs min_points >= 2"):
         SelectorConfig(tau=0.1, min_points=1)
     with pytest.raises(ValueError):

@@ -46,8 +46,9 @@ def test_voxel_index_boundary_is_half_open():
 def test_voxel_index_rejects_bad_input():
     grid = build_map([(np.nan, 0.0, 0.0)], 4.0)
     assert len(grid) == 0 and grid.rejected_points == 1
-    with pytest.raises(ValueError):
-        GmmMap(voxel_size=0.0)
+    for voxel_size in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            GmmMap(voxel_size=voxel_size)
 
 
 def test_keys_beyond_packing_range_rejected():
@@ -219,8 +220,10 @@ def test_prune_uses_voxel_center_strictly():
     removed = grid.prune_outside((0.0, 0.0, 0.0), center_dist)
     assert removed == 1
     assert keys(grid) == [(0, 0, 0)]
-    with pytest.raises(ValueError):
-        grid.prune_outside((0.0, 0.0, 0.0), 0.0)
+    for radius in (0.0, np.nan):
+        with pytest.raises(ValueError):
+            grid.prune_outside((0.0, 0.0, 0.0), radius)
+    assert grid.prune_outside((1e9, 0.0, 0.0), np.inf) == 0
 
 
 def test_non_finite_points_rejected_not_fatal():
