@@ -221,6 +221,8 @@ def _parse_t_init(values) -> Pose:
 
 
 def cmd_merge(args) -> int:
+    if args.max_iterations < 0:
+        raise UsageError(f"negative --max-iterations: {args.max_iterations}")
     out = _out_dir(args)
     _echo_config(out, args)
 

@@ -366,6 +366,8 @@ def optimize(graph: PoseGraph, max_iterations: int = 100) -> OptimizationReport:
     Jacobians for the edges with a free endpoint, a sparse Hessian and one
     sparse LU factorization per damping trial.
     """
+    if max_iterations < 0:
+        raise ValueError(f"negative max_iterations: {max_iterations}")
     from scipy.sparse import identity
     from scipy.sparse.linalg import splu
 

@@ -22,14 +22,15 @@ Packed order is lexicographic (i, j, k) order.
 
 Every point set is grouped once (`np.unique` plus `np.bincount`). A stage
 joins the frame's keys against the map's with one `searchsorted` and leaves
-the map untouched; commit adds the matched rows in place and merges the new
-keys in with one sorted insert; pruning keeps the rows whose cell centre lies
-within the radius. Single writer per map; reads of the base during an open
-stage are fine.
+the map untouched; commit adds the matched rows in place and scatters old and
+new rows into new arrays at positions found once; pruning keeps the rows
+whose cell centre lies within the radius. Single writer per map; reads of the
+base during an open stage are fine. `moments` packs covariances like q.
 
 The map also keeps a box of cells that holds every occupied cell: commit
-grows it, prune leaves it as it is. When the box's farthest cell centre lies
-within the pruning radius, no row can lie outside it and prune skips the scan.
+grows it by the frame's cell range, found while grouping; prune leaves it as
+it is. When the box's farthest cell centre lies within the pruning radius,
+no row can lie outside it and prune skips the scan.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ _AXIS_MASK = (1 << _AXIS_BITS) - 1
 # entry (a, b) of a 3x3 outer product lives in column _UPPER[a, b] of q
 _UPPER = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 _UPPER_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_ROW, _COL = np.array(_UPPER_PAIRS).T
 
 
 class InsufficientPointsError(ValueError):
@@ -61,17 +63,16 @@ def moments(n, s, q) -> tuple[np.ndarray, np.ndarray]:
 
     ``n`` (M,), ``s`` (M,3) and ``q`` (M,6) as a `GmmMap` stores them.
     Returns ``mu`` (M,3), relative to the anchor the sums were taken about,
-    and ``sigma`` (M,3,3), which does not depend on the anchor. The
-    covariance divides by n-1, so every voxel needs n >= 2.
+    and ``cov`` (M,6), the covariance packed in q's column order, which does
+    not depend on the anchor; ``cov[:, _UPPER]`` is the full (M,3,3) matrix.
+    The covariance divides by n-1, so every voxel needs n >= 2.
     """
     n = np.asarray(n, dtype=float)
     if n.size and n.min() < 2:
         raise InsufficientPointsError("sample covariance needs at least 2 points per voxel")
     mu = np.asarray(s, dtype=float) / n[:, None]
-    # forming the outer product before scaling keeps sigma exactly symmetric
-    centered = np.asarray(q, dtype=float)[:, _UPPER] - n[:, None, None] * (
-        mu[:, :, None] * mu[:, None, :])
-    return mu, centered / (n - 1.0)[:, None, None]
+    centered = np.asarray(q, dtype=float) - n[:, None] * (mu[:, _ROW] * mu[:, _COL])
+    return mu, centered / (n - 1.0)[:, None]
 
 
 def _group(points, voxel_size: float, origin):
@@ -79,8 +80,8 @@ def _group(points, voxel_size: float, origin):
 
     Non-finite rows are dropped and counted. ``origin`` is the map's origin
     cell, or None for a map that has none yet, in which case the cell of the
-    first finite point becomes the origin. Returns
-    (origin, keys (K,), n (K,), s (K,3), q (K,6), rejected).
+    first finite point becomes the origin. Returns (origin, keys (K,), n (K,),
+    s (K,3), q (K,6), box (2,3): least and greatest cell per axis, rejected).
     """
     pts = as_points(points)
     rejected = 0
@@ -89,8 +90,8 @@ def _group(points, voxel_size: float, origin):
         rejected = len(pts) - int(finite.sum())
         pts = pts[finite]
     if not len(pts):
-        none = np.empty(0, dtype=np.int64)
-        return origin, none, none, np.empty((0, 3)), np.empty((0, 6)), rejected
+        none, box = np.empty(0, dtype=np.int64), np.array([[np.inf] * 3, [-np.inf] * 3])
+        return origin, none, none, np.empty((0, 3)), np.empty((0, 6)), box, rejected
     # One (3, N) buffer, a contiguous row per axis, holds the cell indices and
     # then each point's offset from its cell centre. Every frame-sized
     # temporary saved here is memory the allocator need not take from the
@@ -99,8 +100,8 @@ def _group(points, voxel_size: float, origin):
     np.floor(np.divide(pts.T, voxel_size, out=cells), out=cells)
     if origin is None:
         origin = cells[:, 0].copy()
-    lo, hi = cells.min(axis=1) - origin, cells.max(axis=1) - origin
-    if (lo < -_KEY_BIAS).any() or (hi >= _KEY_BIAS).any():
+    box = np.stack([cells.min(axis=1), cells.max(axis=1)])
+    if (box[0] - origin < -_KEY_BIAS).any() or (box[1] - origin >= _KEY_BIAS).any():
         rel = cells.T - origin
         row = ((rel < -_KEY_BIAS) | (rel >= _KEY_BIAS)).any(axis=1).argmax()
         raise ValueError(
@@ -123,14 +124,7 @@ def _group(points, voxel_size: float, origin):
         sums[:, c] = np.bincount(inverse, weights=d[c], minlength=len(keys))
     for c, (i, j) in enumerate(_UPPER_PAIRS, start=3):
         sums[:, c] = np.bincount(inverse, weights=d[i] * d[j], minlength=len(keys))
-    return origin, keys, n, sums[:, :3], sums[:, 3:], rejected
-
-
-def _decode(keys, origin) -> np.ndarray:
-    """(K,3) float cell index (i, j, k) of each packed key."""
-    b = np.stack([keys >> (2 * _AXIS_BITS), (keys >> _AXIS_BITS) & _AXIS_MASK,
-                  keys & _AXIS_MASK], axis=1)
-    return (b - _KEY_BIAS) + origin
+    return origin, keys, n, sums[:, :3], sums[:, 3:], box, rejected
 
 
 @dataclass
@@ -140,7 +134,7 @@ class StagedUpdate:
     ``keys``, ``hit``, ``n``, ``s`` and ``q`` are aligned: one entry per voxel
     the frame touches, in key order. ``rows`` holds the base-map row of each
     hit voxel, in the same order. ``origin`` is the base map's origin, or the
-    one this stage chose if the base map had none.
+    one this stage chose if the base map had none. ``box`` is as `_group`'s.
     """
 
     base: "GmmMap"
@@ -152,6 +146,7 @@ class StagedUpdate:
     n: np.ndarray
     s: np.ndarray
     q: np.ndarray
+    box: np.ndarray
     rejected: int
 
     @property
@@ -183,7 +178,10 @@ class GmmMap:
         """(M,3) float array of each row's cell index (i, j, k), or of ``rows``."""
         if self.origin is None:
             return np.empty((0, 3))
-        return _decode(self._keys if rows is None else self._keys[rows], self.origin)
+        keys = self._keys if rows is None else self._keys[rows]
+        b = np.stack([keys >> (2 * _AXIS_BITS), (keys >> _AXIS_BITS) & _AXIS_MASK,
+                      keys & _AXIS_MASK], axis=1)
+        return (b - _KEY_BIAS) + self.origin
 
     def centres(self) -> np.ndarray:
         """(M,3) centre of each row's cell, the anchor of its sums."""
@@ -200,12 +198,12 @@ class GmmMap:
 
         Points must already be in the map frame. The base map is not modified.
         """
-        origin, keys, n, s, q, rejected = _group(points, self.voxel_size, self.origin)
+        origin, keys, n, s, q, box, rejected = _group(points, self.voxel_size, self.origin)
         at = np.searchsorted(self._keys, keys)
         hit = at < len(self._keys)
         hit[hit] = self._keys[at[hit]] == keys[hit]
         return StagedUpdate(self, self.version, origin, keys, hit, at[hit],
-                            n, s, q, rejected)
+                            n, s, q, box, rejected)
 
     def commit(self, stage: StagedUpdate) -> None:
         """Adopt a stage's deltas. Rejects stages from another map state."""
@@ -218,14 +216,19 @@ class GmmMap:
         self.origin = stage.origin  # chosen by the stage when the map had none
         new = ~hit
         if new.any():
-            at = np.searchsorted(self._keys, stage.keys[new])
-            self._keys = np.insert(self._keys, at, stage.keys[new])
-            self.n = np.insert(self.n, at, stage.n[new])
-            self.s = np.insert(self.s, at, stage.s[new], axis=0)
-            self.q = np.insert(self.q, at, stage.q[new], axis=0)
-            cells = _decode(stage.keys[new], self.origin)
-            self._box = np.stack([np.minimum(self._box[0], cells.min(axis=0)),
-                                  np.maximum(self._box[1], cells.max(axis=0))])
+            # the new keys' rows in the merged arrays; the old rows fill the rest
+            at = np.searchsorted(self._keys, stage.keys[new]) + np.arange(int(new.sum()))
+            old = np.ones(len(self._keys) + len(at), dtype=bool)
+            old[at] = False
+            for name, add in (("_keys", stage.keys), ("n", stage.n), ("s", stage.s),
+                              ("q", stage.q)):
+                kept = getattr(self, name)
+                merged = np.empty((len(old),) + kept.shape[1:], dtype=kept.dtype)
+                merged[old], merged[at] = kept, add[new]
+                setattr(self, name, merged)
+            # hit cells already lie inside the box
+            self._box = np.stack([np.minimum(self._box[0], stage.box[0]),
+                                  np.maximum(self._box[1], stage.box[1])])
         self.total_points += stage.point_count
         self.rejected_points += stage.rejected
         self.version += 1

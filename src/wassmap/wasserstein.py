@@ -4,11 +4,15 @@ For Gaussians the distance has the closed form
 
     W2^2 = |mu1 - mu2|^2 + tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2})
 
-The cross term needs only the eigenvalues of S1 S2, which are those of
-F^T S2 F for any F with F F^T = S1 (Bhatia, Jain & Lim, Expo. Math. 2019).
-F is the closed-form 3x3 Cholesky factor of S1 (`_cholesky`), or, on rows it
-cannot certify (rank-deficient, or beyond its trace bound), V diag(sqrt(lam))
-from `eigh`. Voxels with coplanar or collinear points give rank-deficient
+The cross term needs only the eigenvalues l1 >= l2 >= l3 of S1 S2, which are
+those of M = F^T S2 F for any F with F F^T = S1 (Bhatia, Jain & Lim, Expo.
+Math. 2019). F is the closed-form 3x3 Cholesky factor of S1 (`_cholesky`),
+or, on rows it cannot certify (rank-deficient, or beyond its trace bound),
+V diag(sqrt(lam)) from `eigh`. Then tr M^{1/2} = sqrt(l1) + sqrt(tr M - l1 +
+2 sqrt(det M / l1)), with l1 from Smith's trigonometric formula (CACM 1961)
+and det M from an LDL^T of M. Covariances come packed as `moments` returns
+them, symmetric by construction; only rows that go to LAPACK are expanded
+to 3x3. Voxels with coplanar or collinear points give rank-deficient
 covariances, so eigenvalues in [-1e-9, 0) are clamped to zero; anything more
 negative is rejected as an invalid covariance. The frame side's covariances
 are checked against that floor by the same Cholesky, shifted by half the
@@ -31,16 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wassmap.voxel_map import StagedUpdate, StaleStageError, moments
+from wassmap.voxel_map import _COL, _ROW, _UPPER, StagedUpdate, StaleStageError, moments
 
 _EIG_CLAMP = 1e-9
-_SYM_TOL = 1e-9
 _CERT_TRACE = 1e3  # m^2; see _cholesky
 _U = 2.0**-53  # unit roundoff
 
 
 class InvalidCovarianceError(ValueError):
-    """Covariance is non-symmetric, non-finite, or indefinite beyond tolerance."""
+    """Covariance is non-finite, or indefinite beyond tolerance."""
 
 
 @dataclass
@@ -53,13 +56,13 @@ class DissimilarityReport:
     skipped_count: int          # shared voxels under the point-count floor
 
 
-def _cholesky(sig: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form lower Cholesky factor L of A = fl(S + shift I), (B,3,3), not
-    meaningful on rows that fail a pivot, and the (B,) mask of rows it
-    certifies: those whose `eigvalsh` minimum cannot fall below -c, c = _EIG_CLAMP.
-
-    S is read from its lower triangle, the one `eigvalsh` reads. A row is
-    certified when its three pivots are positive and tr A < _CERT_TRACE.
+def _cholesky(cov: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form lower Cholesky factor L of A = fl(S + shift I), packed as
+    l00 l10 l20 l11 l21 l22 and not meaningful on rows that fail a pivot, and
+    the (B,) mask of rows it certifies: those whose `eigvalsh` minimum cannot
+    fall below -c, c = _EIG_CLAMP. S (B,6) is packed as `moments` packs it:
+    its lower triangle, the one `eigvalsh` reads. A row is certified when its
+    three pivots are positive and tr A < _CERT_TRACE.
     With unit roundoff u = 2^-53 and n = 3, Higham (Accuracy and Stability of
     Numerical Algorithms, 2nd ed., Thm 10.3) gives the computed factor with
     L L^T = A + dA, |dA| <= g4 |L| |L^T|, g4 = 4u / (1 - 4u). Hence
@@ -75,98 +78,128 @@ def _cholesky(sig: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray, np.ndarr
     covariance of trace at most 1.5 s^2, so only voxels wider than 25 m can
     reach the bound; the rows that do, or that fail a pivot, go to LAPACK.
     """
-    a00 = sig[:, 0, 0] + shift
-    a11 = sig[:, 1, 1] + shift
-    a22 = sig[:, 2, 2] + shift
-    low = np.zeros(sig.shape)
+    a00, a11, a22 = (cov[:, k] + shift for k in (0, 3, 5))
+    low = np.empty(cov.shape)
     with np.errstate(all="ignore"):  # a row that fails turns NaN and fails below
-        l00 = low[:, 0, 0] = np.sqrt(a00)
-        l10 = low[:, 1, 0] = sig[:, 1, 0] / l00
-        l20 = low[:, 2, 0] = sig[:, 2, 0] / l00
+        l00 = low[:, 0] = np.sqrt(a00)
+        l10 = low[:, 1] = cov[:, 1] / l00
+        l20 = low[:, 2] = cov[:, 2] / l00
         p1 = a11 - l10 * l10
-        l11 = low[:, 1, 1] = np.sqrt(p1)
-        l21 = low[:, 2, 1] = (sig[:, 2, 1] - l10 * l20) / l11
+        l11 = low[:, 3] = np.sqrt(p1)
+        l21 = low[:, 4] = (cov[:, 4] - l10 * l20) / l11
         p2 = a22 - l20 * l20 - l21 * l21
-        low[:, 2, 2] = np.sqrt(p2)
+        low[:, 5] = np.sqrt(p2)
         return low, (a00 > 0) & (p1 > 0) & (p2 > 0) & (a00 + a11 + a22 < _CERT_TRACE)
 
 
-def _validate_covariances(sig: np.ndarray, eig_floor_checked: bool) -> None:
-    if not np.all(np.isfinite(sig)):
+def _validate_covariances(cov: np.ndarray, eig_floor_checked: bool) -> None:
+    if not np.all(np.isfinite(cov)):
         raise InvalidCovarianceError("non-finite covariance")
-    asym = np.abs(sig - np.swapaxes(sig, -1, -2)).max()
-    if asym > _SYM_TOL:
-        raise InvalidCovarianceError(f"covariance asymmetric by {asym:.3g}")
     if not eig_floor_checked:
         # every failing row is uncertified, so it holds this minimum and the
         # message names the same eigenvalue as a check of the whole batch
-        rest = sig[~_cholesky(sig, 0.5 * _EIG_CLAMP)[1]]
-        lam_min = np.linalg.eigvalsh(rest).min() if len(rest) else 0.0
+        rest = cov[~_cholesky(cov, 0.5 * _EIG_CLAMP)[1]]
+        lam_min = np.linalg.eigvalsh(rest[:, _UPPER]).min() if len(rest) else 0.0
         if lam_min < -_EIG_CLAMP:
             raise InvalidCovarianceError(f"covariance has eigenvalue {lam_min:.3g}")
 
 
-def w2_batch(mu1, sig1, mu2, sig2) -> np.ndarray:
+def _congruence(low: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """(6,B) packed M = L^T S L, through T = S L, for L as `_cholesky` packs it."""
+    l00, l10, l20, l11, l21, l22 = low.T
+    s00, s01, s02, s11, s12, s22 = cov.T
+    t00 = s00 * l00 + s01 * l10 + s02 * l20
+    t10 = s01 * l00 + s11 * l10 + s12 * l20
+    t20 = s02 * l00 + s12 * l10 + s22 * l20
+    t01, t11, t21 = s01 * l11 + s02 * l21, s11 * l11 + s12 * l21, s12 * l11 + s22 * l21
+    t02, t12, t22 = s02 * l22, s12 * l22, s22 * l22
+    return np.array([l00 * t00 + l10 * t10 + l20 * t20, l00 * t01 + l10 * t11 + l20 * t21,
+                     l00 * t02 + l10 * t12 + l20 * t22, l11 * t11 + l21 * t21,
+                     l11 * t12 + l21 * t22, l22 * t22])
+
+
+def _root_trace(m00, m01, m02, m11, m12, m22) -> np.ndarray:
+    """tr(M^{1/2}) from the rows of packed M, in the module docstring's closed
+    form; det M is 0 where an LDL^T pivot is not positive, the root 0 where l1 is."""
+    tr = m00 + m11 + m22
+    q = tr / 3.0
+    a, b, c = m00 - q, m11 - q, m22 - q
+    p = np.sqrt((a * a + b * b + c * c + 2.0 * (m01 * m01 + m02 * m02 + m12 * m12)) / 6.0)
+    det_mq = a * (b * c - m12 * m12) + m01 * (m12 * m02 - m01 * c) + m02 * (m01 * m12 - b * m02)
+    with np.errstate(all="ignore"):
+        # det(M - qI) / 2p^3 is 0/0 where M is isotropic; fmax sends NaN to -1, so l1 = q
+        r = np.fmin(np.fmax(det_mq / (2.0 * p * p * p), -1.0), 1.0)
+        lam1 = np.maximum(q + 2.0 * p * np.cos(np.arccos(r) / 3.0), 0.0)
+        d1, e = m11 - m01 * m01 / m00, m12 - m01 * m02 / m00
+        d2 = m22 - m02 * m02 / m00 - e * e / d1
+        det = np.where((m00 > 0) & (d1 > 0) & (d2 > 0), m00 * d1 * d2, 0.0)
+        rest = np.maximum(tr - lam1 + 2.0 * np.sqrt(det / lam1), 0.0)
+        return np.where(lam1 > 0, np.sqrt(lam1) + np.sqrt(rest), 0.0)
+
+
+def w2_batch(mu1, cov1, mu2, cov2) -> np.ndarray:
     """Pairwise Wasserstein distances for aligned batches of Gaussians.
 
-    Shapes (B,3) and (B,3,3); returns (B,). Inputs are validated once per
-    batch. The cross term takes F = L, the unshifted `_cholesky` factor of
-    ``sig1``, on each row with three positive pivots and tr S1 < 1e3 m^2:
-    there lambda_min(S1) >= -6u tr S1 > -1e-9, so the floor holds unchecked.
-    Other rows take F = V diag(sqrt(lambda)) from `eigh`, which checks it.
+    Shapes (B,3) and (B,6), covariances packed as `moments` packs them;
+    returns (B,), validating the inputs once per batch. F = L, the unshifted
+    `_cholesky` factor of ``cov1``, on rows with three positive pivots and
+    tr S1 < 1e3 m^2: there lambda_min(S1) >= -6u tr S1 > -1e-9, so the floor
+    holds unchecked. Other rows take F = V diag(sqrt(lambda)) from `eigh`, which checks it.
 
     W2^2 below -(9c + 8u (tr S1 + tr S2) + 64 sqrt(u tr S1 tr S2)), c =
     _EIG_CLAMP, is rejected; nothing the checks above accept gets there.
-    Exactly, F F^T is S1's positive part and S2's symmetric part has
-    eigenvalues >= -2c (its floor plus the tolerated asymmetry): W2^2 >= -9c.
-    F F^T = S1 + dA, ||dA|| < 5u tr S1 (`_cholesky`); forming F^T S2 F adds
-    at most 6u tr S1 tr S2 and `eigvalsh` p u tr S1 tr S2, p a few dozen. As
-    |sqrt(a) - sqrt(b)| <= sqrt(|a - b|), the doubled sum of three roots
-    lowers W2^2 by at most 6 sqrt((11 + p) u tr S1 tr S2) < 64 sqrt(u tr S1
-    tr S2) for p up to 100; a flat voxel's zero eigenvalue is lifted to that
-    size. Near zero the sums round by at most 8u (tr S1 + tr S2).
+    Exactly, F F^T is S1's positive part and S2 has eigenvalues >= -c:
+    W2^2 >= -9c. Rounding moves M's eigenvalues by at most eta = 30u tr S1
+    tr S2: 5u from F F^T = S1 + dA (`_cholesky`), 6u from forming M, and 12u
+    from the LDL^T, whose det is that of M + E, ||E|| <= 5u tr M, or 0 after a
+    pivot that fails only if lambda_min(M) <= 12u tr M (Higham, Thms 10.5 and
+    10.7); Smith's l1 adds a few u, or up to sqrt(u) tr M next to a double top
+    eigenvalue, where tr M^{1/2} is stationary in l1. As |sqrt(a) - sqrt(b)|
+    <= sqrt(|a - b|), W2^2 drops by at most 6 sqrt(eta) < 64 sqrt(u tr S1
+    tr S2), the size a flat voxel's zero eigenvalue is lifted to. Near zero
+    the sums round by at most 8u (tr S1 + tr S2).
     """
     mu1 = np.asarray(mu1, dtype=float).reshape(-1, 3)
     mu2 = np.asarray(mu2, dtype=float).reshape(-1, 3)
-    sig1 = np.asarray(sig1, dtype=float).reshape(-1, 3, 3)
-    sig2 = np.asarray(sig2, dtype=float).reshape(-1, 3, 3)
-    if not (len(mu1) == len(mu2) == len(sig1) == len(sig2)):
+    cov1 = np.asarray(cov1, dtype=float).reshape(-1, 6)
+    cov2 = np.asarray(cov2, dtype=float).reshape(-1, 6)
+    if not (len(mu1) == len(mu2) == len(cov1) == len(cov2)):
         raise ValueError("batch sizes disagree")
     if len(mu1) == 0:
         return np.empty(0)
     if not (np.all(np.isfinite(mu1)) and np.all(np.isfinite(mu2))):
         raise ValueError("non-finite mean")
-    _validate_covariances(sig1, eig_floor_checked=True)
-    _validate_covariances(sig2, eig_floor_checked=False)
+    _validate_covariances(cov1, eig_floor_checked=True)
+    _validate_covariances(cov2, eig_floor_checked=False)
 
     dmu = mu1 - mu2
     mean_sq = (dmu * dmu).sum(axis=-1)
-    same_sigma = np.all(sig1 == sig2, axis=(-2, -1))
-    if same_sigma.all():
+    same_cov = np.all(cov1 == cov2, axis=-1)
+    if same_cov.all():
         # the trace term vanishes identically, skip the factorizations
         return np.sqrt(mean_sq)
 
-    sym1 = 0.5 * (sig1 + np.swapaxes(sig1, -1, -2))
-    factor, certified = _cholesky(sym1)
+    low, certified = _cholesky(cov1)
+    with np.errstate(all="ignore"):  # uncertified rows are replaced below
+        inner = _congruence(low, cov2)
     if not certified.all():
         rest = ~certified
-        lam1, vec1 = np.linalg.eigh(sym1[rest])
+        lam1, vec1 = np.linalg.eigh(cov1[rest][:, _UPPER])
         if lam1.min() < -_EIG_CLAMP:
             raise InvalidCovarianceError(f"covariance has eigenvalue {lam1.min():.3g}")
-        factor[rest] = vec1 * np.sqrt(np.clip(lam1, 0.0, None))[:, None, :]
-    inner = np.swapaxes(factor, -1, -2) @ sig2 @ factor
-    inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
-    cross = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum(axis=-1)
+        factor = vec1 * np.sqrt(np.clip(lam1, 0.0, None))[:, None, :]
+        full = np.swapaxes(factor, -1, -2) @ cov2[rest][:, _UPPER] @ factor
+        inner[:, rest] = full[:, _ROW, _COL].T
+    cross = _root_trace(*inner)
 
-    tr1, tr2 = np.trace(sig1, axis1=-2, axis2=-1), np.trace(sig2, axis1=-2, axis2=-1)
+    tr1, tr2 = cov1[:, 0] + cov1[:, 3] + cov1[:, 5], cov2[:, 0] + cov2[:, 3] + cov2[:, 5]
     traces = tr1 + tr2
     total = mean_sq + traces - 2.0 * cross
     floor = -(9 * _EIG_CLAMP + 8 * _U * traces + 64 * np.sqrt(_U * np.maximum(tr1 * tr2, 0.0)))
     if np.any(total < floor):
         raise InvalidCovarianceError("Wasserstein inner value strongly negative")
     out = np.sqrt(np.clip(total, 0.0, None))
-    if same_sigma.any():
-        out[same_sigma] = np.sqrt(mean_sq[same_sigma])
+    out[same_cov] = np.sqrt(mean_sq[same_cov])
     return out
 
 

@@ -21,6 +21,12 @@ def assert_maps_identical(a: GmmMap, b: GmmMap) -> None:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
+def pack(sig) -> np.ndarray:
+    """(..., 3, 3) covariances as the (..., 6) columns xx xy xz yy yz zz that
+    `moments` returns, taken from the lower triangle, the one `eigvalsh` reads."""
+    return np.asarray(sig, dtype=float)[..., [0, 1, 2, 1, 2, 2], [0, 0, 0, 1, 1, 2]]
+
+
 def evaluate_ate(estimate, ground_truth) -> float:
     """RMSE of translation errors between index-aligned pose lists."""
     if len(estimate) != len(ground_truth):

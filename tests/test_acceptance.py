@@ -25,7 +25,7 @@ from wassmap.synth import NoiseModel, ScanSpec, build_session_graph, compose_odo
 from wassmap.voxel_map import GmmMap, moments
 from wassmap.wasserstein import w2_batch
 
-from helpers import build_map, evaluate_ate, write_ascii_pcd
+from helpers import build_map, evaluate_ate, pack, write_ascii_pcd
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,8 @@ class GaussianComponent:
 
 
 def w2(g1: GaussianComponent, g2: GaussianComponent) -> float:
-    return float(w2_batch(g1.mu[None], g1.sigma[None], g2.mu[None], g2.sigma[None])[0])
+    return float(w2_batch(g1.mu[None], pack(g1.sigma[None]), g2.mu[None],
+                          pack(g2.sigma[None]))[0])
 
 
 def _finish(criterion: str, failures: list, detail: str) -> None:

@@ -566,6 +566,18 @@ class TestMergeCommand:
         assert "non-finite --t-init value" in capsys.readouterr().err
         assert not (out / "merged.g2o").exists()
 
+    def test_negative_max_iterations_is_a_usage_error(self, two_session_dataset, tmp_path,
+                                                      capsys):
+        out = tmp_path / "negative"
+        code = run("merge", "--graph", two_session_dataset / "session1.g2o",
+                   "--trajectory", two_session_dataset / "session2_estimate.tum",
+                   "--odometry", two_session_dataset / "session2_odometry.txt",
+                   "--loops", two_session_dataset / "loops.txt",
+                   "--max-iterations", "-1", "--out", out)
+        assert code == 1
+        assert "negative --max-iterations: -1" in capsys.readouterr().err
+        assert not (out / "report.txt").exists()
+
     def test_invalid_loop_information_names_its_line(self, two_session_dataset,
                                                       tmp_path, capsys):
         lines = (two_session_dataset / "loops.txt").read_text().splitlines()

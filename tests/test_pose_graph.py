@@ -185,6 +185,18 @@ def test_optimize_three_node_chain_converges():
     assert all(b <= a for a, b in zip(report.cost_trace, report.cost_trace[1:]))
 
 
+def test_negative_iteration_budget_rejected():
+    rng = np.random.default_rng(12)
+    graph, _ = _chain_graph(rng, n=3, perturb=0.05)
+    graph.nodes[0].fixed = True
+    before = [n.pose.as_matrix() for n in graph.nodes.values()]
+    with pytest.raises(ValueError, match="^negative max_iterations: -1$"):
+        optimize(graph, max_iterations=-1)
+    for node, mat in zip(graph.nodes.values(), before):
+        np.testing.assert_array_equal(node.pose.as_matrix(), mat)
+    assert optimize(graph, max_iterations=0).iterations == 0
+
+
 def test_gauge_errors():
     rng = np.random.default_rng(13)
     graph, _ = _chain_graph(rng)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from wassmap.voxel_map import (
+    _UPPER,
     GmmMap,
     InsufficientPointsError,
     StaleStageError,
     moments,
 )
 
-from helpers import build_map
+from helpers import build_map, pack
 
 
 def keys(grid) -> list[tuple[int, int, int]]:
@@ -71,9 +72,20 @@ def test_keys_beyond_packing_range_rejected():
 def test_hand_computed_moments():
     grid = build_map([(1.0, 0.5, 0.5), (3.0, 0.5, 0.5)], voxel_size=4.0)
     assert grid.n.tolist() == [2]
-    mu, sigma = moments(grid.n, grid.s, grid.q)
+    mu, cov = moments(grid.n, grid.s, grid.q)
     np.testing.assert_allclose(mu[0] + grid.centres()[0], (2.0, 0.5, 0.5))
-    np.testing.assert_allclose(sigma[0], np.diag([2.0, 0.0, 0.0]))
+    np.testing.assert_allclose(cov[0], (2.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+
+    # each packed column is its entry of the 3x3 formula, bit for bit
+    rng = np.random.default_rng(5)
+    grid = build_map(rng.normal(scale=3.0, size=(2000, 3)) + 1e3, voxel_size=1.0)
+    rows = np.flatnonzero(grid.n >= 2)
+    n, s, q = grid.n[rows], grid.s[rows], grid.q[rows]
+    mu = s / n[:, None]
+    full = (q[:, _UPPER] - n[:, None, None] * (mu[:, :, None] * mu[:, None, :])) \
+        / (n - 1.0)[:, None, None]
+    assert len(rows) > 100
+    assert np.array_equal(moments(n, s, q)[1], pack(full))
 
 
 def test_sample_covariance_needs_two_points():
@@ -136,9 +148,9 @@ def test_covariance_is_symmetric_psd():
         pts = rng.normal(size=(rng.integers(2, 40), 3)) * rng.uniform(0.01, 10.0)
         grid = build_map(pts + 500.0, voxel_size=1000.0)
         assert len(grid) == 1
-        _, cov = moments(grid.n, grid.s, grid.q)
-        np.testing.assert_allclose(cov[0], cov[0].T)
-        assert np.linalg.eigvalsh(cov[0]).min() >= -1e-9
+        full = moments(grid.n, grid.s, grid.q)[1][0, _UPPER]
+        np.testing.assert_allclose(full, full.T)
+        assert np.linalg.eigvalsh(full).min() >= -1e-9
 
 
 def test_stage_leaves_base_untouched():
@@ -178,6 +190,17 @@ def test_commit_matches_direct_insert():
     np.testing.assert_array_equal(staged.n, direct.n)
     np.testing.assert_allclose(staged.s, direct.s, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(staged.q, direct.q, rtol=1e-9, atol=1e-12)
+
+
+def test_commit_grows_the_box_to_the_occupied_cells():
+    rng = np.random.default_rng(29)
+    grid = GmmMap(voxel_size=0.5)
+    for step in range(8):
+        # frames that only add to rows, or that also open cells on any side
+        frame = rng.normal(scale=rng.uniform(0.5, 6.0), size=(int(rng.integers(1, 300)), 3))
+        grid.commit(grid.stage_frame(frame + rng.normal(scale=4.0, size=3) * (step % 3 > 0)))
+        cells = grid.cells()
+        np.testing.assert_array_equal(grid._box, [cells.min(axis=0), cells.max(axis=0)])
 
 
 def test_stale_stage_rejected():

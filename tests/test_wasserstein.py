@@ -17,7 +17,7 @@ from wassmap.wasserstein import (
     w2_batch,
 )
 
-from helpers import build_map
+from helpers import build_map, pack
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,8 @@ class GaussianComponent:
 
 def w2(g1: GaussianComponent, g2: GaussianComponent) -> float:
     """Wasserstein distance between two Gaussian components, in meters."""
-    return float(w2_batch(g1.mu[None], g1.sigma[None], g2.mu[None], g2.sigma[None])[0])
+    return float(w2_batch(g1.mu[None], pack(g1.sigma[None]), g2.mu[None],
+                          pack(g2.sigma[None]))[0])
 
 
 def distances(report: DissimilarityReport, grid: GmmMap) -> dict:
@@ -47,15 +48,12 @@ def random_psd(rng, size=None):
 
 
 def test_w2_batch_rejects_bad_base_covariances():
-    zero, good = np.zeros((1, 3)), 2.0 * np.eye(3)[None]
-    bad = np.eye(3)
-    bad[0, 1] = 0.5
-    cases = [(bad, "^covariance asymmetric by 0.5$"),
-             (np.diag([1.0, 1.0, -0.5]), "^covariance has eigenvalue -0.5$"),
+    zero, good = np.zeros((1, 3)), pack(2.0 * np.eye(3)[None])
+    cases = [(np.diag([1.0, 1.0, -0.5]), "^covariance has eigenvalue -0.5$"),
              (np.full((3, 3), np.nan), "^non-finite covariance$")]
     for sig1, message in cases:
         with pytest.raises(InvalidCovarianceError, match=message):
-            w2_batch(zero, sig1[None], zero, good)
+            w2_batch(zero, pack(sig1[None]), zero, good)
 
 
 def w2_batch_reference(mu1, sig1, mu2, sig2) -> np.ndarray:
@@ -95,7 +93,7 @@ def _floor_message(sig):
 def _screen_message(sig):
     """The error of the product's floor check of ``sig``, or None."""
     try:
-        _validate_covariances(sig, eig_floor_checked=False)
+        _validate_covariances(pack(sig), eig_floor_checked=False)
     except InvalidCovarianceError as err:
         return str(err)
     return None
@@ -130,8 +128,8 @@ def test_psd_certificate_accepts_and_rejects_like_eigvalsh():
         _rank_deficient(rng, 200, 2),
         _rank_deficient(rng, 200, 1),
     ])
-    # asymmetric within the tolerance: the lower triangle, which eigvalsh
-    # reads, is indefinite beyond the line and the upper one is not
+    # two lower triangles, the part that is packed and that eigvalsh reads:
+    # one indefinite beyond the line, the other not
     skew = np.diag([2e-9, 2e-9, 1.0])
     skew[1, 0], skew[0, 1] = 3.3e-9, 2.4e-9
     near_floor = np.concatenate([_with_min_eigenvalue(rng, lams, rotate=False),
@@ -149,13 +147,13 @@ def test_psd_certificate_accepts_and_rejects_like_eigvalsh():
     ])
     sig = np.concatenate([ordinary, near_floor, big])
     rejects = np.linalg.eigvalsh(sig).min(axis=-1) < -1e-9
-    certified = _cholesky(sig, 0.5e-9)[1]
+    certified = _cholesky(pack(sig), 0.5e-9)[1]
 
     assert certified[:len(ordinary)].all()
     assert not certified[len(ordinary) + len(near_floor):].any()
     assert not (certified & rejects).any()
     # the unshifted factor the base side uses certifies no rejected row either
-    assert not (_cholesky(sig)[1] & rejects).any()
+    assert not (_cholesky(pack(sig))[1] & rejects).any()
     assert rejects[len(ordinary):].any() and not rejects.all()
     for row in sig:
         assert _screen_message(row[None]) == _floor_message(row[None])
@@ -172,17 +170,52 @@ def test_indefinite_overlay_row_names_its_eigenvalue():
     sig2[31] = _with_min_eigenvalue(rng, np.array([-2e-6]), rotate=True)[0]
     zero = np.zeros((50, 3))
     with pytest.raises(InvalidCovarianceError, match="^covariance has eigenvalue -0.001$"):
-        w2_batch(zero, sig1, zero, sig2)
+        w2_batch(zero, pack(sig1), zero, pack(sig2))
     sig2[7] = sig1[7]
     with pytest.raises(InvalidCovarianceError) as info:
-        w2_batch(zero, sig1, zero, sig2)
+        w2_batch(zero, pack(sig1), zero, pack(sig2))
     assert str(info.value) == _floor_message(sig2) == "covariance has eigenvalue -2e-06"
+
+
+def _rotated(rng, lams):
+    """Q diag(lams) Q^T for random rotations Q, one per row of ``lams``."""
+    rot, _ = np.linalg.qr(rng.normal(size=(len(lams), 3, 3)))
+    mats = rot @ (lams[:, :, None] * np.eye(3)) @ np.swapaxes(rot, -1, -2)
+    return 0.5 * (mats + np.swapaxes(mats, -1, -2))
+
+
+def _closed_form_rows(rng, count):
+    """Rows aimed at the closed-form cross term, as (sig1, sig2, full rank):
+    isotropic pairs (M isotropic, Smith's p = 0), double eigenvalues of M,
+    rank-1 and rank-2 frame sides against full-rank bases, and eigenvalues
+    graded from 1e-12 to 1 m^2; the last ``count`` are graded planar bases
+    that fail the Cholesky's last pivot and take the eigh factor."""
+    def uniform(*shape):
+        return rng.uniform(1e-3, 1.0, size=shape)
+    iso1, iso2 = uniform(count, 1, 1) * np.eye(3), uniform(count, 1, 1) * np.eye(3)
+    pair = uniform(count, 1)
+    double1 = _rotated(rng, np.concatenate([pair, pair, uniform(count, 1)], axis=1))
+    double2 = double1 + uniform(count, 1, 1) * np.eye(3)  # shares the double eigenvalue
+    diag1 = np.concatenate([pair, pair, uniform(count, 1)], axis=1)[:, :, None] * np.eye(3)
+    diag2 = diag1 * uniform(count, 1, 1)
+    line, flat = (rng.normal(size=(count, 3, r)) for r in (1, 2))
+    graded = [_rotated(rng, 10.0 ** rng.uniform(-12, 0, size=(count, 3))) for _ in range(4)]
+    planar = graded[3].copy()
+    planar[:, 2, :] = planar[:, :, 2] = 0.0
+    sig1 = np.concatenate([iso1, double1, diag1, _rotated(rng, uniform(count, 3)),
+                           _rotated(rng, uniform(count, 3)), graded[0], graded[1], planar])
+    sig2 = np.concatenate([iso2, double2, diag2, line @ np.swapaxes(line, -1, -2),
+                           flat @ np.swapaxes(flat, -1, -2), graded[2],
+                           graded[1] + 1e-3 * graded[2], planar + 1e-3 * graded[2]])
+    full = np.repeat([True, True, True, False, False, False, False, False], count)
+    return sig1, sig2, full
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_scores_and_roots_bitwise_equal_to_reference(seed):
     """Scores over mixed rows (full rank, planar, linear, unchanged, beyond the
-    certificate's trace bound) match the square-root reference."""
+    certificate's trace bound, and the closed form's edge cases) match the
+    square-root reference."""
     rng = np.random.default_rng(seed)
     size = 300
     kind = rng.integers(0, 4, size)  # full rank, planar, linear, unchanged
@@ -199,22 +232,28 @@ def test_scores_and_roots_bitwise_equal_to_reference(seed):
         sig2[:10] *= 2 * _CERT_TRACE
     sig2 = 0.5 * (sig2 + np.swapaxes(sig2, -1, -2))
     mu1, mu2 = rng.normal(size=(size, 3)), rng.normal(size=(size, 3))
+    more1, more2, more_full = _closed_form_rows(rng, 20)
+    sig1, sig2 = np.concatenate([sig1, more1]), np.concatenate([sig2, more2])
+    mu1 = np.concatenate([mu1, rng.normal(size=(len(more1), 3))])
+    mu2 = np.concatenate([mu2, rng.normal(size=(len(more1), 3))])
 
     # both sources of the factor: Cholesky and eigh
-    assert _cholesky(sig1)[1].any() and not _cholesky(sig1)[1].all()
-    got = w2_batch(mu1, sig1, mu2, sig2)
+    certified = _cholesky(pack(sig1))[1]
+    assert certified.any() and not certified.all()
+    assert certified[-60:-20].all() and not certified[-20:].any()
+    got = w2_batch(mu1, pack(sig1), mu2, pack(sig2))
     want = w2_batch_reference(mu1, sig1, mu2, sig2)
     # The reference's root loses digits where S1 is ill-conditioned: up to
     # 3e-12 relative on the full-rank rows here. On rank-deficient rows either
     # path rounds each zero eigenvalue of the cross product to about
     # u tr S1 tr S2, which its square root lifts to sqrt(u tr S1 tr S2) in W2^2.
-    full = kind % 3 == 0
+    full = np.concatenate([kind % 3 == 0, more_full])
     np.testing.assert_allclose(got[full], want[full], rtol=1e-11)
     traces = np.trace(sig1, axis1=1, axis2=2) * np.trace(sig2, axis1=1, axis2=2)
     assert (np.abs(got**2 - want**2) <= 16 * np.sqrt(2.0**-53 * traces))[~full].all()
 
     # an all-unchanged batch takes the shortcut
-    got = w2_batch(mu1, sig1, mu2, sig1)
+    got = w2_batch(mu1, pack(sig1), mu2, pack(sig1))
     assert np.array_equal(got, w2_batch_reference(mu1, sig1, mu2, sig1))
 
 
@@ -234,7 +273,7 @@ def test_near_singular_commuting_pairs_match_the_closed_form():
         sig1, sig2 = (0.5 * (s + np.swapaxes(s, -1, -2)) for s in (sig1, sig2))
         zero = np.zeros((size, 3))
         exact = np.sqrt(((np.sqrt(a) - np.sqrt(b)) ** 2).sum(axis=1))
-        assert np.abs(w2_batch(zero, sig1, zero, sig2) - exact).max() <= 1e-9
+        assert np.abs(w2_batch(zero, pack(sig1), zero, pack(sig2)) - exact).max() <= 1e-9
 
 
 def _flat_pair(seed, eps):
@@ -254,7 +293,7 @@ def test_flat_commuting_pairs_are_accepted():
     for eps in (1e-10, 1e-12, 1e-14):
         for seed in range(200):
             sig1, sig2 = _flat_pair(seed, eps)
-            assert w2_batch(zero, sig1[None], zero, sig2[None])[0] < 1e-4
+            assert w2_batch(zero, pack(sig1[None]), zero, pack(sig2[None]))[0] < 1e-4
 
 
 def test_pair_below_the_inner_value_floor_is_rejected(monkeypatch):
@@ -267,13 +306,13 @@ def test_pair_below_the_inner_value_floor_is_rejected(monkeypatch):
     sig2 = sig1 - 2 * floor * np.outer(normal, normal)
     zero = np.zeros((1, 3))
     with pytest.raises(InvalidCovarianceError, match="^covariance has eigenvalue"):
-        w2_batch(zero, sig1[None], zero, sig2[None])
+        w2_batch(zero, pack(sig1[None]), zero, pack(sig2[None]))
     # past the frame-side eigenvalue check, the floor itself rejects the pair
     monkeypatch.setattr(wassmap.wasserstein, "_validate_covariances",
-                        lambda sig, eig_floor_checked: None)
+                        lambda cov, eig_floor_checked: None)
     with pytest.raises(InvalidCovarianceError,
                        match="^Wasserstein inner value strongly negative$"):
-        w2_batch(zero, sig1[None], zero, sig2[None])
+        w2_batch(zero, pack(sig1[None]), zero, pack(sig2[None]))
 
 
 def test_planar_base_rows_take_the_eigh_factor():
@@ -289,8 +328,8 @@ def test_planar_base_rows_take_the_eigh_factor():
     sig1 = np.stack([np.cov(p, rowvar=False) for p in base])
     sig2 = np.stack([np.cov(p, rowvar=False) for p in both])
     mu1, mu2 = base.mean(axis=1), both.mean(axis=1)
-    assert not _cholesky(sig1)[1].any()
-    np.testing.assert_allclose(w2_batch(mu1, sig1, mu2, sig2),
+    assert not _cholesky(pack(sig1))[1].any()
+    np.testing.assert_allclose(w2_batch(mu1, pack(sig1), mu2, pack(sig2)),
                                w2_batch_reference(mu1, sig1, mu2, sig2), rtol=0, atol=1e-12)
 
 
@@ -328,6 +367,7 @@ def test_metric_axioms_on_seeded_triples():
     mus = [rng.normal(scale=2.0, size=(n, 3)) for _ in range(3)]
     sigs = [random_psd(rng, n) for _ in range(3)]
 
+    sigs = [pack(sig) for sig in sigs]
     d01 = w2_batch(mus[0], sigs[0], mus[1], sigs[1])
     d10 = w2_batch(mus[1], sigs[1], mus[0], sigs[0])
     d12 = w2_batch(mus[1], sigs[1], mus[2], sigs[2])
@@ -345,17 +385,17 @@ def test_translation_equivariance_and_rotation_invariance():
     n = 200
     mu1, mu2 = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
     s1, s2 = random_psd(rng, n), random_psd(rng, n)
-    base = w2_batch(mu1, s1, mu2, s2)
+    base = w2_batch(mu1, pack(s1), mu2, pack(s2))
 
     shift = rng.normal(size=3)
     np.testing.assert_allclose(
-        w2_batch(mu1 + shift, s1, mu2 + shift, s2), base, atol=1e-9
+        w2_batch(mu1 + shift, pack(s1), mu2 + shift, pack(s2)), base, atol=1e-9
     )
 
     rot = Rotation.from_rotvec(rng.normal(size=3)).as_matrix()
     np.testing.assert_allclose(
         w2_batch(
-            mu1 @ rot.T, rot @ s1 @ rot.T, mu2 @ rot.T, rot @ s2 @ rot.T
+            mu1 @ rot.T, pack(rot @ s1 @ rot.T), mu2 @ rot.T, pack(rot @ s2 @ rot.T)
         ),
         base,
         atol=1e-9,
@@ -366,7 +406,7 @@ def test_scalar_w2_matches_batch():
     rng = np.random.default_rng(33)
     mu1, mu2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
     s1, s2 = random_psd(rng, 4), random_psd(rng, 4)
-    batch = w2_batch(mu1, s1, mu2, s2)
+    batch = w2_batch(mu1, pack(s1), mu2, pack(s2))
     for i in range(4):
         got = w2(GaussianComponent(mu1[i], s1[i]), GaussianComponent(mu2[i], s2[i]))
         assert abs(got - batch[i]) < 1e-12
