@@ -216,8 +216,8 @@ class GmmMap:
         self.origin = stage.origin  # chosen by the stage when the map had none
         new = ~hit
         if new.any():
-            # the new keys' rows in the merged arrays; the old rows fill the rest
-            at = np.searchsorted(self._keys, stage.keys[new]) + np.arange(int(new.sum()))
+            at = np.searchsorted(self._keys, stage.keys[new])
+            at += np.arange(len(at))  # the new keys' rows once merged; old rows fill the rest
             old = np.ones(len(self._keys) + len(at), dtype=bool)
             old[at] = False
             for name, add in (("_keys", stage.keys), ("n", stage.n), ("s", stage.s),

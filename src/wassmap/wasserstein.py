@@ -141,10 +141,11 @@ def w2_batch(mu1, cov1, mu2, cov2) -> np.ndarray:
     """Pairwise Wasserstein distances for aligned batches of Gaussians.
 
     Shapes (B,3) and (B,6), covariances packed as `moments` packs them;
-    returns (B,), validating the inputs once per batch. F = L, the unshifted
-    `_cholesky` factor of ``cov1``, on rows with three positive pivots and
-    tr S1 < 1e3 m^2: there lambda_min(S1) >= -6u tr S1 > -1e-9, so the floor
-    holds unchecked. Other rows take F = V diag(sqrt(lambda)) from `eigh`, which checks it.
+    returns (B,), validating the inputs once per batch. The cross term takes
+    F = L, the unshifted `_cholesky` factor of ``cov1``, on rows with three
+    positive pivots and tr S1 < 1e3 m^2: there lambda_min(S1) >= -6u tr S1 >
+    -1e-9, so the floor holds unchecked. Other rows take F = V diag(sqrt(lambda))
+    from `eigh`, which checks it.
 
     W2^2 below -(9c + 8u (tr S1 + tr S2) + 64 sqrt(u tr S1 tr S2)), c =
     _EIG_CLAMP, is rejected; nothing the checks above accept gets there.
