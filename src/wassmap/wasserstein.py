@@ -56,13 +56,13 @@ class DissimilarityReport:
     skipped_count: int          # shared voxels under the point-count floor
 
 
-def _cholesky(cov: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form lower Cholesky factor L of A = fl(S + shift I), packed as
-    l00 l10 l20 l11 l21 l22 and not meaningful on rows that fail a pivot, and
-    the (B,) mask of rows it certifies: those whose `eigvalsh` minimum cannot
-    fall below -c, c = _EIG_CLAMP. S (B,6) is packed as `moments` packs it:
-    its lower triangle, the one `eigvalsh` reads. A row is certified when its
-    three pivots are positive and tr A < _CERT_TRACE.
+def _cholesky(cov: np.ndarray, shift: float = 0.0) -> tuple[tuple, np.ndarray]:
+    """Closed-form lower Cholesky factor L of A = fl(S + shift I), as its
+    columns l00 l10 l20 l11 l21 l22 (not meaningful on rows that fail a pivot),
+    and the (B,) mask of rows it certifies: those whose `eigvalsh` minimum
+    cannot fall below -c, c = _EIG_CLAMP. S (B,6) is packed as `moments` packs
+    it: its lower triangle, the one `eigvalsh` reads. A row is certified when
+    its three pivots are positive and tr A < _CERT_TRACE.
     With unit roundoff u = 2^-53 and n = 3, Higham (Accuracy and Stability of
     Numerical Algorithms, 2nd ed., Thm 10.3) gives the computed factor with
     L L^T = A + dA, |dA| <= g4 |L| |L^T|, g4 = 4u / (1 - 4u). Hence
@@ -79,17 +79,15 @@ def _cholesky(cov: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray, np.ndarr
     reach the bound; the rows that do, or that fail a pivot, go to LAPACK.
     """
     a00, a11, a22 = (cov[:, k] + shift for k in (0, 3, 5))
-    low = np.empty(cov.shape)
     with np.errstate(all="ignore"):  # a row that fails turns NaN and fails below
-        l00 = low[:, 0] = np.sqrt(a00)
-        l10 = low[:, 1] = cov[:, 1] / l00
-        l20 = low[:, 2] = cov[:, 2] / l00
+        l00 = np.sqrt(a00)
+        l10, l20 = cov[:, 1] / l00, cov[:, 2] / l00
         p1 = a11 - l10 * l10
-        l11 = low[:, 3] = np.sqrt(p1)
-        l21 = low[:, 4] = (cov[:, 4] - l10 * l20) / l11
+        l11 = np.sqrt(p1)
+        l21 = (cov[:, 4] - l10 * l20) / l11
         p2 = a22 - l20 * l20 - l21 * l21
-        low[:, 5] = np.sqrt(p2)
-        return low, (a00 > 0) & (p1 > 0) & (p2 > 0) & (a00 + a11 + a22 < _CERT_TRACE)
+        return ((l00, l10, l20, l11, l21, np.sqrt(p2)),
+                (a00 > 0) & (p1 > 0) & (p2 > 0) & (a00 + a11 + a22 < _CERT_TRACE))
 
 
 def _validate_covariances(cov: np.ndarray, eig_floor_checked: bool) -> None:
@@ -104,9 +102,9 @@ def _validate_covariances(cov: np.ndarray, eig_floor_checked: bool) -> None:
             raise InvalidCovarianceError(f"covariance has eigenvalue {lam_min:.3g}")
 
 
-def _congruence(low: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """(6,B) packed M = L^T S L, through T = S L, for L as `_cholesky` packs it."""
-    l00, l10, l20, l11, l21, l22 = low.T
+def _congruence(low: tuple, cov: np.ndarray) -> np.ndarray:
+    """(6,B) packed M = L^T S L, through T = S L, for L as `_cholesky` returns it."""
+    l00, l10, l20, l11, l21, l22 = low
     s00, s01, s02, s11, s12, s22 = cov.T
     t00 = s00 * l00 + s01 * l10 + s02 * l20
     t10 = s01 * l00 + s11 * l10 + s12 * l20
