@@ -37,7 +37,7 @@ from wassmap.io import (
     write_tum,
 )
 from wassmap.keyframe import COMMIT_POLICIES, KeyframeSelector, SelectorConfig, keyframe_indices
-from wassmap.pose_graph import GaugeUnderdeterminedError, merge_sessions, optimize
+from wassmap.pose_graph import Edges, GaugeUnderdeterminedError, merge_sessions, optimize
 from wassmap.synth import (
     NoiseModel,
     ScanSpec,
@@ -231,7 +231,7 @@ def cmd_merge(args) -> int:
     odometry2 = read_edge_list(args.odometry)
     if args.loops is not None and not Path(args.loops).exists():
         raise UsageError(f"loop file not found: {args.loops}")
-    loops = read_edge_list(args.loops) if args.loops is not None else []
+    loops = read_edge_list(args.loops) if args.loops is not None else Edges()
 
     merged = merge_sessions(
         graph1,

@@ -12,7 +12,9 @@ TUM lines are `timestamp tx ty tz qx qy qz qw`. Graph files use g2o-style
 numbers, fixed flags, and edge kinds carried in comment lines so a plain g2o
 reader still understands the geometry. Information matrices are stored as 21
 upper-triangular entries, row-major, in the tangent order (rotation first)
-used by the residuals.
+used by the residuals. Graph and edge-list readers build one `Edges` table
+per file; its batched check names the `path:line` of a bad row, and a line
+that fails to parse is reported only if no edge above it is bad.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from wassmap.geometry import Pose, Rotation, as_points
-from wassmap.pose_graph import PoseGraph, check_information
+from wassmap.pose_graph import EdgeError, Edges, PoseGraph
 
 logger = logging.getLogger(__name__)
 
@@ -426,6 +428,15 @@ def _parse_edge(path, tokens, line_no, n_ids):
     return ids, measurement, _info_from_upper(values)
 
 
+def _edge_table(path, rows) -> Edges:
+    """`Edges` of (line, *columns) rows; a row it rejects is a ParseError at its line."""
+    lines, *columns = zip(*rows) if rows else ((),)
+    try:
+        return Edges(*columns)
+    except EdgeError as err:
+        raise ParseError(path, err.detail, line=lines[err.row]) from None
+
+
 def write_graph(path, graph: PoseGraph) -> None:
     lines = []
     for node_id in sorted(graph.nodes):
@@ -434,10 +445,12 @@ def write_graph(path, graph: PoseGraph) -> None:
         if node.fixed:
             lines.append(f"# FIX {node.id}")
         lines.append(f"VERTEX_SE3:QUAT {node.id} {_format_pose(node.pose)}")
-    for edge in graph.edges:
-        lines.append(f"# KIND {edge.kind} {edge.kernel} {'%.17g' % edge.delta}")
-        ids = (edge.i,) if edge.j is None else (edge.i, edge.j)
-        lines.append(_format_edge(ids, edge.measurement, edge.information))
+    edges = graph.edges
+    for kind, i, j, measurement, info, huber, delta in zip(
+            edges.kind, edges.i.tolist(), edges.j.tolist(), edges.measurement,
+            edges.information, edges.huber, edges.delta.tolist()):
+        lines.append(f"# KIND {kind} {'huber' if huber else 'none'} {'%.17g' % delta}")
+        lines.append(_format_edge((i,) if kind == "prior" else (i, j), measurement, info))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="ascii")
 
 
@@ -449,106 +462,103 @@ def read_graph(path) -> PoseGraph:
     Huber kernel; priors are explicit via EDGE_SE3_PRIOR.
     """
     path = Path(path)
-    graph = PoseGraph()
     sessions: dict[int, int] = {}
     fixed: set[int] = set()
     pending_kind = None
-    deferred_nodes: dict[int, Pose] = {}
-
-    def flush_nodes():
-        for node_id, pose in deferred_nodes.items():
-            graph.add_node(node_id, pose, sessions.get(node_id, 1), node_id in fixed)
-        deferred_nodes.clear()
-
-    for line_no, line in enumerate(_decode_lines(path), 1):
-        line = line.strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "#":
-            if len(tokens) >= 4 and tokens[1] == "SESSION":
+    vertices: dict[int, Pose] = {}
+    rows = []  # line, kind, i, j, measurement, information, kernel, delta
+    try:
+        for line_no, line in enumerate(_decode_lines(path), 1):
+            line = line.strip()
+            if not line:
+                continue
+            tokens = line.split()
+            if tokens[0] == "#":
+                if len(tokens) >= 4 and tokens[1] == "SESSION":
+                    try:
+                        sessions[int(tokens[2])] = int(tokens[3])
+                    except ValueError:
+                        raise ParseError(path, "bad SESSION comment", line=line_no) from None
+                elif len(tokens) >= 3 and tokens[1] == "FIX":
+                    try:
+                        fixed.add(int(tokens[2]))
+                    except ValueError:
+                        raise ParseError(path, "bad FIX comment", line=line_no) from None
+                elif len(tokens) >= 3 and tokens[1] == "KIND":
+                    pending_kind = tokens[2:5]
+                continue
+            if tokens[0] == "VERTEX_SE3:QUAT":
+                if len(tokens) != 9:
+                    raise ParseError(path, f"vertex needs 9 tokens, got {len(tokens)}",
+                                     line=line_no)
                 try:
-                    sessions[int(tokens[2])] = int(tokens[3])
+                    node_id = int(tokens[1])
                 except ValueError:
-                    raise ParseError(path, "bad SESSION comment", line=line_no) from None
-            elif len(tokens) >= 3 and tokens[1] == "FIX":
-                try:
-                    fixed.add(int(tokens[2]))
-                except ValueError:
-                    raise ParseError(path, "bad FIX comment", line=line_no) from None
-            elif len(tokens) >= 3 and tokens[1] == "KIND":
-                pending_kind = tokens[2:5]
-            continue
-        if tokens[0] == "VERTEX_SE3:QUAT":
-            if len(tokens) != 9:
-                raise ParseError(path, f"vertex needs 9 tokens, got {len(tokens)}", line=line_no)
-            try:
-                node_id = int(tokens[1])
-            except ValueError:
-                raise ParseError(path, "bad vertex id", line=line_no) from None
-            if node_id in deferred_nodes:
-                raise ParseError(path, f"duplicate vertex {node_id}", line=line_no)
-            deferred_nodes[node_id] = _parse_pose(path, tokens[2:9], line_no)
-            continue
-        if tokens[0] in ("EDGE_SE3:QUAT", "EDGE_SE3_PRIOR"):
-            flush_nodes()
-            prior = tokens[0] == "EDGE_SE3_PRIOR"
-            ids, measurement, info = _parse_edge(path, tokens, line_no, 1 if prior else 2)
+                    raise ParseError(path, "bad vertex id", line=line_no) from None
+                if node_id in vertices:
+                    raise ParseError(path, f"duplicate vertex {node_id}", line=line_no)
+                vertices[node_id] = _parse_pose(path, tokens[2:9], line_no)
+                continue
+            if tokens[0] in ("EDGE_SE3:QUAT", "EDGE_SE3_PRIOR"):
+                prior = tokens[0] == "EDGE_SE3_PRIOR"
+                ids, measurement, info = _parse_edge(path, tokens, line_no, 1 if prior else 2)
 
-            if pending_kind:
-                kind = pending_kind[0]
-                kernel = pending_kind[1] if len(pending_kind) > 1 else None
-                try:
-                    delta = float(pending_kind[2]) if len(pending_kind) > 2 else 1.0
-                except ValueError:
-                    raise ParseError(path, "bad KIND delta", line=line_no) from None
-                pending_kind = None
-            elif prior:
-                kind, kernel, delta = "prior", None, 1.0
-            else:
-                kind = "odometry" if abs(ids[0] - ids[-1]) == 1 else "loop"
-                kernel, delta = None, 1.0
-            try:
-                graph.add_edge(
-                    kind, ids[0], None if prior else ids[1], measurement, info,
-                    kernel=kernel, delta=delta,
-                )
-            except ValueError as err:
-                raise ParseError(path, str(err), line=line_no) from None
-            continue
-        raise ParseError(path, f"unknown record {tokens[0]!r}", line=line_no)
+                if pending_kind:
+                    kind = pending_kind[0]
+                    kernel = pending_kind[1] if len(pending_kind) > 1 else None
+                    try:
+                        delta = float(pending_kind[2]) if len(pending_kind) > 2 else 1.0
+                    except ValueError:
+                        raise ParseError(path, "bad KIND delta", line=line_no) from None
+                    pending_kind = None
+                elif prior:
+                    kind, kernel, delta = "prior", None, 1.0
+                else:
+                    kind = "odometry" if abs(ids[0] - ids[-1]) == 1 else "loop"
+                    kernel, delta = None, 1.0
+                j = None if prior else ids[1]
+                if any(k not in vertices for k in ids):
+                    raise ParseError(path, f"edge ({ids[0]}, {j}) references a missing node",
+                                     line=line_no)
+                rows.append((line_no, kind, ids[0], j, measurement, info, kernel, delta))
+                continue
+            raise ParseError(path, f"unknown record {tokens[0]!r}", line=line_no)
+    except ParseError:
+        _edge_table(path, rows)  # a bad edge above the fault is reported first
+        raise
 
-    flush_nodes()
+    graph = PoseGraph()
+    for node_id, pose in vertices.items():
+        graph.add_node(node_id, pose, sessions.get(node_id, 1), node_id in fixed)
+    graph.edges = _edge_table(path, rows)
     return graph
 
 
-def read_edge_list(path):
-    """EDGE_SE3:QUAT lines as (i, j, measurement, information) tuples; an
-    information matrix that `GraphEdge` rejects raises ParseError at its line."""
+def read_edge_list(path) -> Edges:
+    """EDGE_SE3:QUAT lines as an `Edges` table of odometry rows;
+    `merge_sessions` gives each list its kind. A row the table rejects raises
+    ParseError at its line."""
     path = Path(path)
-    edges = []
-    for line_no, line in enumerate(_decode_lines(path), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if tokens[0] != "EDGE_SE3:QUAT":
-            raise ParseError(path, f"unknown record {tokens[0]!r}", line=line_no)
-        (i, j), measurement, info = _parse_edge(path, tokens, line_no, 2)
-        try:
-            check_information(info)
-        except ValueError as err:
-            raise ParseError(path, str(err), line=line_no) from None
-        edges.append((i, j, measurement, info))
-    return edges
+    rows = []
+    try:
+        for line_no, line in enumerate(_decode_lines(path), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if tokens[0] != "EDGE_SE3:QUAT":
+                raise ParseError(path, f"unknown record {tokens[0]!r}", line=line_no)
+            (i, j), measurement, info = _parse_edge(path, tokens, line_no, 2)
+            rows.append((line_no, "odometry", i, j, measurement, info))
+    except ParseError:
+        _edge_table(path, rows)  # a bad edge above the fault is reported first
+        raise
+    return _edge_table(path, rows)
 
 
-def write_edge_list(path, edges) -> None:
-    """Write (i, j, measurement, information) tuples as EDGE_SE3:QUAT lines."""
-    lines = []
-    for i, j, measurement, information in edges:
-        info = np.asarray(information, dtype=float)
-        if info.shape != (6, 6):
-            raise ValueError("information must be 6x6")
-        lines.append(_format_edge((int(i), int(j)), measurement, info))
+def write_edge_list(path, edges: Edges) -> None:
+    """Write an `Edges` table of binary edges as EDGE_SE3:QUAT lines."""
+    lines = [_format_edge((i, j), measurement, info)
+             for i, j, measurement, info in zip(edges.i.tolist(), edges.j.tolist(),
+                                                 edges.measurement, edges.information)]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="ascii")

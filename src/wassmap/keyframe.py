@@ -2,17 +2,17 @@
 
 Every frame takes one path: it is transformed into the map frame and staged
 onto the selector's voxel map, which drops its non-finite points and counts
-them in the stage; `GmmMap.rejected_points` totals only committed stages'
-counts. The first frame that stages a point gives the map its origin and is
-a keyframe by definition, with score +inf. Each later frame is scored with
-the map-level Wasserstein dissimilarity, the mean W2 distance under sample
-covariances over the voxels it shares with the map, and is a keyframe when
-the score exceeds the threshold; one whose score report compares no voxel
-(no overlap, or all shared voxels under the point floor) is a keyframe
-flagged ``no_comparable``, with score NaN. By default only
-keyframes are committed, so redundant frames leave the map untouched; the
-alternative policy commits every frame. After every frame but the bootstrap
-frame, voxels beyond the pruning radius of the current pose are dropped. In
+them in the stage's `StagedUpdate.rejected`. The first frame that stages a
+point gives the map its origin and is a keyframe by definition, with score
++inf. Each later frame is scored with the map-level Wasserstein
+dissimilarity, the mean W2 distance under sample covariances over the voxels
+it shares with the map, and is a keyframe when the score exceeds the
+threshold; one whose score report compares no voxel (no overlap, or all
+shared voxels under the point floor) is a keyframe flagged
+``no_comparable``, with score NaN. By default only keyframes are committed,
+so redundant frames leave the map untouched; the alternative policy commits
+every frame. After every frame but the bootstrap frame, voxels beyond the
+pruning radius of the current pose are dropped. In
 `KeyframeSelector.run_sequence` a frame that fails (unreadable, no finite
 point, bad pose, numerical error) is flagged ``error`` and a frame without a
 pose ``unpaired``, instead of vanishing.

@@ -18,6 +18,11 @@ Residuals are whitened by the upper-triangular factor W with W^T W = info
 Loop edges default to Huber(1.0) because they are the outlier-prone kind;
 odometry and priors default to no kernel.
 
+A graph's edges are one `Edges` table, from the file or generator to the
+solver. Its constructor checks every row once, factoring all information
+matrices in one Cholesky call whose transposed factors are the whiteners;
+`merge_sessions` concatenates tables without a second check.
+
 Optimization is damped Gauss-Newton over the non-fixed nodes with right
 perturbations T <- T * exp(dx). Robustness enters through IRLS scaling:
 residual and Jacobian of each edge are multiplied by sqrt(w(s)) where
@@ -42,9 +47,8 @@ argmin over session-2 poses alone) and initializes session 2 through T_init.
 
 from __future__ import annotations
 
-import copy
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,13 +66,8 @@ from wassmap.geometry import (
 
 logger = logging.getLogger(__name__)
 
-EDGE_KINDS = ("odometry", "loop", "prior")
-KERNELS = ("none", "huber")
-
-# information of the priors `merge_sessions` adds; read-only because every
-# such prior edge holds this one array
+# information of the priors `merge_sessions` adds
 PRIOR_INFORMATION = np.eye(6) * 1e4
-PRIOR_INFORMATION.setflags(write=False)
 
 # Levenberg-Marquardt schedule of `optimize`
 _LAMBDA0 = 1e-4
@@ -82,6 +81,14 @@ class GaugeUnderdeterminedError(RuntimeError):
     """The normal equations are singular: no anchor reaches every free node."""
 
 
+class EdgeError(ValueError):
+    """Row ``row`` of an edge table failed its check, for the reason ``detail``."""
+
+    def __init__(self, row: int, detail: str):
+        super().__init__(f"edge row {row}: {detail}")
+        self.row, self.detail = row, detail
+
+
 @dataclass
 class GraphNode:
     id: int
@@ -90,50 +97,84 @@ class GraphNode:
     fixed: bool = False
 
 
-@dataclass
-class GraphEdge:
-    kind: str
-    i: int
-    j: int | None          # None for prior edges
-    measurement: Pose
-    information: np.ndarray
-    kernel: str = "none"
-    delta: float = 1.0
+class Edges:
+    """Every edge of a graph as aligned columns, one row per edge; not changed once built.
 
-    def __post_init__(self):
-        if self.kind not in EDGE_KINDS:
-            raise ValueError(f"unknown edge kind {self.kind!r}")
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.kernel == "huber" and self.delta <= 0.0:
-            raise ValueError("huber delta must be positive")
-        if (self.j is None) != (self.kind == "prior"):
-            raise ValueError("prior edges take one endpoint, others take two")
-        # the edge owns a copy, so the caller cannot change it once validated;
-        # the read-only PRIOR_INFORMATION is shared
-        info = self.information
-        if info is not PRIOR_INFORMATION:
-            info = np.array(info, dtype=float)
-        check_information(info)
-        self.information = info
+    Columns: ``kind``, node ids ``i`` and ``j`` (-1 for a prior), ``measurement``
+    (the `Pose` objects as given), ``information`` (E, 6, 6), ``huber`` and ``delta``
+    for the kernel, and ``whitener``, the upper-triangular W with W^T W = information.
+    """
 
+    def __init__(self, kind=(), i=(), j=(), measurement=(), information=(), kernel=None,
+                 delta=1.0):
+        """Check every row once; the first that fails raises `EdgeError`. ``kind``,
+        ``kernel`` and ``delta`` may be one value for all rows, ``information`` one
+        6x6 matrix. ``j`` is None for a prior; kernel None is the kind's default."""
+        n = len(i)
 
-def check_information(info: np.ndarray) -> None:
-    """Raise ValueError unless ``info`` is a symmetric positive-definite 6x6 array."""
-    if info.shape != (6, 6):
-        raise ValueError("information must be 6x6")
-    if np.abs(info - info.T).max() > 1e-9:
-        raise ValueError("information matrix not symmetric")
-    try:
-        np.linalg.cholesky(info)
-    except np.linalg.LinAlgError:
-        raise ValueError("information matrix not positive definite") from None
+        def column(value, dtype=object):  # one value per row
+            return np.array(np.broadcast_to(np.asarray(value, dtype=dtype), (n,)))
+        kind, delta = column(kind), column(delta, float)
+        kernel = column([("huber" if k == "loop" else "none") if v is None else v
+                         for k, v in zip(kind, column(kernel))])
+        info = np.array(information, dtype=float)  # the table's own copy
+        info = np.repeat(info[None], n, axis=0) if info.shape == (6, 6) else info
+        square = info.shape == (n, 6, 6)
+        info = info if square else np.zeros((n, 6, 6))
+        indefinite = np.zeros(n, dtype=bool)
+        try:
+            lower = np.linalg.cholesky(info)
+        except np.linalg.LinAlgError:  # find the rows that fail, one by one
+            for k in range(n):
+                try:
+                    np.linalg.cholesky(info[k])
+                except np.linalg.LinAlgError:
+                    indefinite[k] = True
+        checks = {
+            "unknown edge kind {kind!r}": [k not in ("odometry", "loop", "prior") for k in kind],
+            "unknown kernel {kernel!r}": [v not in ("none", "huber") for v in kernel],
+            "huber delta must be positive": (kernel == "huber") & (delta <= 0.0),
+            "prior edges take one endpoint, others take two":
+                np.equal([v is None for v in j], kind != "prior"),
+            "information must be 6x6": np.full(n, not square),
+            "information matrix not symmetric":
+                np.abs(info - np.swapaxes(info, 1, 2)).max(axis=(1, 2), initial=0.0) > 1e-9,
+            "information matrix not positive definite": indefinite,
+        }
+        failed = np.array([np.asarray(bad, dtype=bool) for bad in checks.values()])
+        if failed.any():
+            row = int(np.argmax(failed.any(axis=0)))
+            detail = list(checks)[int(np.argmax(failed[:, row]))]
+            raise EdgeError(row, detail.format(kind=kind[row], kernel=kernel[row]))
+
+        self.kind, self.i = np.array(kind, dtype=str), np.array(i, dtype=np.int64)
+        self.j = np.array([-1 if v is None else v for v in j], dtype=np.int64)
+        self.measurement = column(list(measurement))
+        self.information, self.whitener = info, np.swapaxes(lower, -1, -2)
+        self.huber, self.delta = kernel == "huber", delta
+
+    def __len__(self) -> int:
+        return len(self.i)
+
+    def _with(self, **columns) -> "Edges":
+        """This table with some columns replaced; its rows are not checked again."""
+        table = object.__new__(Edges)
+        vars(table).update(vars(self), **columns)
+        return table
+
+    def select(self, rows) -> "Edges":
+        return self._with(**{name: column[rows] for name, column in vars(self).items()})
+
+    @staticmethod
+    def concat(tables) -> "Edges":
+        return tables[0]._with(**{name: np.concatenate([vars(t)[name] for t in tables])
+                                  for name in vars(tables[0])})
 
 
 class PoseGraph:
     def __init__(self):
         self.nodes: dict[int, GraphNode] = {}
-        self.edges: list[GraphEdge] = []
+        self.edges = Edges()
 
     def add_node(self, node_id: int, pose: Pose, session: int = 1, fixed: bool = False) -> GraphNode:
         if node_id in self.nodes:
@@ -142,43 +183,8 @@ class PoseGraph:
         self.nodes[node.id] = node
         return node
 
-    def add_edge(
-        self,
-        kind: str,
-        i: int,
-        j: int | None,
-        measurement: Pose,
-        information,
-        kernel: str | None = None,
-        delta: float = 1.0,
-    ) -> GraphEdge:
-        if i not in self.nodes or (j is not None and j not in self.nodes):
-            raise ValueError(f"edge ({i}, {j}) references a missing node")
-        if kernel is None:
-            kernel = "huber" if kind == "loop" else "none"
-        edge = GraphEdge(kind, int(i), None if j is None else int(j), measurement,
-                         information, kernel, float(delta))
-        self.edges.append(edge)
-        return edge
-
-    def add_prior(self, i: int, measurement: Pose, information, kernel: str | None = None,
-                  delta: float = 1.0) -> GraphEdge:
-        return self.add_edge("prior", i, None, measurement, information, kernel, delta)
-
     def poses(self) -> dict[int, Pose]:
         return {node_id: node.pose for node_id, node in self.nodes.items()}
-
-    def copy(self) -> "PoseGraph":
-        """An independent copy. Its edges are not validated again: a shallow
-        copy skips `GraphEdge.__post_init__`, and poses are immutable."""
-        other = PoseGraph()
-        for node in self.nodes.values():
-            other.add_node(node.id, node.pose, node.session, node.fixed)
-        for e in self.edges:
-            twin = copy.copy(e)
-            twin.information = e.information.copy()
-            other.edges.append(twin)
-        return other
 
 
 # The batched kernel. Node states are arrays with one row per node plus a
@@ -186,49 +192,14 @@ class PoseGraph:
 # (identity, i): r = log(Z^{-1} I^{-1} T_i). Every edge then has the same
 # residual and Jacobian form, and the identity row counts as a fixed node.
 
-@dataclass(frozen=True)
-class _Edges:
-    a: np.ndarray          # (E,) state row of T_a (the identity row for a prior)
-    b: np.ndarray          # (E,) state row of T_b
-    z_inv_q: np.ndarray    # (E, 4) inverse measurements
-    z_inv_t: np.ndarray    # (E, 3)
-    whitener: np.ndarray   # (E, 6, 6) upper-triangular W with W^T W = info
-    huber: np.ndarray      # (E,) bool
-    delta: np.ndarray      # (E,)
-
-    def select(self, mask: np.ndarray) -> "_Edges":
-        return _Edges(*(getattr(self, f.name)[mask] for f in fields(self)))
+def _residuals(ends: np.ndarray, z_inv, q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Unwhitened residuals log(Z^{-1} T_a^{-1} T_b), (E, 6); ``ends`` holds rows (a, b)."""
+    a, b = ends[:, 0], ends[:, 1]
+    rel = compose_batch(invert_batch((q[a], t[a])), (q[b], t[b]))
+    return se3_log(compose_batch(z_inv, rel))
 
 
-def _state(poses, ids) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Rows of ``ids`` (and of None, the identity) and the stacked poses."""
-    rows = {nid: k for k, nid in enumerate(ids)}
-    rows[None] = len(ids)
-    q, t = stack_poses([poses[nid] for nid in ids] + [Pose.identity()])
-    return rows, q, t
-
-
-def _stack_edges(edges, rows) -> _Edges:
-    """Edges as arrays; ``rows`` maps node ids, and None for a prior, to state rows."""
-    ends = np.array([(rows[None], rows[e.i]) if e.j is None else (rows[e.i], rows[e.j])
-                     for e in edges], dtype=np.intp).reshape(-1, 2)
-    z_inv_q, z_inv_t = stack_poses(e.measurement.inverse() for e in edges)
-    info = np.array([e.information for e in edges]).reshape(-1, 6, 6)
-    return _Edges(
-        ends[:, 0], ends[:, 1], z_inv_q, z_inv_t,
-        np.swapaxes(np.linalg.cholesky(info), -1, -2),
-        np.array([e.kernel == "huber" for e in edges], dtype=bool),
-        np.array([e.delta for e in edges], dtype=float),
-    )
-
-
-def _residuals(edges: _Edges, q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Unwhitened residuals log(Z^{-1} T_a^{-1} T_b), (E, 6)."""
-    rel = compose_batch(invert_batch((q[edges.a], t[edges.a])), (q[edges.b], t[edges.b]))
-    return se3_log(compose_batch((edges.z_inv_q, edges.z_inv_t), rel))
-
-
-def _robust(edges: _Edges, r: np.ndarray):
+def _robust(edges: Edges, r: np.ndarray):
     """Whitened residuals, kernel costs rho(s) and IRLS scales sqrt(w(s)).
 
     With s the whitened norm, Huber edges beyond delta cost
@@ -243,38 +214,49 @@ def _robust(edges: _Edges, r: np.ndarray):
     return wr, rho, scale
 
 
-def _cost(edges: _Edges, q: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
-    r = _residuals(edges, q, t)
-    return float(_robust(edges, r)[1].sum()), r
-
-
-def _jacobians(edges: _Edges, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _jacobians(whitener: np.ndarray, z_inv, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whitened Jacobians of each residual wrt the right perturbations of T_a, T_b."""
-    jac_b = edges.whitener @ se3_right_jacobian_inv(r)
-    jac_a = -jac_b @ adjoint(compose_batch(se3_exp(-r), (edges.z_inv_q, edges.z_inv_t)))
+    jac_b = whitener @ se3_right_jacobian_inv(r)
+    jac_a = -jac_b @ adjoint(compose_batch(se3_exp(-r), z_inv))
     return jac_a, jac_b
 
 
 class _Problem:
     """One optimization's graph as arrays.
 
-    ``q``/``t`` hold the initial node states in sorted id order plus the
-    identity row, ``free`` marks the rows being optimized, and ``edges``
-    holds every edge. Only edges with a free endpoint are linearized: edges
-    between fixed rows add a constant to the cost.
+    ``q``/``t`` hold the initial node states in sorted id order plus the identity
+    row, ``free`` marks the rows being optimized, ``ends`` holds each edge's state
+    rows (a, b) and ``z_inv`` its inverse measurement as `Pose.inverse` forms it.
+    Only edges with a free endpoint are linearized: edges between fixed rows add
+    a constant to the cost.
     """
 
-    def __init__(self, graph: PoseGraph, fixed_ids):
-        self.ids = sorted(graph.nodes)
-        rows, self.q, self.t = _state(graph.poses(), self.ids)
-        self.edges = _stack_edges(graph.edges, rows)
+    def __init__(self, poses: dict, edges: Edges, fixed_ids=()):
+        self.ids = sorted(poses)
+        self.q, self.t = stack_poses([poses[nid] for nid in self.ids] + [Pose.identity()])
+        ids = np.array(self.ids, dtype=np.int64)
+        prior = edges.kind == "prior"
+        nodes = np.stack([edges.i, np.where(prior, edges.i, edges.j)], axis=1)
+        found = np.isin(nodes, ids).all(axis=1)
+        if not found.all():
+            raise ValueError(f"edge row {np.argmin(found)} references a missing node")
+        self.ends = np.searchsorted(ids, nodes)
+        self.ends[prior, 0] = len(ids)
+        self.edges, self.z_inv = edges, stack_poses(m.inverse() for m in edges.measurement)
+
         self.free = np.array([nid not in fixed_ids for nid in self.ids] + [False])
         self.n_free = int(self.free.sum())
         slot = np.full(len(self.free), -1)
         slot[self.free] = np.arange(self.n_free)
-        slots = slot[np.stack([self.edges.a, self.edges.b], axis=1)]
+        slots = slot[self.ends]
         self.active = (slots >= 0).any(axis=1)
-        self.linearized, self.slots = self.edges.select(self.active), slots[self.active]
+        self.slots, self.linearized = slots[self.active], edges.select(self.active)
+        self.linearized_z_inv = tuple(z[self.active] for z in self.z_inv)
+
+    def cost(self, q: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
+        """Robust cost of every edge at the states ``q``/``t``, and the residuals."""
+        r = _residuals(self.ends, self.z_inv, q, t)
+        return float(_robust(self.edges, r)[1].sum()), r
 
     def unanchored(self) -> list[int]:
         """Ids of free nodes whose edge-connected component holds no fixed row.
@@ -287,7 +269,7 @@ class _Problem:
         from scipy.sparse.csgraph import connected_components
 
         n = len(self.free)
-        links = coo_matrix((np.ones(len(self.edges.a)), (self.edges.a, self.edges.b)),
+        links = coo_matrix((np.ones(len(self.ends)), (self.ends[:, 0], self.ends[:, 1])),
                            shape=(n, n))
         _, label = connected_components(links, directed=False)
         anchored = np.zeros(label.max() + 1, dtype=bool)
@@ -305,7 +287,8 @@ class _Problem:
 
         edges, slots, r = self.linearized, self.slots, r[self.active]
         wr, _, scale = _robust(edges, r)
-        jac = np.stack(_jacobians(edges, r), axis=1) * scale[:, None, None, None]
+        jac = np.stack(_jacobians(edges.whitener, self.linearized_z_inv, r), axis=1)
+        jac = jac * scale[:, None, None, None]
         wr = wr * scale[:, None]
         free = slots >= 0
 
@@ -322,29 +305,25 @@ class _Problem:
         return grad.ravel(), hess.tocsc()
 
 
-def whitened_residual_and_jacobians(edge: GraphEdge, nodes):
+def whitened_residual_and_jacobians(edge: Edges, nodes):
     """Whitened residual plus analytic Jacobians wrt each endpoint's tangent.
 
-    ``nodes`` is a `PoseGraph` or a mapping of node id to pose. Right
-    perturbation convention: d/dxi of residual at T <- T exp(xi).
+    ``edge`` is a one-row `Edges`, ``nodes`` a `PoseGraph` or a mapping of node
+    id to pose. Right perturbation convention: d/dxi of residual at T <- T exp(xi).
     Returns (W r, {node_id: W J}); the residual's rotation part comes first.
     """
-    poses = nodes.poses() if isinstance(nodes, PoseGraph) else nodes
-    rows, q, t = _state(poses, [edge.i] if edge.j is None else [edge.i, edge.j])
-    edges = _stack_edges([edge], rows)
-    r = _residuals(edges, q, t)
-    jac_a, jac_b = _jacobians(edges, r)
-    wr = edges.whitener[0] @ r[0]
-    if edge.j is None:
-        return wr, {edge.i: jac_b[0]}
-    return wr, {edge.i: jac_a[0], edge.j: jac_b[0]}
+    problem = _Problem(nodes.poses() if isinstance(nodes, PoseGraph) else nodes, edge)
+    r = _residuals(problem.ends, problem.z_inv, problem.q, problem.t)
+    jac_a, jac_b = _jacobians(edge.whitener, problem.z_inv, r)
+    i, j = int(edge.i[0]), int(edge.j[0])
+    jacs = {i: jac_b[0]} if edge.kind[0] == "prior" else {i: jac_a[0], j: jac_b[0]}
+    return edge.whitener[0] @ r[0], jacs
 
 
 def robust_cost(graph: PoseGraph, poses=None) -> float:
     """Sum of kernel-reshaped whitened residual norms over all edges."""
-    poses = graph.poses() if poses is None else poses
-    rows, q, t = _state(poses, list(poses))
-    return _cost(_stack_edges(graph.edges, rows), q, t)[0]
+    problem = _Problem(graph.poses() if poses is None else poses, graph.edges)
+    return problem.cost(problem.q, problem.t)[0]
 
 
 @dataclass
@@ -371,7 +350,8 @@ def optimize(graph: PoseGraph, max_iterations: int = 100) -> OptimizationReport:
     from scipy.sparse import identity
     from scipy.sparse.linalg import splu
 
-    problem = _Problem(graph, {n.id for n in graph.nodes.values() if n.fixed})
+    problem = _Problem(graph.poses(), graph.edges,
+                       {n.id for n in graph.nodes.values() if n.fixed})
     loose = problem.unanchored()
     if loose:
         more = f", ... ({len(loose)} in all)" if len(loose) > 10 else ""
@@ -380,7 +360,7 @@ def optimize(graph: PoseGraph, max_iterations: int = 100) -> OptimizationReport:
             "fix a node or add a prior")
 
     free, q, t = problem.free, problem.q, problem.t
-    cost, r = _cost(problem.edges, q, t)
+    cost, r = problem.cost(q, t)
     report = OptimizationReport(0, cost, cost, [cost], "max iterations")
     if not problem.n_free:
         report.reason = "nothing to optimize"
@@ -402,7 +382,7 @@ def optimize(graph: PoseGraph, max_iterations: int = 100) -> OptimizationReport:
             trial_q, trial_t = q.copy(), t.copy()
             trial_q[free], trial_t[free] = compose_batch((q[free], t[free]),
                                                          se3_exp(step.reshape(-1, 6)))
-            trial_cost, trial_r = _cost(problem.edges, trial_q, trial_t)
+            trial_cost, trial_r = problem.cost(trial_q, trial_t)
             if trial_cost < cost:
                 accepted = True
                 break
@@ -432,41 +412,53 @@ def optimize(graph: PoseGraph, max_iterations: int = 100) -> OptimizationReport:
 def merge_sessions(
     graph1: PoseGraph,
     trajectory2,
-    odometry2,
-    loops12,
+    odometry2: Edges,
+    loops12: Edges,
     t_init: Pose,
     t_init_prior: bool = False,
 ) -> PoseGraph:
     """Combine an anchored session-1 graph with a new session's trajectory.
 
     ``trajectory2`` holds session-2 poses in the session-2 frame; they enter
-    the merged graph as t_init * pose. ``odometry2`` entries are
-    (i, j, measurement, information) with session-local indices; ``loops12``
-    entries are (session1_node_id, session2_index, measurement, information)
-    measuring T_1i^{-1} T_2j. Session-1 nodes are hard-fixed. The initial
-    guess can additionally be pinned with ``t_init_prior``, which adds a
-    prior factor on the first session-2 node at its initialized pose.
+    the merged graph as t_init * pose. ``odometry2`` and ``loops12`` are
+    tables as `read_edge_list` returns them, of session-2 indices (i, j) and
+    of (session-1 node id, session-2 index) measuring T_1i^{-1} T_2j; they
+    join session 1's edges unchecked, with their kind's default kernel.
+    Session-1 nodes are hard-fixed. The initial guess can additionally be
+    pinned with ``t_init_prior``, which adds a prior factor on the first
+    session-2 node at its initialized pose.
     """
-    merged = graph1.copy()
-    if not merged.nodes:
+    if not graph1.nodes:
         raise ValueError("session-1 graph has no nodes")
-    for node in merged.nodes.values():
-        node.fixed = True
+    n2 = len(trajectory2)
+    for kind, index in (("odometry", np.stack([odometry2.i, odometry2.j], axis=1).ravel()),
+                        ("loop", loops12.j)):
+        outside = (index < 0) | (index >= n2)
+        if outside.any():
+            raise ValueError(f"{kind} edge references session-2 index {index[outside][0]}, "
+                             f"outside the trajectory's {n2} poses")
+    missing = ~np.isin(loops12.i, list(graph1.nodes))
+    if missing.any():
+        raise ValueError(f"loop references missing session-1 node {loops12.i[missing][0]}")
+    if not len(loops12):
+        logger.warning("sessions connected only by T_init; no inter-session loop edges")
 
+    merged = PoseGraph()
+    for node in graph1.nodes.values():
+        merged.add_node(node.id, node.pose, node.session, fixed=True)
     offset = max(merged.nodes) + 1
     for idx, pose in enumerate(trajectory2):
         merged.add_node(offset + idx, t_init * pose, session=2)
 
-    for i, j, measurement, information in odometry2:
-        merged.add_edge("odometry", offset + i, offset + j, measurement, information)
-
-    if not loops12:
-        logger.warning("sessions connected only by T_init; no inter-session loop edges")
-    for i1, j2, measurement, information in loops12:
-        if i1 not in graph1.nodes:
-            raise ValueError(f"loop references missing session-1 node {i1}")
-        merged.add_edge("loop", i1, offset + j2, measurement, information)
-
+    n_odometry, n_loops = len(odometry2), len(loops12)
+    tables = [graph1.edges,
+              odometry2._with(kind=np.full(n_odometry, "odometry"), i=odometry2.i + offset,
+                              j=odometry2.j + offset, huber=np.zeros(n_odometry, bool),
+                              delta=np.ones(n_odometry)),
+              loops12._with(kind=np.full(n_loops, "loop"), j=loops12.j + offset,
+                            huber=np.ones(n_loops, bool), delta=np.ones(n_loops))]
     if t_init_prior:
-        merged.add_prior(offset, merged.nodes[offset].pose, PRIOR_INFORMATION)
+        tables.append(Edges("prior", [offset], [None], [merged.nodes[offset].pose],
+                            PRIOR_INFORMATION))
+    merged.edges = Edges.concat(tables)
     return merged

@@ -15,7 +15,7 @@ import numpy as np
 
 from wassmap.geometry import Pose, Rotation, se3_exp
 from wassmap.io import TrajectoryEntry
-from wassmap.pose_graph import PoseGraph
+from wassmap.pose_graph import Edges, PoseGraph
 
 
 @dataclass
@@ -242,9 +242,9 @@ class NoiseModel:
 class TwoSessionData:
     truth1: list[TrajectoryEntry]
     truth2: list[TrajectoryEntry]
-    odometry1: list[tuple[int, int, Pose, np.ndarray]]
-    odometry2: list[tuple[int, int, Pose, np.ndarray]]
-    loops: list[tuple[int, int, Pose, np.ndarray]]  # (session1 idx, session2 idx)
+    odometry1: Edges
+    odometry2: Edges
+    loops: Edges  # i: session-1 index, j: session-2 index
     scans1: list[CloudFrame] = field(default_factory=list)
     scans2: list[CloudFrame] = field(default_factory=list)
 
@@ -277,10 +277,11 @@ def generate_two_session(scene: Scene | None, paths, noise: NoiseModel = NoiseMo
     truth2 = [TrajectoryEntry(0.1 * k, p) for k, p in enumerate(path2)]
     info = noise.information()
 
-    odometry1 = [(k, k + 1, _perturbed_relative(path1[k], path1[k + 1], noise, rng),
-                  info.copy()) for k in range(len(path1) - 1)]
-    odometry2 = [(k, k + 1, _perturbed_relative(path2[k], path2[k + 1], noise, rng),
-                  info.copy()) for k in range(len(path2) - 1)]
+    def odometry(path):
+        return Edges("odometry", range(len(path) - 1), range(1, len(path)),
+                     [_perturbed_relative(a, b, noise, rng) for a, b in zip(path, path[1:])],
+                     info)
+    odometry1, odometry2 = odometry(path1), odometry(path2)
 
     candidates = []
     t1 = np.array([p.translation for p in path1])
@@ -289,14 +290,13 @@ def generate_two_session(scene: Scene | None, paths, noise: NoiseModel = NoiseMo
         i = int(np.argmin(gaps))
         if gaps[i] <= loop_radius:
             candidates.append((i, j))
-    loops = []
+    picks = []
     if candidates and n_loops > 0:
         picks = np.unique(np.linspace(0, len(candidates) - 1,
                                       min(n_loops, len(candidates))).astype(int))
-        for k in picks:
-            i, j = candidates[k]
-            loops.append((i, j, _perturbed_relative(path1[i], path2[j], noise, rng),
-                          info.copy()))
+    ends = [candidates[k] for k in picks]
+    loops = Edges("loop", [i for i, _ in ends], [j for _, j in ends],
+                  [_perturbed_relative(path1[i], path2[j], noise, rng) for i, j in ends], info)
 
     scans1, scans2 = [], []
     if scan_spec is not None:
@@ -310,20 +310,19 @@ def generate_two_session(scene: Scene | None, paths, noise: NoiseModel = NoiseMo
     return TwoSessionData(truth1, truth2, odometry1, odometry2, loops, scans1, scans2)
 
 
-def compose_odometry(initial: Pose, odometry) -> list[Pose]:
+def compose_odometry(initial: Pose, odometry: Edges) -> list[Pose]:
     """Chain relative measurements from an initial pose; the usual estimate."""
     poses = [initial]
-    for _, _, measurement, _ in odometry:
+    for measurement in odometry.measurement:
         poses.append(poses[-1] * measurement)
     return poses
 
 
-def build_session_graph(poses, odometry, session: int = 1,
+def build_session_graph(poses, odometry: Edges, session: int = 1,
                         fix_first: bool = False) -> PoseGraph:
-    """Nodes 0..n-1 at the given poses, odometry edges between them."""
+    """Nodes 0..n-1 at the given poses, joined by the odometry table."""
     graph = PoseGraph()
     for k, pose in enumerate(poses):
         graph.add_node(k, pose, session=session, fixed=(fix_first and k == 0))
-    for i, j, measurement, information in odometry:
-        graph.add_edge("odometry", i, j, measurement, information)
+    graph.edges = odometry
     return graph

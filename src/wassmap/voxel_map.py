@@ -169,7 +169,6 @@ class GmmMap:
         self._box = np.array([[np.inf] * 3, [-np.inf] * 3])  # min and max cell
         self.version = 0
         self.total_points = 0
-        self.rejected_points = 0
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -230,7 +229,6 @@ class GmmMap:
             self._box = np.stack([np.minimum(self._box[0], stage.box[0]),
                                   np.maximum(self._box[1], stage.box[1])])
         self.total_points += stage.point_count
-        self.rejected_points += stage.rejected
         self.version += 1
 
     def prune_outside(self, center, radius: float) -> int:

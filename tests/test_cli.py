@@ -1,5 +1,6 @@
 import argparse
 import filecmp
+import importlib.util
 import math
 import os
 import tracemalloc
@@ -10,7 +11,10 @@ import numpy as np
 import pytest
 
 import wassmap.cli
+import wassmap.geometry
 import wassmap.keyframe
+import wassmap.pose_graph
+import wassmap.voxel_map
 from wassmap.cli import build_parser, main, resolve_config
 from wassmap.geometry import Pose
 from wassmap.io import TrajectoryEntry, read_graph, read_tum, write_pcd, write_tum
@@ -19,6 +23,13 @@ from wassmap.wasserstein import InvalidCovarianceError
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def _load_module(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -593,6 +604,54 @@ class TestMergeCommand:
         assert code == 1
         assert (f"error: {loops}:3: information matrix not positive definite"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name, index, message", [
+        ("loops.txt", "-1", "loop edge references session-2 index -1"),
+        ("session2_odometry.txt", "400", "odometry edge references session-2 index 400"),
+    ])
+    def test_session2_index_outside_the_trajectory_exits_one(
+            self, two_session_dataset, tmp_path, capsys, name, index, message):
+        files = {n: two_session_dataset / n for n in ("session2_odometry.txt", "loops.txt")}
+        lines = files[name].read_text().splitlines()
+        tokens = lines[0].split()
+        tokens[2] = index  # the session-2 end of the first edge
+        lines[0] = " ".join(tokens)
+        files[name] = tmp_path / name
+        files[name].write_text("\n".join(lines) + "\n")
+        code = run("merge", "--graph", two_session_dataset / "session1.g2o",
+                   "--trajectory", two_session_dataset / "session2_estimate.tum",
+                   "--odometry", files["session2_odometry.txt"], "--loops", files["loops.txt"],
+                   "--out", tmp_path / "o")
+        assert code == 1
+        assert (f"error: {message}, outside the trajectory's 25 poses"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o" / "merged.g2o").exists()
+
+    def test_benchmark_tracer_reads_the_merge(self, two_session_dataset, tmp_path,
+                                               monkeypatch):
+        # `perfbench/run.py --trace 1` patches program functions by name and
+        # counts the free nodes of the merged graph; a rename that breaks it
+        # fails here instead of in the benchmark
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, os.environ.get(var, "1"))  # run.py sets them on import
+        bench_run, spans = (_load_module(bench / f"{name}.py", f"perfbench_{name}")
+                            for name in ("run", "spans"))
+        tracer = spans.Tracer()
+        bench_run.install_tracer(tracer, (wassmap.cli, wassmap.keyframe, wassmap.voxel_map,
+                                          wassmap.geometry, wassmap.pose_graph))
+        try:
+            code = run("merge", "--graph", two_session_dataset / "session1.g2o",
+                       "--trajectory", two_session_dataset / "session2_estimate.tum",
+                       "--odometry", two_session_dataset / "session2_odometry.txt",
+                       "--loops", two_session_dataset / "loops.txt", "--out", tmp_path / "o")
+        finally:
+            tracer.unpatch()
+        assert code == 0
+        kept = {name: tracer.kept[k] for k, name in enumerate(tracer.names) if k in tracer.kept}
+        assert kept["pose_graph.merge_sessions"] == 25
+        assert kept["pose_graph.optimize"].iterations > 0
+        assert {"io.read_graph", "io.read_edge_list", "io.write_graph"} <= set(tracer.names)
 
     def test_gauge_underdetermined_exits_two(self, two_session_dataset, tmp_path, capsys):
         # no loops and no alignment prior leaves session 2 as a floating

@@ -22,7 +22,7 @@ from wassmap.io import (
     write_tum,
 )
 from wassmap.keyframe import FrameDecision, KeyframeSelector, SelectorConfig
-from wassmap.pose_graph import PoseGraph
+from wassmap.pose_graph import Edges, PoseGraph
 
 from helpers import assert_maps_identical, build_map, write_ascii_pcd
 
@@ -38,6 +38,12 @@ def random_info(rng):
 
 def poses_close(a, b, tol=1e-12):
     return np.max(np.abs(a.as_matrix() - b.as_matrix())) <= tol
+
+
+# the 21 upper-triangular information entries of an identity matrix, and of
+# an indefinite one whose first diagonal entry is -1
+EYE21 = " ".join("%g" % v for v in np.eye(6)[np.triu_indices(6)])
+NEG21 = "-" + EYE21
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +124,8 @@ class TestPcd:
         np.testing.assert_array_equal(points, pts)
         # the map is the one filter: it drops and counts the two rows
         selector = KeyframeSelector(SelectorConfig(voxel_size=2.0))
+        assert selector.map.stage_frame(points).rejected == 2
         selector.bootstrap(points, Pose.identity())
-        assert selector.map.rejected_points == 2
         finite = build_map(Pose.identity().transform_points(points)[[0, 2]], 2.0)
         assert_maps_identical(selector.map, finite)
         assert selector.map.total_points == finite.total_points == 2
@@ -336,12 +342,12 @@ def _sample_graph(rng):
     poses = [random_pose(rng) for _ in range(5)]
     for k, pose in enumerate(poses):
         graph.add_node(k, pose, session=1 if k < 3 else 2, fixed=(k == 0))
-    for k in range(4):
-        graph.add_edge("odometry", k, k + 1,
-                       poses[k].inverse() * poses[k + 1], random_info(rng))
-    graph.add_edge("loop", 0, 4, poses[0].inverse() * poses[4], random_info(rng),
-                   kernel="huber", delta=0.7)
-    graph.add_prior(2, poses[2], random_info(rng))
+    ends = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+    graph.edges = Edges(["odometry"] * 4 + ["loop", "prior"], [0, 1, 2, 3, 0, 2],
+                        [1, 2, 3, 4, 4, None],
+                        [poses[i].inverse() * poses[j] for i, j in ends] + [poses[2]],
+                        [random_info(rng) for _ in range(6)],
+                        [None] * 4 + ["huber", None], [1.0] * 4 + [0.7, 1.0])
     return graph
 
 
@@ -360,12 +366,12 @@ class TestGraphFiles:
             assert other.fixed == node.fixed
             assert poses_close(other.pose, node.pose, 1e-12)
 
-        assert len(back.edges) == len(graph.edges)
-        for a, b in zip(graph.edges, back.edges):
-            assert (a.kind, a.i, a.j, a.kernel) == (b.kind, b.i, b.j, b.kernel)
-            assert a.delta == pytest.approx(b.delta)
-            assert np.array_equal(a.information, b.information)
-            assert poses_close(a.measurement, b.measurement, 1e-12)
+        a, b = graph.edges, back.edges
+        assert len(b) == len(a) == 6
+        for name in ("kind", "i", "j", "huber", "delta", "information", "whitener"):
+            np.testing.assert_array_equal(getattr(b, name), getattr(a, name), err_msg=name)
+        for ma, mb in zip(a.measurement, b.measurement):
+            assert poses_close(ma, mb, 1e-12)
 
     def test_second_write_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -393,26 +399,51 @@ class TestGraphFiles:
             f"EDGE_SE3:QUAT 0 2 2 0 0 0 0 0 1 {info}\n"
         )
         graph = read_graph(f)
-        assert [e.kind for e in graph.edges] == ["odometry", "loop"]
-        assert [e.kernel for e in graph.edges] == ["none", "huber"]
+        assert graph.edges.kind.tolist() == ["odometry", "loop"]
+        assert graph.edges.huber.tolist() == [False, True]
         assert all(n.session == 1 and not n.fixed for n in graph.nodes.values())
 
     def test_structured_errors(self, tmp_path):
         info21 = " ".join(["1"] * 21)
+        vertex = "VERTEX_SE3:QUAT {} 0 0 0 0 0 0 1\n"
         bad = {
-            "record.g2o": "VERTEX_SE3 0 0 0 0 0 0 0 1\n",
-            "short_vertex.g2o": "VERTEX_SE3:QUAT 0 0 0 0\n",
-            "dup.g2o": "VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1\nVERTEX_SE3:QUAT 0 0 0 0 0 0 0 1\n",
-            "orphan.g2o": f"VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1\nEDGE_SE3:QUAT 0 1 0 0 0 0 0 0 1 {info21}\n",
-            "short_edge.g2o": "VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1\nEDGE_SE3:QUAT 0 1 1 2 3\n",
-            "zeroq.g2o": "VERTEX_SE3:QUAT 0 0 0 0 0 0 0 0\n",
-            "nanq.g2o": "VERTEX_SE3:QUAT 0 0 0 0 nan 0 0 1\n",
+            "record.g2o": ("VERTEX_SE3 0 0 0 0 0 0 0 1\n", "1: unknown record 'VERTEX_SE3'"),
+            "short_vertex.g2o": ("VERTEX_SE3:QUAT 0 0 0 0\n", "1: vertex needs 9 tokens, got 5"),
+            "dup.g2o": (vertex.format(0) * 2, "2: duplicate vertex 0"),
+            # a vertex repeated after an edge is caught at its own line too
+            "dup_after_edge.g2o": (vertex.format(0) + vertex.format(1)
+                                   + f"EDGE_SE3:QUAT 0 1 0 0 0 0 0 0 1 {EYE21}\n"
+                                   + vertex.format(0), "4: duplicate vertex 0"),
+            "orphan.g2o": (vertex.format(0) + f"EDGE_SE3:QUAT 0 1 0 0 0 0 0 0 1 {info21}\n",
+                           "2: edge (0, 1) references a missing node"),
+            "short_edge.g2o": (vertex.format(0) + "EDGE_SE3:QUAT 0 1 1 2 3\n",
+                               "2: edge needs 31 tokens, got 6"),
+            "zeroq.g2o": ("VERTEX_SE3:QUAT 0 0 0 0 0 0 0 0\n",
+                          "1: bad quaternion: quaternion must be finite and nonzero"),
+            "nanq.g2o": ("VERTEX_SE3:QUAT 0 0 0 0 nan 0 0 1\n", "1: non-finite pose value"),
         }
-        for name, body in bad.items():
+        for name, (body, message) in bad.items():
             f = tmp_path / name
             f.write_text(body)
-            with pytest.raises(ParseError):
+            with pytest.raises(ParseError, match=f"^{re.escape(f'{f}:{message}')}$"):
                 read_graph(f)
+
+    def test_first_fault_is_reported_when_a_later_line_fails_to_parse(self, tmp_path):
+        # the edges are checked as one table after parsing, but an indefinite
+        # matrix on line 2 still comes before the bad token on line 4
+        f = tmp_path / "two_faults.g2o"
+        f.write_text("VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1\n"
+                     f"EDGE_SE3_PRIOR 0 0 0 0 0 0 0 1 {NEG21}\n"
+                     "VERTEX_SE3:QUAT 1 0 0 0 0 0 0 1\n"
+                     "VERTEX_SE3:QUAT 2 0 0 x 0 0 0 1\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(f))}:2: information matrix not"):
+            read_graph(f)
+        f.write_text("VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1\n"
+                     f"EDGE_SE3_PRIOR 0 0 0 0 0 0 0 1 {EYE21}\n"
+                     "VERTEX_SE3:QUAT 1 0 0 0 0 0 0 1\n"
+                     "VERTEX_SE3:QUAT 2 0 0 x 0 0 0 1\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(f))}:4: non-numeric pose value$"):
+            read_graph(f)
 
     def test_indefinite_information_rejected(self, tmp_path):
         f = tmp_path / "neg.g2o"
@@ -430,15 +461,18 @@ class TestGraphFiles:
 class TestEdgeList:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
-        edges = [(k, k + 1, random_pose(rng), random_info(rng)) for k in range(8)]
+        edges = Edges("odometry", range(8), range(1, 9), [random_pose(rng) for _ in range(8)],
+                      [random_info(rng) for _ in range(8)])
         f = tmp_path / "odom.txt"
         write_edge_list(f, edges)
         back = read_edge_list(f)
         assert len(back) == 8
-        for (i, j, m, info), (bi, bj, bm, binfo) in zip(edges, back):
-            assert (i, j) == (bi, bj)
+        assert back.i.tolist() == list(range(8)) and back.j.tolist() == list(range(1, 9))
+        assert back.kind.tolist() == ["odometry"] * 8 and not back.huber.any()
+        for m, bm in zip(edges.measurement, back.measurement):
             assert poses_close(m, bm, 1e-12)
-            assert np.allclose(info, binfo, atol=1e-12)
+        assert np.allclose(edges.information, back.information, atol=1e-12)
+        for binfo in back.information:
             assert np.array_equal(binfo, binfo.T)
 
     def test_rejects_other_records(self, tmp_path):
@@ -448,13 +482,25 @@ class TestEdgeList:
             read_edge_list(f)
 
     def test_invalid_information_names_its_line(self, tmp_path):
-        rng = np.random.default_rng(8)
-        bad = np.eye(6)
-        bad[2, 2] = -1.0
         f = tmp_path / "loops.txt"
-        write_edge_list(f, [(0, 1, random_pose(rng), np.eye(6)),
-                            (1, 2, random_pose(rng), bad)])
+        f.write_text(f"EDGE_SE3:QUAT 0 1 0 0 0 0 0 0 1 {EYE21}\n"
+                     f"EDGE_SE3:QUAT 1 2 0 0 0 0 0 0 1 {NEG21}\n")
         with pytest.raises(ParseError, match=f"^{re.escape(str(f))}:2: information matrix not positive definite$"):
+            read_edge_list(f)
+
+    def test_first_fault_is_reported_when_a_later_line_fails_to_parse(self, tmp_path):
+        f = tmp_path / "two_faults.txt"
+        lines = [f"EDGE_SE3:QUAT 0 1 0 0 0 0 0 0 1 {EYE21}",
+                 f"EDGE_SE3:QUAT 1 2 0 0 0 0 0 0 1 {NEG21}",
+                 f"EDGE_SE3:QUAT 2 3 0 0 0 0 0 0 1 {EYE21}",
+                 f"EDGE_SE3:QUAT 3 4 0 0 0 0 0 0 1 x {EYE21[2:]}"]
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(f))}:2: information matrix not"):
+            read_edge_list(f)
+        lines[1] = lines[0]
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError,
+                           match=f"^{re.escape(str(f))}:4: non-numeric information entry$"):
             read_edge_list(f)
 
 

@@ -11,8 +11,9 @@ import pytest
 import wassmap
 from wassmap.geometry import Pose, Rotation, se3_exp, se3_log
 from wassmap.pose_graph import (
+    EdgeError,
+    Edges,
     GaugeUnderdeterminedError,
-    GraphEdge,
     PRIOR_INFORMATION,
     PoseGraph,
     merge_sessions,
@@ -43,25 +44,93 @@ def poses_close(a: Pose, b: Pose, tol=1e-6) -> bool:
     return np.abs(a.as_matrix() - b.as_matrix()).max() < tol
 
 
+def edge(kind, i, j, measurement, information=np.eye(6), kernel=None, delta=1.0) -> Edges:
+    """A one-row table; j is None for a prior."""
+    return Edges(kind, [i], [j], [measurement], information, kernel, delta)
+
+
+def odometry_chain(measurements, information=np.eye(6)) -> Edges:
+    """Odometry rows (k, k + 1) carrying the given measurements."""
+    n = len(measurements)
+    return Edges("odometry", range(n), range(1, n + 1), measurements, information)
+
+
 def test_edge_validation():
     graph = PoseGraph()
     graph.add_node(0, Pose.identity())
     with pytest.raises(ValueError):
         graph.add_node(0, Pose.identity())
-    with pytest.raises(ValueError):
-        graph.add_edge("odometry", 0, 5, Pose.identity(), np.eye(6))
-    with pytest.raises(ValueError):
-        GraphEdge("odometry", 0, 1, Pose.identity(), np.eye(5))
-    bad = np.eye(6)
-    bad[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        GraphEdge("odometry", 0, 1, Pose.identity(), bad)
-    with pytest.raises(ValueError):
-        GraphEdge("odometry", 0, 1, Pose.identity(), -np.eye(6))
-    with pytest.raises(ValueError):
-        GraphEdge("teleport", 0, 1, Pose.identity(), np.eye(6))
-    with pytest.raises(ValueError):
-        GraphEdge("prior", 0, 1, Pose.identity(), np.eye(6))
+    graph.edges = edge("odometry", 0, 5, Pose.identity())
+    graph.nodes[0].fixed = True
+    with pytest.raises(ValueError, match="^edge row 0 references a missing node$"):
+        optimize(graph)
+
+
+def _asymmetric():
+    info = np.eye(6)
+    info[0, 1] = 0.5
+    return info
+
+
+@pytest.mark.parametrize("row, detail", [
+    (dict(kind="teleport"), "unknown edge kind 'teleport'"),
+    (dict(kernel="cauchy"), "unknown kernel 'cauchy'"),
+    (dict(kernel="huber", delta=0.0), "huber delta must be positive"),
+    (dict(kernel="huber", delta=-1.0), "huber delta must be positive"),
+    (dict(kind="prior"), "prior edges take one endpoint, others take two"),
+    (dict(j=None), "prior edges take one endpoint, others take two"),
+    (dict(information=np.eye(5)), "information must be 6x6"),
+    (dict(information=_asymmetric()), "information matrix not symmetric"),
+    (dict(information=-np.eye(6)), "information matrix not positive definite"),
+])
+def test_edge_table_rejects_bad_rows(row, detail):
+    # the bad row sits between good ones; the table names it and keeps the
+    # per-edge message
+    good = dict(kind="odometry", j=1, information=np.eye(6), kernel=None, delta=1.0)
+    bad = {**good, **row}
+    rows = [good, bad, good]
+    if bad["information"].shape != (6, 6):
+        infos = bad["information"]   # one matrix for all rows, so every row is bad
+        expected_row = 0
+    else:
+        infos = [r["information"] for r in rows]
+        expected_row = 1
+    with pytest.raises(EdgeError) as err:
+        Edges([r["kind"] for r in rows], [0, 0, 0], [r["j"] for r in rows],
+              [Pose.identity()] * 3, infos, [r["kernel"] for r in rows],
+              [r["delta"] for r in rows])
+    assert (err.value.row, err.value.detail) == (expected_row, detail)
+    assert str(err.value) == f"edge row {expected_row}: {detail}"
+
+
+def test_edge_table_reports_the_first_bad_row_and_check():
+    infos = [np.eye(6), -np.eye(6), np.eye(6), np.eye(6)]
+    with pytest.raises(EdgeError) as err:
+        Edges(["odometry", "odometry", "teleport", "loop"], [0, 1, 2, 3], [1, 2, 3, 4],
+              [Pose.identity()] * 4, infos)
+    assert (err.value.row, err.value.detail) == (1, "information matrix not positive definite")
+    with pytest.raises(EdgeError) as err:
+        Edges("teleport", [0], [1], [Pose.identity()], -np.eye(6), kernel="cauchy")
+    assert (err.value.row, err.value.detail) == (0, "unknown edge kind 'teleport'")
+
+
+def test_edge_table_columns_and_whitener():
+    rng = np.random.default_rng(2)
+    infos = [random_info(rng) for _ in range(3)]
+    poses = [random_pose(rng) for _ in range(3)]
+    edges = Edges(["odometry", "loop", "prior"], [0, 0, 2], [1, 2, None], poses, infos,
+                  [None, None, "huber"], [1.0, 2.0, 0.5])
+    assert len(edges) == 3 and len(Edges()) == 0
+    assert edges.kind.tolist() == ["odometry", "loop", "prior"]
+    assert edges.j.tolist() == [1, 2, -1]
+    assert edges.huber.tolist() == [False, True, True]   # loops default to Huber
+    assert edges.delta.tolist() == [1.0, 2.0, 0.5]
+    assert all(m is p for m, p in zip(edges.measurement, poses))
+    for w, info in zip(edges.whitener, infos):
+        np.testing.assert_array_equal(w, np.linalg.cholesky(info).T)
+    both = Edges.concat([edges, edges.select([2])])
+    assert both.kind.tolist() == ["odometry", "loop", "prior", "prior"]
+    np.testing.assert_array_equal(both.whitener[3], edges.whitener[2])
 
 
 def test_residual_zero_for_consistent_measurements():
@@ -70,16 +139,15 @@ def test_residual_zero_for_consistent_measurements():
     t0, t1 = random_pose(rng), random_pose(rng)
     graph.add_node(0, t0)
     graph.add_node(1, t1)
-    edge = graph.add_edge("odometry", 0, 1, t0.inverse() * t1, np.eye(6))
     # identity information: the whitened residual is the residual itself
-    np.testing.assert_allclose(whitened_residual_and_jacobians(edge, graph)[0],
-                               np.zeros(6), atol=1e-12)
-
-    prior = graph.add_prior(0, t0, np.eye(6))
-    np.testing.assert_allclose(whitened_residual_and_jacobians(prior, graph)[0],
-                               np.zeros(6), atol=1e-12)
     np.testing.assert_allclose(
-        whitened_residual_and_jacobians(graph.add_prior(1, Pose.identity(), np.eye(6)),
+        whitened_residual_and_jacobians(edge("odometry", 0, 1, t0.inverse() * t1), graph)[0],
+        np.zeros(6), atol=1e-12)
+    np.testing.assert_allclose(
+        whitened_residual_and_jacobians(edge("prior", 0, None, t0), graph)[0],
+        np.zeros(6), atol=1e-12)
+    np.testing.assert_allclose(
+        whitened_residual_and_jacobians(edge("prior", 1, None, Pose.identity()),
                                         {0: Pose.identity(), 1: Pose.identity()})[0],
         np.zeros(6), atol=1e-15,
     )
@@ -88,14 +156,11 @@ def test_residual_zero_for_consistent_measurements():
 def test_residual_of_small_perturbation_is_the_perturbation():
     rng = np.random.default_rng(5)
     t0, t1 = random_pose(rng), random_pose(rng)
-    graph = PoseGraph()
-    graph.add_node(0, t0)
-    graph.add_node(1, t1)
-    edge = graph.add_edge("odometry", 0, 1, t0.inverse() * t1, np.eye(6))
+    one = edge("odometry", 0, 1, t0.inverse() * t1)
     for scale in (1e-3, 1e-4, 1e-5, 1e-6):
         xi = rng.normal(scale=scale, size=6)
         poses = {0: t0, 1: t1 * se3_exp(xi)}
-        r = whitened_residual_and_jacobians(edge, poses)[0]
+        r = whitened_residual_and_jacobians(one, poses)[0]
         assert abs(np.linalg.norm(r) - np.linalg.norm(xi)) < 10.0 * scale ** 2
         np.testing.assert_allclose(r, xi, atol=10.0 * scale ** 2)
 
@@ -104,14 +169,14 @@ def test_robust_cost_values():
     graph = PoseGraph()
     graph.add_node(0, Pose.identity())
     graph.add_node(1, Pose(Rotation.identity(), (2.0, 0.0, 0.0)))
-    graph.add_edge("odometry", 0, 1, Pose(Rotation.identity(), (2.0, 0.0, 0.0)), np.eye(6))
+    graph.edges = edge("odometry", 0, 1, Pose(Rotation.identity(), (2.0, 0.0, 0.0)))
     assert robust_cost(graph) == 0.0
 
     # consistent pose moved: whitened norm s = 2 with identity information
-    graph.edges[0] = GraphEdge("odometry", 0, 1, Pose.identity(), np.eye(6), "none")
+    graph.edges = edge("odometry", 0, 1, Pose.identity(), kernel="none")
     assert abs(robust_cost(graph) - 0.5 * 4.0) < 1e-12
 
-    graph.edges[0] = GraphEdge("odometry", 0, 1, Pose.identity(), np.eye(6), "huber", 1.0)
+    graph.edges = edge("odometry", 0, 1, Pose.identity(), kernel="huber", delta=1.0)
     assert abs(robust_cost(graph) - 1.0 * (2.0 - 0.5)) < 1e-12  # 1.5 delta^2
 
 
@@ -119,19 +184,15 @@ def test_whitened_jacobians_match_central_differences():
     rng = np.random.default_rng(7)
     step = 1e-4
     for case in range(100):
-        graph = PoseGraph()
-        t0, t1 = random_pose(rng), random_pose(rng)
-        graph.add_node(0, t0)
-        graph.add_node(1, t1)
+        base_poses = {0: random_pose(rng), 1: random_pose(rng)}
         info = random_info(rng)
         if case % 3 == 2:
-            edge = graph.add_prior(0, random_pose(rng), info)
+            one = edge("prior", 0, None, random_pose(rng), info)
         else:
             kind = "odometry" if case % 3 == 0 else "loop"
-            edge = graph.add_edge(kind, 0, 1, random_pose(rng, rot_scale=0.3), info)
+            one = edge(kind, 0, 1, random_pose(rng, rot_scale=0.3), info)
 
-        base_poses = graph.poses()
-        _, jacs = whitened_residual_and_jacobians(edge, base_poses)
+        _, jacs = whitened_residual_and_jacobians(one, base_poses)
         for nid, jac in jacs.items():
             fd = np.zeros((6, 6))
             for k in range(6):
@@ -141,8 +202,8 @@ def test_whitened_jacobians_match_central_differences():
                 plus[nid] = base_poses[nid] * se3_exp(xi)
                 minus = dict(base_poses)
                 minus[nid] = base_poses[nid] * se3_exp(-xi)
-                r_plus, _ = whitened_residual_and_jacobians(edge, plus)
-                r_minus, _ = whitened_residual_and_jacobians(edge, minus)
+                r_plus, _ = whitened_residual_and_jacobians(one, plus)
+                r_minus, _ = whitened_residual_and_jacobians(one, minus)
                 fd[:, k] = (r_plus - r_minus) / (2.0 * step)
             np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-8)
 
@@ -155,8 +216,7 @@ def _chain_graph(rng, n=3, perturb=0.05):
     for i, pose in enumerate(truth):
         init = pose if i == 0 else pose * se3_exp(rng.normal(scale=perturb, size=6))
         graph.add_node(i, init)
-    for i in range(n - 1):
-        graph.add_edge("odometry", i, i + 1, truth[i].inverse() * truth[i + 1], np.eye(6))
+    graph.edges = odometry_chain([truth[i].inverse() * truth[i + 1] for i in range(n - 1)])
     return graph, truth
 
 
@@ -207,8 +267,7 @@ def test_gauge_errors():
     split = PoseGraph()
     for i in range(4):
         split.add_node(i, random_pose(rng))
-    split.add_edge("odometry", 0, 1, Pose.identity(), np.eye(6))
-    split.add_edge("odometry", 2, 3, Pose.identity(), np.eye(6))
+    split.edges = Edges("odometry", [0, 2], [1, 3], [Pose.identity()] * 2, np.eye(6))
     split.nodes[0].fixed = True
     with pytest.raises(GaugeUnderdeterminedError) as err:
         optimize(split)
@@ -220,7 +279,7 @@ def test_prior_only_gauge():
     target = random_pose(rng)
     graph = PoseGraph()
     graph.add_node(0, target * se3_exp(rng.normal(scale=0.1, size=6)))
-    graph.add_prior(0, target, np.eye(6))
+    graph.edges = edge("prior", 0, None, target)
     report = optimize(graph)
     assert report.final_cost < 1e-12
     assert poses_close(graph.nodes[0].pose, target, tol=1e-6)
@@ -229,7 +288,10 @@ def test_prior_only_gauge():
 def test_stronger_gauge_never_raises_exact_cost():
     rng = np.random.default_rng(17)
     graph_a, truth = _chain_graph(rng, n=4, perturb=0.03)
-    graph_b = graph_a.copy()
+    graph_b = PoseGraph()
+    for node in graph_a.nodes.values():
+        graph_b.add_node(node.id, node.pose)
+    graph_b.edges = graph_a.edges  # a table is not changed once built
     graph_b.nodes[1].pose = truth[1]  # second anchor consistent with truth
     graph_a.nodes[0].fixed = True
     for k in (0, 1):
@@ -240,49 +302,20 @@ def test_stronger_gauge_never_raises_exact_cost():
     assert report_b.final_cost <= report_a.final_cost + 1e-10
 
 
-def test_copy_is_independent_of_its_source():
-    rng = np.random.default_rng(19)
-    source = PoseGraph()
-    for k in range(3):
-        source.add_node(k, random_pose(rng))
-    source.add_edge("odometry", 0, 1, random_pose(rng), random_info(rng))
-    source.add_edge("loop", 0, 2, random_pose(rng), random_info(rng))
-    source.add_prior(1, random_pose(rng), random_info(rng))
-    poses = source.poses()
-    edges = [(e.kind, e.i, e.j, e.measurement, e.information.copy(), e.kernel, e.delta)
-             for e in source.edges]
-
-    twin = source.copy()
-    assert [(n.id, n.session, n.fixed) for n in twin.nodes.values()] == \
-        [(n.id, n.session, n.fixed) for n in source.nodes.values()]
-    twin.nodes[0].pose = random_pose(rng)
-    twin.nodes[1].fixed = True
-    for e in twin.edges:
-        e.measurement = random_pose(rng)
-        e.information[:] = np.eye(6)
-    twin.add_node(3, random_pose(rng))
-    twin.add_prior(3, random_pose(rng), np.eye(6))
-
-    assert all(source.nodes[k].pose is pose for k, pose in poses.items())
-    assert not any(n.fixed for n in source.nodes.values())
-    assert len(source.nodes) == 3 and len(source.edges) == 3
-    for e, (kind, i, j, measurement, info, kernel, delta) in zip(source.edges, edges):
-        assert (e.kind, e.i, e.j, e.kernel, e.delta) == (kind, i, j, kernel, delta)
-        assert e.measurement is measurement
-        np.testing.assert_array_equal(e.information, info)
-
-
 def test_edge_keeps_its_own_information():
-    graph = PoseGraph()
-    graph.add_node(0, Pose.identity())
-    graph.add_node(1, Pose.identity())
     info = np.eye(6)
-    edge = graph.add_edge("odometry", 0, 1, Pose.identity(), info)
+    edges = edge("odometry", 0, 1, Pose.identity(), info)
     info[0, 0] = -1.0
-    np.testing.assert_array_equal(edge.information, np.eye(6))
-    # the priors merge_sessions adds share the one read-only matrix
-    prior = graph.add_prior(0, Pose.identity(), PRIOR_INFORMATION)
-    assert prior.information is PRIOR_INFORMATION
+    np.testing.assert_array_equal(edges.information[0], np.eye(6))
+    # the prior merge_sessions adds holds its own copy of PRIOR_INFORMATION
+    rng = np.random.default_rng(20)
+    traj2 = [random_pose(rng) for _ in range(2)]
+    merged = merge_sessions(_session1_graph(rng), traj2,
+                            odometry_chain([traj2[0].inverse() * traj2[1]]), Edges(),
+                            Pose.identity(), t_init_prior=True)
+    assert merged.edges.kind[-1] == "prior"
+    np.testing.assert_array_equal(merged.edges.information[-1], PRIOR_INFORMATION)
+    assert not np.shares_memory(merged.edges.information, PRIOR_INFORMATION)
 
 
 def test_huber_downweights_outlier_loop():
@@ -295,10 +328,10 @@ def test_huber_downweights_outlier_loop():
         graph = PoseGraph()
         for i, pose in enumerate(truth):
             graph.add_node(i, pose)
-        for i in range(5):
-            graph.add_edge("odometry", i, i + 1, step, info)
         bogus = Pose(Rotation.identity(), (8.0, 0.0, 0.0))  # truth would be (5,0,0)
-        graph.add_edge("loop", 0, 5, bogus, info, kernel=kernel, delta=1.0)
+        graph.edges = Edges(["odometry"] * 5 + ["loop"], [0, 1, 2, 3, 4, 0],
+                            [1, 2, 3, 4, 5, 5], [step] * 5 + [bogus], info,
+                            [None] * 5 + [kernel], 1.0)
         graph.nodes[0].fixed = True
         optimize(graph)
         results[kernel] = evaluate_ate([graph.nodes[i].pose for i in sorted(graph.nodes)], truth)
@@ -336,14 +369,15 @@ def _session1_graph(rng, n=3):
     return graph
 
 
+def _odometry_along(traj):
+    return odometry_chain([a.inverse() * b for a, b in zip(traj, traj[1:])])
+
+
 def test_merge_identity_t_init_keeps_poses():
     rng = np.random.default_rng(21)
     graph1 = _session1_graph(rng)
     traj2 = [random_pose(rng) for _ in range(4)]
-    odo2 = [
-        (i, i + 1, traj2[i].inverse() * traj2[i + 1], np.eye(6)) for i in range(3)
-    ]
-    merged = merge_sessions(graph1, traj2, odo2, [], Pose.identity())
+    merged = merge_sessions(graph1, traj2, _odometry_along(traj2), Edges(), Pose.identity())
     ids2 = session_ids(merged, 2)
     assert ids2 == [3, 4, 5, 6]
     for nid, pose in zip(ids2, traj2):
@@ -355,12 +389,10 @@ def test_merge_without_loops_warns_and_preserves_shape(caplog):
     rng = np.random.default_rng(23)
     graph1 = _session1_graph(rng)
     traj2 = [random_pose(rng) for _ in range(5)]
-    odo2 = [
-        (i, i + 1, traj2[i].inverse() * traj2[i + 1], np.eye(6)) for i in range(4)
-    ]
+    odo2 = _odometry_along(traj2)
     t_init = random_pose(rng)
     with caplog.at_level(logging.WARNING):
-        merged = merge_sessions(graph1, traj2, odo2, [], t_init)
+        merged = merge_sessions(graph1, traj2, odo2, Edges(), t_init)
     assert any("T_init" in rec.message for rec in caplog.records)
 
     # nothing ties session 2 to the anchored part, so the optimizer must
@@ -370,10 +402,10 @@ def test_merge_without_loops_warns_and_preserves_shape(caplog):
 
     # a prior on the first session-2 node anchors it; the chain then keeps
     # its relative shape since odometry is the only constraint
-    anchored = merge_sessions(graph1, traj2, odo2, [], t_init, t_init_prior=True)
+    anchored = merge_sessions(graph1, traj2, odo2, Edges(), t_init, t_init_prior=True)
     optimize(anchored)
     ids2 = session_ids(anchored, 2)
-    for (i, j, measurement, _), _unused in zip(odo2, ids2):
+    for i, j, measurement in zip(odo2.i, odo2.j, odo2.measurement):
         got = anchored.nodes[ids2[i]].pose.inverse() * anchored.nodes[ids2[j]].pose
         assert poses_close(got, measurement, tol=1e-9)
 
@@ -382,27 +414,47 @@ def test_merge_loop_edges_and_flags():
     rng = np.random.default_rng(25)
     graph1 = _session1_graph(rng)
     traj2 = [random_pose(rng) for _ in range(3)]
-    odo2 = [(0, 1, traj2[0].inverse() * traj2[1], np.eye(6)),
-            (1, 2, traj2[1].inverse() * traj2[2], np.eye(6))]
-    loops = [(0, 0, Pose.identity(), np.eye(6))]
+    odo2 = _odometry_along(traj2)
+    # an edge list as read from a file: odometry rows until merge labels them
+    loops = Edges("odometry", [0], [0], [Pose.identity()], np.eye(6))
     merged = merge_sessions(graph1, traj2, odo2, loops, Pose.identity(),
                             t_init_prior=True)
-    kinds = [e.kind for e in merged.edges]
-    assert kinds.count("loop") == 1
-    assert kinds.count("prior") == 1
-    loop = next(e for e in merged.edges if e.kind == "loop")
-    assert loop.kernel == "huber"  # loops are the outlier-prone kind
-    with pytest.raises(ValueError):
-        merge_sessions(graph1, traj2, odo2, [(99, 0, Pose.identity(), np.eye(6))],
-                       Pose.identity())
+    assert merged.edges.kind.tolist() == ["odometry"] * 4 + ["loop", "prior"]
+    assert merged.edges.i.tolist() == [0, 1, 3, 4, 0, 3]
+    assert merged.edges.j.tolist() == [1, 2, 4, 5, 3, -1]
+    # loops are the outlier-prone kind
+    assert merged.edges.huber.tolist() == [False] * 4 + [True, False]
+    assert len(graph1.edges) == 2  # session 1's table is not changed
+    with pytest.raises(ValueError, match="^loop references missing session-1 node 99$"):
+        merge_sessions(graph1, traj2, odo2,
+                       Edges("loop", [99], [0], [Pose.identity()], np.eye(6)), Pose.identity())
+
+
+@pytest.mark.parametrize("kind, i, j, index", [
+    ("odometry", 0, 3, 3),
+    ("odometry", -1, 0, -1),
+    ("odometry", 1, 400, 400),
+    ("loop", 0, 3, 3),
+    ("loop", 0, -1, -1),
+])
+def test_merge_rejects_session2_indices_outside_the_trajectory(kind, i, j, index):
+    rng = np.random.default_rng(27)
+    graph1 = _session1_graph(rng)
+    traj2 = [random_pose(rng) for _ in range(3)]
+    bad = Edges("odometry", [i], [j], [Pose.identity()], np.eye(6))
+    odo2, loops = (bad, Edges()) if kind == "odometry" else (_odometry_along(traj2), bad)
+    message = (f"^{kind} edge references session-2 index {index}, "
+               "outside the trajectory's 3 poses$")
+    with pytest.raises(ValueError, match=message):
+        merge_sessions(graph1, traj2, odo2, loops, Pose.identity())
 
 
 def test_monotone_cost_trace_on_noisy_graph():
     rng = np.random.default_rng(29)
     graph, truth = _chain_graph(rng, n=12, perturb=0.1)
     # corrupt measurements slightly so the optimum is not exactly zero cost
-    for edge in graph.edges:
-        edge.measurement = edge.measurement * se3_exp(rng.normal(scale=0.01, size=6))
+    graph.edges = odometry_chain([m * se3_exp(rng.normal(scale=0.01, size=6))
+                                  for m in graph.edges.measurement])
     graph.nodes[0].fixed = True
     report = optimize(graph)
     assert report.final_cost < report.initial_cost
@@ -454,20 +506,22 @@ def _oracle_normal_equations(graph, free_ids):
     dim = 6 * len(free_ids)
     hess, grad = np.zeros((dim, dim)), np.zeros(dim)
     poses = graph.poses()
-    for edge in graph.edges:
-        if edge.j is None:
-            r = se3_log(edge.measurement.inverse() * poses[edge.i])
-            jacs = {edge.i: np.linalg.inv(_oracle_left_jacobian(-r))}
+    e = graph.edges
+    for kind, i, j, measurement, info, huber, delta in zip(
+            e.kind, e.i, e.j, e.measurement, e.information, e.huber, e.delta):
+        if kind == "prior":
+            r = se3_log(measurement.inverse() * poses[i])
+            jacs = {i: np.linalg.inv(_oracle_left_jacobian(-r))}
         else:
-            rel = poses[edge.i].inverse() * poses[edge.j]
-            r = se3_log(edge.measurement.inverse() * rel)
-            jacs = {edge.i: -np.linalg.inv(_oracle_left_jacobian(r))
-                    @ _oracle_adjoint(edge.measurement.inverse()),
-                    edge.j: np.linalg.inv(_oracle_left_jacobian(-r))}
-        w = np.linalg.cholesky(edge.information).T
+            rel = poses[i].inverse() * poses[j]
+            r = se3_log(measurement.inverse() * rel)
+            jacs = {i: -np.linalg.inv(_oracle_left_jacobian(r))
+                    @ _oracle_adjoint(measurement.inverse()),
+                    j: np.linalg.inv(_oracle_left_jacobian(-r))}
+        w = np.linalg.cholesky(info).T
         wr = w @ r
         s = np.linalg.norm(wr)
-        weight = edge.delta / s if edge.kernel == "huber" and s > edge.delta else 1.0
+        weight = delta / s if huber and s > delta else 1.0
         wr = math.sqrt(weight) * wr
         jacs = {nid: math.sqrt(weight) * w @ jac for nid, jac in jacs.items() if nid in slot}
         for a, jac_a in jacs.items():
@@ -485,20 +539,23 @@ def test_batched_normal_equations_match_per_edge_oracle():
     for i in range(8):
         graph.add_node(i, random_pose(rng))
     fixed = {0, 1, 5}
+    rows = []  # kind, i, j, measurement, information, kernel, delta
     for i in range(7):
-        graph.add_edge("odometry", i, i + 1, random_pose(rng, rot_scale=0.3), random_info(rng))
+        rows.append(("odometry", i, i + 1, random_pose(rng, rot_scale=0.3), random_info(rng),
+                     None, 1.0))
     # Huber inactive (huge delta) and active (tiny delta) loops, a plain loop,
     # priors on a free and on a fixed node, and a second fixed-fixed edge
-    graph.add_edge("loop", 2, 6, random_pose(rng, rot_scale=0.3), random_info(rng), delta=1e6)
-    graph.add_edge("loop", 3, 7, random_pose(rng, rot_scale=0.3), random_info(rng), delta=0.1)
-    graph.add_edge("loop", 1, 4, random_pose(rng, rot_scale=0.3), random_info(rng),
-                   kernel="none")
-    graph.add_prior(4, random_pose(rng), random_info(rng))
-    graph.add_prior(1, random_pose(rng), random_info(rng))
-    graph.add_edge("odometry", 0, 5, random_pose(rng, rot_scale=0.3), random_info(rng))
+    rows.append(("loop", 2, 6, random_pose(rng, rot_scale=0.3), random_info(rng), None, 1e6))
+    rows.append(("loop", 3, 7, random_pose(rng, rot_scale=0.3), random_info(rng), None, 0.1))
+    rows.append(("loop", 1, 4, random_pose(rng, rot_scale=0.3), random_info(rng), "none", 1.0))
+    rows.append(("prior", 4, None, random_pose(rng), random_info(rng), None, 1.0))
+    rows.append(("prior", 1, None, random_pose(rng), random_info(rng), None, 1.0))
+    rows.append(("odometry", 0, 5, random_pose(rng, rot_scale=0.3), random_info(rng),
+                 None, 1.0))
+    graph.edges = Edges(*zip(*rows))
 
-    problem = _Problem(graph, fixed)
-    r = _residuals(problem.edges, problem.q, problem.t)
+    problem = _Problem(graph.poses(), graph.edges, fixed)
+    r = _residuals(problem.ends, problem.z_inv, problem.q, problem.t)
     _, _, scale = _robust(problem.edges, r)
     assert (scale < 1.0).sum() == 1  # exactly one Huber edge is beyond delta
     assert problem.active.sum() == len(graph.edges) - 3  # 0-1, prior on 1, 0-5 skipped

@@ -178,14 +178,16 @@ class TestTwoSession:
         spec = ScanSpec(20.0, 0.01, 300, seed=7)
         a = generate_two_session(scene, self._paths(10, 10), seed=42, scan_spec=spec)
         b = generate_two_session(scene, self._paths(10, 10), seed=42, scan_spec=spec)
-        for ea, eb in zip(a.odometry1 + a.odometry2 + a.loops,
-                          b.odometry1 + b.odometry2 + b.loops):
-            assert np.array_equal(ea[2].as_matrix(), eb[2].as_matrix())
+        for name in ("odometry1", "odometry2", "loops"):
+            ea, eb = getattr(a, name), getattr(b, name)
+            assert len(ea) == len(eb)
+            for ma, mb in zip(ea.measurement, eb.measurement):
+                assert np.array_equal(ma.as_matrix(), mb.as_matrix())
         for sa, sb in zip(a.scans1 + a.scans2, b.scans1 + b.scans2):
             assert np.array_equal(sa.points, sb.points)
         c = generate_two_session(scene, self._paths(10, 10), seed=43, scan_spec=spec)
-        assert not np.array_equal(a.odometry1[0][2].as_matrix(),
-                                  c.odometry1[0][2].as_matrix())
+        assert not np.array_equal(a.odometry1.measurement[0].as_matrix(),
+                                  c.odometry1.measurement[0].as_matrix())
 
     def test_translation_noise_statistics(self):
         # >= 500 edges, empirical sigma within 20% of the requested one
@@ -195,7 +197,8 @@ class TestTwoSession:
         assert len(data.odometry1) == 500
         samples = np.concatenate([
             relative_noise(paths[0][i], paths[0][j], measurement)
-            for i, j, measurement, _ in data.odometry1
+            for i, j, measurement in zip(data.odometry1.i, data.odometry1.j,
+                                         data.odometry1.measurement)
         ]).reshape(-1, 6)
         assert abs(samples[:, 3:].std() - 0.01) < 0.002
         assert abs(samples[:, :3].std() - noise.sigma_r) < 0.2 * noise.sigma_r
@@ -205,7 +208,9 @@ class TestTwoSession:
                                     loop_radius=2.0)
         assert len(data.loops) == 10
         paths = self._paths()
-        for i, j, measurement, info in data.loops:
+        loops = data.loops
+        for i, j, measurement, info in zip(loops.i, loops.j, loops.measurement,
+                                           loops.information):
             t1 = np.asarray(paths[0][i].translation)
             t2 = np.asarray(paths[1][j].translation)
             assert np.linalg.norm(t1 - t2) <= 2.0
@@ -217,7 +222,7 @@ class TestTwoSession:
         paths = (corridor_path(40.0, 10, height=1.5),
                  [Pose(Rotation.identity(), (x, 0.0, 50.0)) for x in range(10)])
         data = generate_two_session(None, paths, seed=0, loop_radius=1.0)
-        assert data.loops == []
+        assert len(data.loops) == 0
 
     def test_session_graph_helper(self):
         data = generate_two_session(None, self._paths(8, 8), seed=5)

@@ -45,8 +45,10 @@ def test_voxel_index_boundary_is_half_open():
 
 
 def test_voxel_index_rejects_bad_input():
+    grid = GmmMap(4.0)
+    assert grid.stage_frame([(np.nan, 0.0, 0.0)]).rejected == 1
     grid = build_map([(np.nan, 0.0, 0.0)], 4.0)
-    assert len(grid) == 0 and grid.rejected_points == 1
+    assert len(grid) == 0
     for voxel_size in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             GmmMap(voxel_size=voxel_size)
@@ -251,20 +253,19 @@ def test_prune_uses_voxel_center_strictly():
 
 def test_non_finite_points_rejected_not_fatal():
     grid = GmmMap(voxel_size=1.0)
+    assert grid.stage_frame([(np.nan, 0.0, 0.0)]).rejected == 1
     assert grid.insert_points([(np.nan, 0.0, 0.0)]) == 0
-    assert grid.rejected_points == 1
     assert len(grid) == 0
 
-    accepted = grid.insert_points([(0.1, 0.1, 0.1), (np.inf, 0.0, 0.0), (0.2, 0.2, 0.2)])
-    assert accepted == 2
-    assert grid.rejected_points == 2
+    points = [(0.1, 0.1, 0.1), (np.inf, 0.0, 0.0), (0.2, 0.2, 0.2)]
+    assert grid.stage_frame(points).rejected == 1
+    assert grid.insert_points(points) == 2
     assert grid.total_points == 2
 
     stage = grid.stage_frame([(0.3, 0.3, 0.3), (-np.inf, 1.0, 1.0)])
     assert stage.point_count == 1 and stage.rejected == 1
     grid.commit(stage)
     assert grid.total_points == 3
-    assert grid.rejected_points == 3
 
 
 def test_map_rejects_bad_voxel_size():
