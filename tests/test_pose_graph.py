@@ -303,10 +303,10 @@ def test_stronger_gauge_never_raises_exact_cost():
 
 
 def test_edge_keeps_its_own_information():
-    info = np.eye(6)
-    edges = edge("odometry", 0, 1, Pose.identity(), info)
-    info[0, 0] = -1.0
-    np.testing.assert_array_equal(edges.information[0], np.eye(6))
+    for info in (np.eye(6), np.eye(6)[None]):  # one matrix for every row, or a stack
+        edges = edge("odometry", 0, 1, Pose.identity(), info)
+        info[..., 0, 0] = -1.0
+        np.testing.assert_array_equal(edges.information[0], np.eye(6))
     # the prior merge_sessions adds holds its own copy of PRIOR_INFORMATION
     rng = np.random.default_rng(20)
     traj2 = [random_pose(rng) for _ in range(2)]
