@@ -420,9 +420,9 @@ def merge_sessions(
     """Combine an anchored session-1 graph with a new session's trajectory.
 
     ``trajectory2`` holds session-2 poses in the session-2 frame; they enter
-    the merged graph as t_init * pose. ``odometry2`` and ``loops12`` are
-    tables as `read_edge_list` returns them, of session-2 indices (i, j) and
-    of (session-1 node id, session-2 index) measuring T_1i^{-1} T_2j; they
+    the merged graph as t_init * pose. ``odometry2`` rows join session-2
+    indices (i, j), ``loops12`` rows a session-1 node id i and a session-2
+    index j, measuring T_1i^{-1} T_2j. Both are `read_edge_list` tables; they
     join session 1's edges unchecked, with their kind's default kernel.
     Session-1 nodes are hard-fixed. The initial guess can additionally be
     pinned with ``t_init_prior``, which adds a prior factor on the first
