@@ -32,14 +32,23 @@ accepted only if the true robust cost decreases, so the accepted-cost trace
 is monotone by construction.
 
 Every iteration runs over arrays, one batched kernel for all edges: node
-states are quaternion and translation arrays, the Hessian is assembled from
-6x6 blocks as a sparse matrix and each damping trial is one sparse LU solve
-(the structure g2o exploits). Before the first iteration a connected-component
-pass over the edges finds free nodes that no fixed node or prior reaches; the
-Hessian would be singular, and the error names them. The one-edge and
-one-graph functions (`whitened_residual_and_jacobians`, `robust_cost`) wrap
-the same kernel. scipy is imported on the first call to `optimize`, so
-importing the package does not load it.
+states are quaternion and translation arrays, and the Hessian is a sparse
+matrix of 6x6 blocks J_k^T J_m. Its structure does not change between
+iterations, so, as in g2o (Kuemmerle et al., ICRA 2011), it is built once per
+optimization: the CSC pattern, the stored position of each entry of each
+block and the diagonal positions. An iteration then refills the values with
+one `np.bincount`, and a damping trial adds lambda to the diagonal of a copy.
+Each trial is one sparse LU solve with diagonal pivots (SuperLU's symmetric
+mode): H + lambda I is symmetric positive definite, so under a symmetric
+fill-reducing permutation every diagonal pivot is positive and the LU is the
+LDL^T factorization, which is stable without row interchanges.
+
+Before the first iteration a connected-component pass over the edges finds
+free nodes that no fixed node or prior reaches; the Hessian would be
+singular, and the error names them. The one-edge and one-graph functions
+(`whitened_residual_and_jacobians`, `robust_cost`) wrap the same kernel and
+never build the Hessian pattern. scipy is imported on the first call to
+`optimize`, so importing the package does not load it.
 
 The merged two-session problem anchors session 1 (hard-fixed, matching an
 argmin over session-2 poses alone) and initializes session 2 through T_init.
@@ -49,6 +58,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -226,9 +236,9 @@ class _Problem:
 
     ``q``/``t`` hold the initial node states in sorted id order plus the identity
     row, ``free`` marks the rows being optimized, ``ends`` holds each edge's state
-    rows (a, b) and ``z_inv`` its inverse measurement as `Pose.inverse` forms it.
-    Only edges with a free endpoint are linearized: edges between fixed rows add
-    a constant to the cost.
+    rows (a, b) and ``z_inv`` its inverse measurement, bit for bit as
+    `Pose.inverse` forms it. Only edges with a free endpoint are linearized: edges
+    between fixed rows add a constant to the cost.
     """
 
     def __init__(self, poses: dict, edges: Edges, fixed_ids=()):
@@ -242,7 +252,10 @@ class _Problem:
             raise ValueError(f"edge row {np.argmin(found)} references a missing node")
         self.ends = np.searchsorted(ids, nodes)
         self.ends[prior, 0] = len(ids)
-        self.edges, self.z_inv = edges, stack_poses(m.inverse() for m in edges.measurement)
+        q, t = stack_poses(edges.measurement)
+        w, x, y, z = q.T  # renormalized in `Rotation.__post_init__`'s order
+        self.edges = edges
+        self.z_inv = invert_batch((q / np.sqrt(w * w + x * x + y * y + z * z)[:, None], t))
 
         self.free = np.array([nid not in fixed_ids for nid in self.ids] + [False])
         self.n_free = int(self.free.sum())
@@ -276,33 +289,57 @@ class _Problem:
         anchored[label[~self.free]] = True
         return [self.ids[k] for k in np.flatnonzero(~anchored[label])]
 
+    @cached_property
+    def pattern(self):
+        """CSC structure of the free-row Hessian, built on the first call.
+
+        Returns ``(e, k, m, position, indices, indptr, diagonal)``: the
+        (edge, endpoint, endpoint) triples of the blocks J_k^T J_m with both
+        endpoints free, the stored position of each of their 36 entries
+        (P, 6, 6), the CSC row indices and column pointers, and the stored
+        positions of the 6F diagonal entries in order.
+        """
+        free, slots = self.slots >= 0, self.slots
+        e, k, m = np.nonzero(free[:, :, None] & free[:, None, :])
+        blocks, where = np.unique(slots[e, m] * self.n_free + slots[e, k], return_inverse=True)
+        column, row = np.divmod(blocks, self.n_free)  # block column, block row
+        per_column = np.bincount(column, minlength=self.n_free)
+        first = np.cumsum(per_column) - per_column
+        # block column c is stored as 6 columns of 6 per_column[c] entries each;
+        # entry (a, b) of its j-th block sits in column 6c + b at offset 6j + a
+        start = 36 * first[column] + 6 * (np.arange(len(blocks)) - first[column])
+        a = np.arange(6)
+        position = (start[:, None, None] + a[:, None]
+                    + (6 * per_column[column])[:, None, None] * a)
+        indices = np.empty(36 * len(blocks), dtype=np.int32)
+        indices[position] = 6 * row[:, None, None] + a[:, None]
+        indptr = np.concatenate([[0], np.cumsum(np.repeat(6 * per_column, 6))]).astype(np.int32)
+        diagonal = position[column == row][:, a, a].ravel()
+        return e, k, m, position[where], indices, indptr, diagonal
+
     def normal_equations(self, r: np.ndarray):
         """IRLS-weighted gradient (6F,) and sparse Hessian (6F, 6F) over free rows.
 
-        ``r`` holds the residuals of all edges. The 6x6 blocks J_k^T J_l of
-        the free endpoints of each linearized edge go to the Hessian in COO
-        form; duplicates sum when it is converted to CSC.
+        ``r`` holds the residuals of all edges. The 6x6 blocks J_k^T J_m of
+        the free endpoints of each linearized edge sum into the stored
+        entries of `pattern`.
         """
-        from scipy.sparse import coo_matrix
+        from scipy.sparse import csc_matrix
 
         edges, slots, r = self.linearized, self.slots, r[self.active]
         wr, _, scale = _robust(edges, r)
         jac = np.stack(_jacobians(edges.whitener, self.linearized_z_inv, r), axis=1)
         jac = jac * scale[:, None, None, None]
+        jac_t = np.swapaxes(jac, -1, -2)
         wr = wr * scale[:, None]
         free = slots >= 0
 
-        grad = np.zeros((self.n_free, 6))
-        np.add.at(grad, slots[free], np.einsum("ekai,ea->eki", jac, wr)[free])
-
-        e, k, m = np.nonzero(free[:, :, None] & free[:, None, :])
-        blocks = np.einsum("pai,paj->pij", jac[e, k], jac[e, m])
-        idx = np.arange(6)
-        rows, cols = np.broadcast_arrays(6 * slots[e, k][:, None, None] + idx[:, None],
-                                         6 * slots[e, m][:, None, None] + idx)
         dim = 6 * self.n_free
-        hess = coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(dim, dim))
-        return grad.ravel(), hess.tocsc()
+        rows = 6 * slots[free][:, None] + np.arange(6)
+        grad = np.bincount(rows.ravel(), (jac_t @ wr[:, None, :, None])[free].ravel(), dim)
+        e, k, m, position, indices, indptr, _ = self.pattern
+        values = np.bincount(position.ravel(), (jac_t[e, k] @ jac[e, m]).ravel(), len(indices))
+        return grad, csc_matrix((values, indices, indptr), shape=(dim, dim))
 
 
 def whitened_residual_and_jacobians(edge: Edges, nodes):
@@ -342,12 +379,12 @@ def optimize(graph: PoseGraph, max_iterations: int = 100) -> OptimizationReport:
     updates poses in place.
 
     Every iteration runs over arrays: one batched residual for all edges,
-    Jacobians for the edges with a free endpoint, a sparse Hessian and one
-    sparse LU factorization per damping trial.
+    Jacobians for the edges with a free endpoint, a sparse Hessian on the
+    pattern built before the first iteration and one sparse LU factorization
+    with diagonal pivots per damping trial.
     """
     if max_iterations < 0:
         raise ValueError(f"negative max_iterations: {max_iterations}")
-    from scipy.sparse import identity
     from scipy.sparse.linalg import splu
 
     problem = _Problem(graph.poses(), graph.edges,
@@ -365,7 +402,7 @@ def optimize(graph: PoseGraph, max_iterations: int = 100) -> OptimizationReport:
     if not problem.n_free:
         report.reason = "nothing to optimize"
         return report
-    damping = identity(6 * problem.n_free, format="csc")
+    *_, diagonal = problem.pattern
 
     lam = _LAMBDA0
     for iteration in range(max_iterations):
@@ -378,7 +415,10 @@ def optimize(graph: PoseGraph, max_iterations: int = 100) -> OptimizationReport:
 
         accepted = False
         while lam <= _LAMBDA_MAX:
-            step = splu((hess + lam * damping).tocsc()).solve(-grad)
+            damped = hess.copy()
+            damped.data[diagonal] += lam
+            step = splu(damped, diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True}).solve(-grad)
             trial_q, trial_t = q.copy(), t.copy()
             trial_q[free], trial_t[free] = compose_batch((q[free], t[free]),
                                                          se3_exp(step.reshape(-1, 6)))

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
+from wassmap.geometry import _skew
 from wassmap.voxel_map import GmmMap
 
 
@@ -52,3 +53,29 @@ def write_ascii_pcd(path, points) -> None:
     )
     rows = "".join("%.9g %.9g %.9g\n" % tuple(p) for p in pts)
     Path(path).write_text(header + rows, encoding="ascii")
+
+
+def se3_ad(xi) -> np.ndarray:
+    """The 6x6 ad(xi) = [[w^, 0], [v^, w^]] of (..., 6) twists."""
+    xi = np.asarray(xi, dtype=float)
+    out = np.zeros(xi.shape[:-1] + (6, 6))
+    out[..., :3, :3] = out[..., 3:, 3:] = _skew(xi[..., :3])
+    out[..., 3:, :3] = _skew(xi[..., 3:])
+    return out
+
+
+def se3_left_jacobian(xi) -> np.ndarray:
+    """Left Jacobian: exp(xi + d) = exp(J d) exp(xi) + O(|d|^2), batched.
+
+    The reference for the closed forms: the convergent series sum
+    ad^n / (n+1)!, summed until every term of the batch is below 1e-18.
+    """
+    ad = se3_ad(xi)
+    out = np.broadcast_to(np.eye(6), ad.shape).copy()
+    term = out.copy()
+    for n in range(1, 60):
+        term = term @ ad / (n + 1.0)
+        out += term
+        if np.abs(term).max(initial=0.0) < 1e-18:
+            break
+    return out

@@ -6,12 +6,14 @@ import pytest
 from wassmap.geometry import (
     Pose,
     Rotation,
+    _v_matrix_inv,
     adjoint,
     se3_exp,
-    se3_left_jacobian,
     se3_log,
     se3_right_jacobian_inv,
 )
+
+from helpers import se3_left_jacobian
 
 TOL = 1e-9
 
@@ -178,6 +180,35 @@ def test_right_jacobian_inverse_property():
             minus = se3_log(se3_exp(xi) * se3_exp(-d))
             num[:, k] = (plus - minus) / (2 * h)
         assert np.max(np.abs(jr_inv - num)) < 1e-5
+
+
+# rotation angles across both sides of the Taylor switch, down to zero
+JACOBIAN_ANGLES = [0.0, 1e-9, 1e-6, 1e-4, 1.5e-4, 2e-4, 1e-3, 1e-2, 0.1, 0.29, 0.3, 0.31, 1.0,
+                   2.0, 3.0]
+
+
+def test_so3_left_jacobian_inverse_is_exact_to_rounding():
+    # J^{-1}(w) J(w) = I, with J the series reference; the closed-form
+    # coefficient of J^{-1} cancels badly just above small angles
+    rng = np.random.default_rng(47)
+    for angle in JACOBIAN_ANGLES[1:]:
+        for _ in range(5):
+            axis = rng.normal(size=3)
+            w = angle * axis / np.linalg.norm(axis)
+            jac = se3_left_jacobian(np.concatenate([w, np.zeros(3)]))[:3, :3]
+            assert np.abs(_v_matrix_inv(w) @ jac - np.eye(3)).max() <= 1e-14, angle
+
+
+def test_closed_form_right_jacobian_inverse_matches_series():
+    rng = np.random.default_rng(53)
+    xi = []
+    for angle in JACOBIAN_ANGLES:
+        for _ in range(5):
+            axis = rng.normal(size=3)
+            xi.append(np.concatenate([angle * axis / np.linalg.norm(axis), rng.normal(size=3)]))
+    xi = np.array(xi)
+    reference = np.linalg.inv(se3_left_jacobian(-xi))  # Jr^{-1}(xi) = Jl^{-1}(-xi)
+    np.testing.assert_allclose(se3_right_jacobian_inv(xi), reference, rtol=0.0, atol=1e-14)
 
 
 def test_log_rejects_nothing_but_branch_is_stable_at_pi():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wassmap
-from wassmap.geometry import Pose, Rotation, se3_exp, se3_log
+from wassmap.geometry import Pose, Rotation, se3_exp, se3_log, stack_poses
 from wassmap.pose_graph import (
     EdgeError,
     Edges,
@@ -566,3 +566,87 @@ def test_batched_normal_equations_match_per_edge_oracle():
     assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max()
     assert np.abs(hess - ref_hess).max() <= 1e-9 * np.abs(ref_hess).max()
     np.testing.assert_array_equal(hess != 0.0, ref_hess != 0.0)
+
+
+def test_measurement_inverses_match_pose_inverse_bit_for_bit():
+    rng = np.random.default_rng(59)
+    n = 200
+    measurements = [Pose(Rotation(*rng.normal(size=4)), rng.normal(scale=5.0, size=3))
+                    for _ in range(n)]
+    poses = {k: random_pose(rng) for k in range(n + 1)}
+    problem = _Problem(poses, Edges("odometry", range(n), range(1, n + 1), measurements,
+                                    np.eye(6)))
+    expected = stack_poses(m.inverse() for m in measurements)
+    np.testing.assert_array_equal(problem.z_inv[0], expected[0])
+    np.testing.assert_array_equal(problem.z_inv[1], expected[1])
+
+
+def _ring_graph(rng, n=6):
+    """A ring of odometry edges whose free nodes start far (about 1 rad, 1 m) from the truth."""
+    angles = 2.0 * np.pi * np.arange(n) / n
+    truth = [Pose(Rotation.from_rotvec([0.0, 0.0, a]), (3.0 * np.cos(a), 3.0 * np.sin(a), 0.0))
+             for a in angles]
+    graph = PoseGraph()
+    for k, pose in enumerate(truth):
+        graph.add_node(k, pose * random_pose(rng, rot_scale=1.0, trans_scale=1.0),
+                       fixed=k == 0)
+    graph.edges = Edges("odometry", range(n), [(k + 1) % n for k in range(n)],
+                        [truth[k].inverse() * truth[(k + 1) % n] for k in range(n)], np.eye(6))
+    return graph
+
+
+def test_hessian_pattern_holds_every_diagonal_entry():
+    graph = _ring_graph(np.random.default_rng(1))
+    problem = _Problem(graph.poses(), graph.edges, {0})
+    _, hess = problem.normal_equations(problem.cost(problem.q, problem.t)[1])
+    diagonal = problem.pattern[-1]
+    dim = 6 * problem.n_free
+    assert hess.has_canonical_format and hess.nnz == len(hess.indices)
+    np.testing.assert_array_equal(hess.indices[diagonal], np.arange(dim))
+    np.testing.assert_array_equal(np.searchsorted(hess.indptr, diagonal, side="right") - 1,
+                                  np.arange(dim))
+    np.testing.assert_array_equal(hess.data[diagonal], hess.diagonal())
+
+
+def test_each_damped_solve_matches_a_dense_solve(monkeypatch):
+    import scipy.sparse.linalg
+
+    events = []  # ("normal", grad, hess) and ("solve", matrix, rhs, step), in call order
+    normal_equations, splu = _Problem.normal_equations, scipy.sparse.linalg.splu
+
+    def recording_normal_equations(self, r):
+        grad, hess = normal_equations(self, r)
+        events.append(("normal", grad.copy(), hess.toarray()))
+        return grad, hess
+
+    class RecordingFactor:
+        def __init__(self, matrix, **options):
+            self.matrix, self.factor = matrix.toarray(), splu(matrix, **options)
+
+        def solve(self, rhs):
+            step = self.factor.solve(rhs)
+            events.append(("solve", self.matrix, rhs.copy(), step))
+            return step
+
+    monkeypatch.setattr(_Problem, "normal_equations", recording_normal_equations)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", RecordingFactor)
+    graph = _ring_graph(np.random.default_rng(1))
+    report = optimize(graph, max_iterations=20)
+    assert report.rejected_steps >= 1
+
+    # replay the damping schedule: a trial followed by another trial was rejected
+    lam, lams = 1e-4, []
+    for event, after in zip(events, events[1:] + [("end",)]):
+        if event[0] == "normal":
+            _, grad, hess = event
+            continue
+        _, matrix, rhs, step = event
+        damped = hess + lam * np.eye(len(hess))
+        np.testing.assert_array_equal(matrix, damped)
+        np.testing.assert_array_equal(rhs, -grad)
+        expected = np.linalg.solve(damped, -grad)
+        assert np.abs(step - expected).max() <= 1e-10 * np.abs(expected).max()
+        lams.append(lam)
+        lam = lam * 10.0 if after[0] == "solve" else max(lam / 10.0, 1e-15)
+    assert len(lams) == report.accepted_steps + report.rejected_steps
+    assert max(lams) > lams[0]
