@@ -25,7 +25,7 @@ The coefficients of J^{-1} and Q cancel at small angles, so below
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,6 +118,11 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=-1)
 
 
+# `Rotation` and `Pose` are frozen, so their ``__init__`` sets each field through
+# this; each field is normalized or copied once and set once.
+_set = object.__setattr__
+
+
 def _quat_rotate(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Rotate (..., 3) vectors by (..., 4) unit quaternions: p + 2 u x (u x p + w p)."""
     u = q[..., 1:]
@@ -125,23 +130,27 @@ def _quat_rotate(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p + q[..., :1] * t + _cross(u, t)
 
 
-@dataclass(frozen=True)
+# the message of the ValueError `Rotation` raises for a quaternion it cannot normalize
+QUATERNION_ERROR = "quaternion must be finite and nonzero"
+
+
+@dataclass(frozen=True, slots=True)
 class Rotation:
     """Unit quaternion (w, x, y, z); normalized on construction."""
 
-    w: float = 1.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
+    w: float
+    x: float
+    y: float
+    z: float
 
-    def __post_init__(self):
-        n = math.sqrt(self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z)
+    def __init__(self, w=1.0, x=0.0, y=0.0, z=0.0):
+        n = math.sqrt(w * w + x * x + y * y + z * z)
         if not (n > 0.0) or not math.isfinite(n):
-            raise ValueError("quaternion must be finite and nonzero")
-        object.__setattr__(self, "w", self.w / n)
-        object.__setattr__(self, "x", self.x / n)
-        object.__setattr__(self, "y", self.y / n)
-        object.__setattr__(self, "z", self.z / n)
+            raise ValueError(QUATERNION_ERROR)
+        _set(self, "w", w / n)
+        _set(self, "x", x / n)
+        _set(self, "y", y / n)
+        _set(self, "z", z / n)
 
     @staticmethod
     def identity() -> "Rotation":
@@ -188,17 +197,18 @@ class Rotation:
         ])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose:
     """Rigid transform: rotation followed by translation (meters)."""
 
-    rotation: Rotation = field(default_factory=Rotation.identity)
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    rotation: Rotation
+    translation: np.ndarray
 
-    def __post_init__(self):
-        t = np.array(self.translation, dtype=float).reshape(3)
+    def __init__(self, rotation=Rotation(), translation=(0.0, 0.0, 0.0)):
+        t = np.array(translation, dtype=float).reshape(3)
         t.setflags(write=False)
-        object.__setattr__(self, "translation", t)
+        _set(self, "rotation", rotation)
+        _set(self, "translation", t)
 
     @staticmethod
     def identity() -> "Pose":

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wassmap.geometry import Pose, Rotation, as_points
+from wassmap.geometry import QUATERNION_ERROR, Pose, Rotation, as_points, stack_poses
 from wassmap.pose_graph import EdgeError, Edges, PoseGraph
 
 logger = logging.getLogger(__name__)
@@ -259,7 +259,18 @@ def read_cloud_dir(directory) -> list[tuple[Path, float | None]]:
 
 
 # ---------------------------------------------------------------------------
-# TUM trajectories
+# Text records
+#
+# A text reader makes one pass over the lines. It checks record names and
+# token counts and stops at the first line that fails them. The numbers of the
+# records above that line are converted with one `np.array` call per field,
+# and every check on values is an array check that flags rows. The fault
+# reported is the first check, in the order a line is read, that flags the
+# earliest line, so a file fails with the message and line that reading it
+# line by line would give.
+
+_BAD_QUATERNION = f"bad quaternion: {QUATERNION_ERROR}"
+
 
 def _decode_lines(path):
     try:
@@ -269,59 +280,129 @@ def _decode_lines(path):
     return text.splitlines()
 
 
-def _format_pose(pose: Pose) -> str:
-    t = pose.translation
-    q = pose.rotation
-    return "%.17g %.17g %.17g %.17g %.17g %.17g %.17g" % (
-        t[0], t[1], t[2], q.x, q.y, q.z, q.w
-    )
+def _numbers(rows, width: int, dtype=float):
+    """Token rows as one (len(rows), width) array, and a mask flagging the
+    first row that does not convert. Only when the bulk conversion fails are
+    the rows walked, one conversion each, to find that row; it and the rows
+    after it read as zeros."""
+    bad = np.zeros(len(rows), dtype=bool)
+    try:
+        return np.array(rows, dtype=dtype).reshape(len(rows), width), bad
+    except (ValueError, OverflowError):  # OverflowError: an integer beyond int64
+        pass
+    values = np.zeros((len(rows), width), dtype=dtype)
+    for k, row in enumerate(rows):
+        try:
+            values[k] = np.array(row, dtype=dtype)
+        except (ValueError, OverflowError):
+            bad[k] = True
+            break
+    return values, bad
+
+
+def _quaternion_fails(w, x, y, z) -> np.ndarray:
+    """Rows that `Rotation` rejects, by its own arithmetic."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_sq = w * w + x * x + y * y + z * z
+    return ~(norm_sq > 0.0) | ~np.isfinite(norm_sq)
+
+
+def _pose_checks(values, bad):
+    """Checks of tx ty tz qx qy qz qw rows in the order a pose is read;
+    ``bad`` flags the row that did not convert."""
+    return [("non-numeric pose value", bad),
+            ("non-finite pose value", ~np.isfinite(values).all(axis=1)),
+            (_BAD_QUATERNION, _quaternion_fails(*values[:, [6, 3, 4, 5]].T))]
+
+
+def _poses(values) -> list[Pose]:
+    """tx ty tz qx qy qz qw rows as poses; each `Rotation` normalizes the values as read."""
+    return [Pose(Rotation(qw, qx, qy, qz), (tx, ty, tz))
+            for tx, ty, tz, qx, qy, qz, qw in values.tolist()]
+
+
+def _pose_values(poses) -> np.ndarray:
+    """tx ty tz qx qy qz qw of each pose, the order the text formats store."""
+    q, t = stack_poses(poses)
+    return np.concatenate([t, q[:, 1:], q[:, :1]], axis=1)
+
+
+def _first_fault(lines, checks, fault=None):
+    """The earlier of ``fault`` and the first fault of one record type's rows.
+
+    Faults are (line, detail). ``checks`` holds (detail, flags) in the order a
+    line is read; a detail may be a function of the row. A row's fault is the
+    first check that flags it, and the earliest flagged row is the type's.
+    """
+    failed = np.array([flags for _, flags in checks], dtype=bool).reshape(len(checks), -1)
+    flagged = failed.any(axis=0)
+    if not flagged.any():
+        return fault
+    row = int(np.argmax(flagged))
+    if fault and fault[0] < lines[row]:
+        return fault
+    detail = checks[int(np.argmax(failed[:, row]))][0]
+    return lines[row], detail if isinstance(detail, str) else detail(row)
+
+
+def _write_lines(path, lines) -> None:
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="ascii")
+
+
+# ---------------------------------------------------------------------------
+# TUM trajectories
+
+_TUM_FORMAT = "%.9f " + " ".join(["%.17g"] * 7)
 
 
 def read_tum(path) -> list[TrajectoryEntry]:
     path = Path(path)
-    entries: list[TrajectoryEntry] = []
-    previous = None
+    lines, rows, fault = [], [], None
     for line_no, line in enumerate(_decode_lines(path), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
         if len(tokens) != 8:
-            raise ParseError(path, f"expected 8 columns, got {len(tokens)}", line=line_no)
-        try:
-            values = [float(t) for t in tokens]
-        except ValueError:
-            raise ParseError(path, "non-numeric value", line=line_no) from None
-        if not all(math.isfinite(v) for v in values):
-            raise ParseError(path, "non-finite value", line=line_no)
-        timestamp, tx, ty, tz, qx, qy, qz, qw = values
-        if previous is not None and timestamp <= previous:
-            raise ParseError(
-                path, f"non-monotonic timestamp {timestamp} after {previous}", line=line_no
-            )
-        previous = timestamp
-        norm = math.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
-        if abs(norm - 1.0) > 1e-3:
-            logger.warning("%s:%d: quaternion norm %.6f, renormalizing", path, line_no, norm)
-        try:
-            rotation = Rotation(qw, qx, qy, qz)
-        except ValueError as err:
-            raise ParseError(path, f"bad quaternion: {err}", line=line_no) from None
-        entries.append(TrajectoryEntry(timestamp, Pose(rotation, (tx, ty, tz))))
-    return entries
+            fault = line_no, f"expected 8 columns, got {len(tokens)}"
+            break
+        lines.append(line_no)
+        rows.append(tokens)
+
+    values, bad = _numbers(rows, 8)
+    stamp, qx, qy, qz, qw = values[:, [0, 4, 5, 6, 7]].T
+    finite = np.isfinite(values).all(axis=1)
+    backwards = np.zeros(len(rows), dtype=bool)
+    backwards[1:] = stamp[1:] <= stamp[:-1]
+    fault = _first_fault(lines, [
+        ("non-numeric value", bad),
+        ("non-finite value", ~finite),
+        (lambda k: f"non-monotonic timestamp {float(stamp[k])} after {float(stamp[k - 1])}",
+         backwards),
+        (_BAD_QUATERNION, _quaternion_fails(qw, qx, qy, qz)),
+    ], fault)
+    # a line's norm is logged once the checks before the quaternion's pass:
+    # on every line above the fault, and on the fault's line if that check failed
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
+    logged = (np.abs(norm - 1.0) > 1e-3) & ~bad & finite & ~backwards
+    if fault:
+        logged &= np.array(lines, dtype=np.int64) <= fault[0]
+    for k in np.flatnonzero(logged):
+        logger.warning("%s:%d: quaternion norm %.6f, renormalizing", path, lines[k], norm[k])
+    if fault:
+        raise ParseError(path, fault[1], line=fault[0])
+    return [TrajectoryEntry(t, pose) for t, pose in zip(stamp.tolist(), _poses(values[:, 1:]))]
 
 
 def write_tum(path, entries) -> None:
     """Write `TrajectoryEntry` items, one TUM line each."""
-    lines = []
-    previous = None
-    for entry in entries:
-        timestamp, pose = entry.timestamp, entry.pose
-        if previous is not None and timestamp <= previous:
+    entries = list(entries)
+    stamps = [entry.timestamp for entry in entries]
+    for previous, timestamp in zip(stamps, stamps[1:]):
+        if timestamp <= previous:
             raise ValueError(f"non-monotonic timestamp {timestamp}")
-        previous = timestamp
-        lines.append("%.9f " % timestamp + _format_pose(pose))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="ascii")
+    values = _pose_values(entry.pose for entry in entries).tolist()
+    _write_lines(path, [_TUM_FORMAT % (t, *row) for t, row in zip(stamps, values)])
 
 
 def pair_frames(stamps, trajectory, max_dt: float = 0.05) -> list[Pose | None]:
@@ -377,81 +458,69 @@ def write_decisions_csv(path, decisions) -> None:
 
 # the 21 upper-triangular entries of a 6x6 information matrix, row-major
 _UPPER = np.triu_indices(6)
+_EDGE_VALUES = " ".join(["%.17g"] * 28)  # the measurement, then the upper triangle
+_EDGE_FORMAT = "EDGE_SE3:QUAT %d %d " + _EDGE_VALUES
+_PRIOR_FORMAT = "EDGE_SE3_PRIOR %d " + _EDGE_VALUES
+_VERTEX_FORMAT = "VERTEX_SE3:QUAT %d " + " ".join(["%.17g"] * 7)
+_EDGE_TOKENS = {"EDGE_SE3:QUAT": 31, "EDGE_SE3_PRIOR": 30}
 
 
-def _format_edge(ids, measurement, information) -> str:
-    """The record `_parse_edge` reads: EDGE_SE3_PRIOR for one endpoint,
-    EDGE_SE3:QUAT for two."""
-    record = "EDGE_SE3_PRIOR" if len(ids) == 1 else "EDGE_SE3:QUAT"
-    upper = " ".join("%.17g" % v for v in information[_UPPER])
-    return " ".join([record, *map(str, ids), _format_pose(measurement), upper])
+def _edge_fields(rows):
+    """Endpoints (E, 2), pose values (E, 7) and information (E, 6, 6) of
+    EDGE_SE3:QUAT and EDGE_SE3_PRIOR token rows, and their checks in the order
+    a line is read. A prior's one endpoint fills both columns."""
+    ids, bad_ids = _numbers([t[1:3] if len(t) == 31 else t[1:2] * 2 for t in rows], 2,
+                            np.int64)
+    pose, bad_pose = _numbers([t[-28:-21] for t in rows], 7)
+    upper, bad_upper = _numbers([t[-21:] for t in rows], 21)
+    info = np.zeros((len(rows), 6, 6))
+    info[:, _UPPER[0], _UPPER[1]] = upper
+    info[:, _UPPER[1], _UPPER[0]] = upper
+    return ids, pose, info, [("bad edge endpoint", bad_ids), *_pose_checks(pose, bad_pose),
+                             ("non-numeric information entry", bad_upper),
+                             ("non-finite information entry", ~np.isfinite(upper).all(axis=1))]
 
 
-def _info_from_upper(values) -> np.ndarray:
-    info = np.zeros((6, 6))
-    info[_UPPER] = values
-    info[_UPPER[::-1]] = values
-    return info
+def _edge_table(path, lines, fault, pose, **columns) -> Edges:
+    """`Edges` of the rows above ``fault``, whose pose values are ``pose``.
 
-
-def _parse_pose(path, tokens, line_no) -> Pose:
+    A line-by-line reader checks these rows before it reaches the fault, so a
+    row the table rejects is raised first, as a ParseError at its line. Then
+    ``fault``, if any, is raised.
+    """
+    n = len(lines) if fault is None else int(np.searchsorted(lines, fault[0]))
     try:
-        tx, ty, tz, qx, qy, qz, qw = [float(t) for t in tokens]
-    except ValueError:
-        raise ParseError(path, "non-numeric pose value", line=line_no) from None
-    if not all(math.isfinite(v) for v in (tx, ty, tz, qx, qy, qz, qw)):
-        raise ParseError(path, "non-finite pose value", line=line_no)
-    try:
-        rotation = Rotation(qw, qx, qy, qz)
-    except ValueError as err:
-        raise ParseError(path, f"bad quaternion: {err}", line=line_no) from None
-    return Pose(rotation, (tx, ty, tz))
-
-
-def _parse_edge(path, tokens, line_no, n_ids):
-    """An edge record's tokens, record name first, to (ids, measurement,
-    information): `n_ids` endpoints, a pose and a 21-entry upper triangle."""
-    expected = 1 + n_ids + 7 + 21
-    if len(tokens) != expected:
-        raise ParseError(path, f"edge needs {expected} tokens, got {len(tokens)}", line=line_no)
-    try:
-        ids = [int(t) for t in tokens[1:1 + n_ids]]
-    except ValueError:
-        raise ParseError(path, "bad edge endpoint", line=line_no) from None
-    measurement = _parse_pose(path, tokens[1 + n_ids:8 + n_ids], line_no)
-    try:
-        values = [float(t) for t in tokens[8 + n_ids:]]
-    except ValueError:
-        raise ParseError(path, "non-numeric information entry", line=line_no) from None
-    if not all(math.isfinite(v) for v in values):
-        raise ParseError(path, "non-finite information entry", line=line_no)
-    return ids, measurement, _info_from_upper(values)
-
-
-def _edge_table(path, rows) -> Edges:
-    """`Edges` of (line, *columns) rows; a row it rejects is a ParseError at its line."""
-    lines, *columns = zip(*rows) if rows else ((),)
-    try:
-        return Edges(*columns)
+        edges = Edges(measurement=_poses(pose[:n]),
+                      **{name: column[:n] for name, column in columns.items()})
     except EdgeError as err:
         raise ParseError(path, err.detail, line=lines[err.row]) from None
+    if fault:
+        raise ParseError(path, fault[1], line=fault[0])
+    return edges
+
+
+def _edge_values(edges: Edges) -> list[list[float]]:
+    """Each edge's 28 stored values: its measurement, then its upper triangle."""
+    return np.concatenate([_pose_values(edges.measurement),
+                           edges.information[:, _UPPER[0], _UPPER[1]]], axis=1).tolist()
 
 
 def write_graph(path, graph: PoseGraph) -> None:
+    nodes = [graph.nodes[node_id] for node_id in sorted(graph.nodes)]
     lines = []
-    for node_id in sorted(graph.nodes):
-        node = graph.nodes[node_id]
+    for node, values in zip(nodes, _pose_values(node.pose for node in nodes).tolist()):
         lines.append(f"# SESSION {node.id} {node.session}")
         if node.fixed:
             lines.append(f"# FIX {node.id}")
-        lines.append(f"VERTEX_SE3:QUAT {node.id} {_format_pose(node.pose)}")
+        lines.append(_VERTEX_FORMAT % (node.id, *values))
     edges = graph.edges
-    for kind, i, j, measurement, info, huber, delta in zip(
-            edges.kind, edges.i.tolist(), edges.j.tolist(), edges.measurement,
-            edges.information, edges.huber, edges.delta.tolist()):
+    for kind, i, j, huber, delta, values in zip(
+            edges.kind, edges.i.tolist(), edges.j.tolist(), edges.huber, edges.delta.tolist(),
+            _edge_values(edges)):
         lines.append(f"# KIND {kind} {'huber' if huber else 'none'} {'%.17g' % delta}")
-        lines.append(_format_edge((i,) if kind == "prior" else (i, j), measurement, info))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="ascii")
+        lines.append(_PRIOR_FORMAT % (i, *values) if kind == "prior"
+                     else _EDGE_FORMAT % (i, j, *values))
+    _write_lines(path, lines)
 
 
 def read_graph(path) -> PoseGraph:
@@ -464,73 +533,82 @@ def read_graph(path) -> PoseGraph:
     path = Path(path)
     sessions: dict[int, int] = {}
     fixed: set[int] = set()
-    pending_kind = None
-    vertices: dict[int, Pose] = {}
-    rows = []  # line, kind, i, j, measurement, information, kernel, delta
-    try:
-        for line_no, line in enumerate(_decode_lines(path), 1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if tokens[0] == "#":
+    pending_kind: list[str] = []
+    vertex_lines, vertex_rows = [], []
+    edge_lines, edge_rows, edge_kinds = [], [], []  # both edge records, in line order
+    fault = None
+    for line_no, line in enumerate(_decode_lines(path), 1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        record = tokens[0]
+        if record == "#":
+            try:
                 if len(tokens) >= 4 and tokens[1] == "SESSION":
-                    try:
-                        sessions[int(tokens[2])] = int(tokens[3])
-                    except ValueError:
-                        raise ParseError(path, "bad SESSION comment", line=line_no) from None
+                    sessions[int(tokens[2])] = int(tokens[3])
                 elif len(tokens) >= 3 and tokens[1] == "FIX":
-                    try:
-                        fixed.add(int(tokens[2]))
-                    except ValueError:
-                        raise ParseError(path, "bad FIX comment", line=line_no) from None
+                    fixed.add(int(tokens[2]))
                 elif len(tokens) >= 3 and tokens[1] == "KIND":
                     pending_kind = tokens[2:5]
-                continue
-            if tokens[0] == "VERTEX_SE3:QUAT":
-                if len(tokens) != 9:
-                    raise ParseError(path, f"vertex needs 9 tokens, got {len(tokens)}",
-                                     line=line_no)
-                try:
-                    node_id = int(tokens[1])
-                except ValueError:
-                    raise ParseError(path, "bad vertex id", line=line_no) from None
-                if node_id in vertices:
-                    raise ParseError(path, f"duplicate vertex {node_id}", line=line_no)
-                vertices[node_id] = _parse_pose(path, tokens[2:9], line_no)
-                continue
-            if tokens[0] in ("EDGE_SE3:QUAT", "EDGE_SE3_PRIOR"):
-                prior = tokens[0] == "EDGE_SE3_PRIOR"
-                ids, measurement, info = _parse_edge(path, tokens, line_no, 1 if prior else 2)
+            except ValueError:
+                fault = line_no, f"bad {tokens[1]} comment"
+                break
+        elif record == "VERTEX_SE3:QUAT":
+            if len(tokens) != 9:
+                fault = line_no, f"vertex needs 9 tokens, got {len(tokens)}"
+                break
+            vertex_lines.append(line_no)
+            vertex_rows.append(tokens)
+        elif record in _EDGE_TOKENS:
+            if len(tokens) != _EDGE_TOKENS[record]:
+                fault = line_no, f"edge needs {_EDGE_TOKENS[record]} tokens, got {len(tokens)}"
+                break
+            edge_lines.append(line_no)
+            edge_rows.append(tokens)
+            edge_kinds.append(pending_kind)
+            pending_kind = []
+        else:
+            fault = line_no, f"unknown record {record!r}"
+            break
 
-                if pending_kind:
-                    kind = pending_kind[0]
-                    kernel = pending_kind[1] if len(pending_kind) > 1 else None
-                    try:
-                        delta = float(pending_kind[2]) if len(pending_kind) > 2 else 1.0
-                    except ValueError:
-                        raise ParseError(path, "bad KIND delta", line=line_no) from None
-                    pending_kind = None
-                elif prior:
-                    kind, kernel, delta = "prior", None, 1.0
-                else:
-                    kind = "odometry" if abs(ids[0] - ids[-1]) == 1 else "loop"
-                    kernel, delta = None, 1.0
-                j = None if prior else ids[1]
-                if any(k not in vertices for k in ids):
-                    raise ParseError(path, f"edge ({ids[0]}, {j}) references a missing node",
-                                     line=line_no)
-                rows.append((line_no, kind, ids[0], j, measurement, info, kernel, delta))
-                continue
-            raise ParseError(path, f"unknown record {tokens[0]!r}", line=line_no)
-    except ParseError:
-        _edge_table(path, rows)  # a bad edge above the fault is reported first
-        raise
+    node_ids, bad_ids = _numbers([t[1:2] for t in vertex_rows], 1, np.int64)
+    node_ids = node_ids[:, 0]
+    node_poses, bad_poses = _numbers([t[2:] for t in vertex_rows], 7)
+    order = np.argsort(node_ids, kind="stable")  # each id's first line first
+    repeated = np.zeros(len(node_ids), dtype=bool)
+    repeated[order[1:]] = node_ids[order[1:]] == node_ids[order[:-1]]
+    fault = _first_fault(vertex_lines, [
+        ("bad vertex id", bad_ids),
+        (lambda k: f"duplicate vertex {node_ids[k]}", repeated),
+        *_pose_checks(node_poses, bad_poses),
+    ], fault)
 
+    ends, pose, info, checks = _edge_fields(edge_rows)
+    delta, bad_delta = _numbers([kind[2:3] or ["1.0"] for kind in edge_kinds], 1)
+    # an edge's nodes must be vertices on lines above it
+    known = np.zeros(ends.shape, dtype=bool)
+    if len(order):
+        first = order[np.searchsorted(node_ids[order], ends).clip(max=len(order) - 1)]
+        known = ((node_ids[first] == ends)
+                 & (np.array(vertex_lines)[first] < np.array(edge_lines)[:, None]))
+    i = ends[:, 0].tolist()
+    j = [None if t[0] == "EDGE_SE3_PRIOR" else end for t, end in zip(edge_rows, ends[:, 1].tolist())]
+    fault = _first_fault(edge_lines, [
+        *checks,
+        ("bad KIND delta", bad_delta),
+        (lambda k: f"edge ({i[k]}, {j[k]}) references a missing node", ~known.all(axis=1)),
+    ], fault)
+
+    kind = [pending[0] if pending else "prior" if b is None else
+            "odometry" if abs(a - b) == 1 else "loop"
+            for pending, a, b in zip(edge_kinds, i, j)]
+    kernel = [pending[1] if len(pending) > 1 else None for pending in edge_kinds]
+    edges = _edge_table(path, edge_lines, fault, pose, kind=kind, i=ends[:, 0], j=j,
+                        information=info, kernel=kernel, delta=delta[:, 0])
     graph = PoseGraph()
-    for node_id, pose in vertices.items():
-        graph.add_node(node_id, pose, sessions.get(node_id, 1), node_id in fixed)
-    graph.edges = _edge_table(path, rows)
+    for node_id, node_pose in zip(node_ids.tolist(), _poses(node_poses)):
+        graph.add_node(node_id, node_pose, sessions.get(node_id, 1), node_id in fixed)
+    graph.edges = edges
     return graph
 
 
@@ -539,26 +617,26 @@ def read_edge_list(path) -> Edges:
     `merge_sessions` gives each list its kind. A row the table rejects raises
     ParseError at its line."""
     path = Path(path)
-    rows = []
-    try:
-        for line_no, line in enumerate(_decode_lines(path), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if tokens[0] != "EDGE_SE3:QUAT":
-                raise ParseError(path, f"unknown record {tokens[0]!r}", line=line_no)
-            (i, j), measurement, info = _parse_edge(path, tokens, line_no, 2)
-            rows.append((line_no, "odometry", i, j, measurement, info))
-    except ParseError:
-        _edge_table(path, rows)  # a bad edge above the fault is reported first
-        raise
-    return _edge_table(path, rows)
+    lines, rows, fault = [], [], None
+    for line_no, line in enumerate(_decode_lines(path), 1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if tokens[0] != "EDGE_SE3:QUAT":
+            fault = line_no, f"unknown record {tokens[0]!r}"
+            break
+        if len(tokens) != 31:
+            fault = line_no, f"edge needs 31 tokens, got {len(tokens)}"
+            break
+        lines.append(line_no)
+        rows.append(tokens)
+    ends, pose, info, checks = _edge_fields(rows)
+    fault = _first_fault(lines, checks, fault)
+    return _edge_table(path, lines, fault, pose, kind=np.full(len(rows), "odometry"),
+                       i=ends[:, 0], j=ends[:, 1].tolist(), information=info)
 
 
 def write_edge_list(path, edges: Edges) -> None:
     """Write an `Edges` table of binary edges as EDGE_SE3:QUAT lines."""
-    lines = [_format_edge((i, j), measurement, info)
-             for i, j, measurement, info in zip(edges.i.tolist(), edges.j.tolist(),
-                                                 edges.measurement, edges.information)]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="ascii")
+    _write_lines(path, [_EDGE_FORMAT % (i, j, *values) for i, j, values in zip(
+        edges.i.tolist(), edges.j.tolist(), _edge_values(edges))])

@@ -79,6 +79,9 @@ logger = logging.getLogger(__name__)
 # information of the priors `merge_sessions` adds
 PRIOR_INFORMATION = np.eye(6) * 1e4
 
+# node ids are int64: the first id too large to be one
+_ID_LIMIT = 2 ** 63
+
 # Levenberg-Marquardt schedule of `optimize`
 _LAMBDA0 = 1e-4
 _LAMBDA_FACTOR = 10.0
@@ -464,9 +467,10 @@ def merge_sessions(
     indices (i, j), ``loops12`` rows a session-1 node id i and a session-2
     index j, measuring T_1i^{-1} T_2j. Both are `read_edge_list` tables; they
     join session 1's edges unchecked, with their kind's default kernel.
-    Session-1 nodes are hard-fixed. The initial guess can additionally be
-    pinned with ``t_init_prior``, which adds a prior factor on the first
-    session-2 node at its initialized pose.
+    Session-2 index k becomes node id (largest session-1 id) + 1 + k; an id
+    beyond int64 is a ValueError. Session-1 nodes are hard-fixed. The
+    initial guess can additionally be pinned with ``t_init_prior``, which
+    adds a prior factor on the first session-2 node at its initialized pose.
     """
     if not graph1.nodes:
         raise ValueError("session-1 graph has no nodes")
@@ -480,13 +484,16 @@ def merge_sessions(
     missing = ~np.isin(loops12.i, list(graph1.nodes))
     if missing.any():
         raise ValueError(f"loop references missing session-1 node {loops12.i[missing][0]}")
+    offset = max(graph1.nodes) + 1
+    too_large = max(offset, _ID_LIMIT)
+    if too_large < offset + n2:
+        raise ValueError(f"session-2 node id {too_large} does not fit in int64")
     if not len(loops12):
         logger.warning("sessions connected only by T_init; no inter-session loop edges")
 
     merged = PoseGraph()
     for node in graph1.nodes.values():
         merged.add_node(node.id, node.pose, node.session, fixed=True)
-    offset = max(merged.nodes) + 1
     for idx, pose in enumerate(trajectory2):
         merged.add_node(offset + idx, t_init * pose, session=2)
 

@@ -1,5 +1,7 @@
 """Test-side shortcuts built on the package's public pieces."""
 
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -79,3 +81,73 @@ def se3_left_jacobian(xi) -> np.ndarray:
         if np.abs(term).max(initial=0.0) < 1e-18:
             break
     return out
+
+
+@dataclass(frozen=True)
+class ReferenceRotation:
+    """The two-step construction `Rotation` must match bit for bit: the
+    generated ``__init__`` assigns the raw fields, then ``__post_init__``
+    divides each one by the norm."""
+
+    w: float = 1.0
+    x: float = 0.0
+    y: float = 0.0
+    z: float = 0.0
+
+    def __post_init__(self):
+        n = math.sqrt(self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z)
+        if not (n > 0.0) or not math.isfinite(n):
+            raise ValueError("quaternion must be finite and nonzero")
+        object.__setattr__(self, "w", self.w / n)
+        object.__setattr__(self, "x", self.x / n)
+        object.__setattr__(self, "y", self.y / n)
+        object.__setattr__(self, "z", self.z / n)
+
+
+# Reference text writers: one Python call per value, the layout the io writers
+# must reproduce byte for byte.
+
+def format_pose(pose) -> str:
+    t = pose.translation
+    q = pose.rotation
+    return "%.17g %.17g %.17g %.17g %.17g %.17g %.17g" % (
+        t[0], t[1], t[2], q.x, q.y, q.z, q.w
+    )
+
+
+def format_edge(ids, measurement, information) -> str:
+    """EDGE_SE3_PRIOR for one endpoint, EDGE_SE3:QUAT for two."""
+    record = "EDGE_SE3_PRIOR" if len(ids) == 1 else "EDGE_SE3:QUAT"
+    upper = " ".join("%.17g" % v for v in information[np.triu_indices(6)])
+    return " ".join([record, *map(str, ids), format_pose(measurement), upper])
+
+
+def _text(lines) -> str:
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_graph_text(graph) -> str:
+    lines = []
+    for node_id in sorted(graph.nodes):
+        node = graph.nodes[node_id]
+        lines.append(f"# SESSION {node.id} {node.session}")
+        if node.fixed:
+            lines.append(f"# FIX {node.id}")
+        lines.append(f"VERTEX_SE3:QUAT {node.id} {format_pose(node.pose)}")
+    edges = graph.edges
+    for kind, i, j, measurement, info, huber, delta in zip(
+            edges.kind, edges.i.tolist(), edges.j.tolist(), edges.measurement,
+            edges.information, edges.huber, edges.delta.tolist()):
+        lines.append(f"# KIND {kind} {'huber' if huber else 'none'} {'%.17g' % delta}")
+        lines.append(format_edge((i,) if kind == "prior" else (i, j), measurement, info))
+    return _text(lines)
+
+
+def reference_edge_list_text(edges) -> str:
+    return _text([format_edge((i, j), measurement, info)
+                  for i, j, measurement, info in zip(edges.i.tolist(), edges.j.tolist(),
+                                                      edges.measurement, edges.information)])
+
+
+def reference_tum_text(entries) -> str:
+    return _text(["%.9f " % entry.timestamp + format_pose(entry.pose) for entry in entries])

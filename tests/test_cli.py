@@ -627,6 +627,33 @@ class TestMergeCommand:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o" / "merged.g2o").exists()
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("session1.g2o", "VERTEX_SE3:QUAT 9223372036854775806 0 0 0 0 0 0 1",
+         "session-2 node id 9223372036854775808 does not fit in int64"),
+        ("session1.g2o", "VERTEX_SE3:QUAT 100000000000000000000 0 0 0 0 0 0 1",
+         "{path}:{line}: bad vertex id"),
+        ("loops.txt", 2, "{path}:1: bad edge endpoint"),
+    ])
+    def test_node_id_beyond_int64_exits_one(self, two_session_dataset, tmp_path, capsys,
+                                            name, edit, message):
+        files = {n: two_session_dataset / n for n in ("session1.g2o", "loops.txt")}
+        lines = files[name].read_text().splitlines()
+        if isinstance(edit, str):
+            lines.append(edit)
+        else:
+            tokens = lines[0].split()
+            tokens[edit] = "99999999999999999999"
+            lines[0] = " ".join(tokens)
+        files[name] = tmp_path / name
+        files[name].write_text("\n".join(lines) + "\n")
+        code = run("merge", "--graph", files["session1.g2o"],
+                   "--trajectory", two_session_dataset / "session2_estimate.tum",
+                   "--odometry", two_session_dataset / "session2_odometry.txt",
+                   "--loops", files["loops.txt"], "--out", tmp_path / "o")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: " + message.format(path=files[name], line=len(lines)) + "\n"
+
     def test_benchmark_tracer_reads_the_merge(self, two_session_dataset, tmp_path,
                                                monkeypatch):
         # `perfbench/run.py --trace 1` patches program functions by name and

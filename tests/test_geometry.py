@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from wassmap.geometry import (
     se3_right_jacobian_inv,
 )
 
-from helpers import se3_left_jacobian
+from helpers import ReferenceRotation, se3_left_jacobian
 
 TOL = 1e-9
 
@@ -221,3 +222,53 @@ def test_log_rejects_nothing_but_branch_is_stable_at_pi():
 def test_zero_quaternion_rejected():
     with pytest.raises(ValueError):
         Rotation(0.0, 0.0, 0.0, 0.0)
+
+
+def test_rotation_matches_two_step_normalization_bit_for_bit():
+    rng = np.random.default_rng(23)
+    quats = rng.normal(size=(20_000, 4))
+    quats[::4] *= 10.0 ** rng.integers(-150, 150, size=(5_000, 1))
+    quats[1::8, 0] = -0.0
+    for q in quats.tolist():
+        got, ref = Rotation(*q), ReferenceRotation(*q)
+        assert np.array_equal(np.array([got.w, got.x, got.y, got.z]).view(np.int64),
+                              np.array([ref.w, ref.x, ref.y, ref.z]).view(np.int64)), q
+    for q in ((0.0, 0.0, 0.0, 0.0), (1e200, 0.0, 0.0, 0.0), (1e-200, 0.0, 0.0, 0.0),
+              (math.nan, 0.0, 0.0, 1.0), (math.inf, 0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="^quaternion must be finite and nonzero$"):
+            Rotation(*q)
+        with pytest.raises(ValueError):
+            ReferenceRotation(*q)
+
+
+def test_pose_values_are_frozen_slotted_values():
+    r = Rotation(1.0, 2.0, 3.0, 4.0)
+    p = Pose(r, (1.0, 2.0, 3.0))
+    for value, name in ((r, "w"), (r, "z"), (p, "rotation"), (p, "translation")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 0.0)
+    with pytest.raises(ValueError):
+        p.translation[0] = 5.0  # the translation array is read-only
+    assert not hasattr(r, "__dict__") and not hasattr(p, "__dict__")
+    assert Rotation() == Rotation.identity() == Rotation(1.0, 0.0, 0.0, 0.0)
+    assert Pose().rotation == Rotation() and Pose().translation.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_pose_values_compare_hash_and_replace_as_before():
+    r = Rotation(1.0, 2.0, 3.0, 4.0)
+    assert r == Rotation(1.0, 2.0, 3.0, 4.0) and r != Rotation(1.0, 2.0, 3.0, 4.5)
+    assert hash(r) == hash(Rotation(1.0, 2.0, 3.0, 4.0)) == hash((r.w, r.x, r.y, r.z))
+    assert {r: "value"}[Rotation(1.0, 2.0, 3.0, 4.0)] == "value"
+    assert repr(Rotation()) == "Rotation(w=1.0, x=0.0, y=0.0, z=0.0)"
+    # replace builds a new value through the normalizing constructor
+    assert dataclasses.replace(r, w=-1.0) == Rotation(-1.0, r.x, r.y, r.z)
+    assert dataclasses.replace(r) == Rotation(r.w, r.x, r.y, r.z)
+
+    p = Pose(r, (1.0, 2.0, 3.0))
+    assert p == p  # a pose holds an array, so it compares by identity only
+    with pytest.raises(TypeError):
+        hash(p)
+    moved = dataclasses.replace(p, translation=[4, 5, 6])
+    assert moved.rotation is r and moved.translation.tolist() == [4.0, 5.0, 6.0]
+    assert moved.translation.dtype == float and not moved.translation.flags.writeable
+    assert dataclasses.replace(p, rotation=Rotation()).translation is not p.translation

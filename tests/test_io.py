@@ -24,7 +24,14 @@ from wassmap.io import (
 from wassmap.keyframe import FrameDecision, KeyframeSelector, SelectorConfig
 from wassmap.pose_graph import Edges, PoseGraph
 
-from helpers import assert_maps_identical, build_map, write_ascii_pcd
+from helpers import (
+    assert_maps_identical,
+    build_map,
+    reference_edge_list_text,
+    reference_graph_text,
+    reference_tum_text,
+    write_ascii_pcd,
+)
 
 
 def random_pose(rng):
@@ -232,6 +239,26 @@ class TestTum:
             read_tum(f)
         assert not caplog.records
 
+    def test_norm_warnings_name_their_lines_in_order(self, tmp_path, caplog):
+        # every line up to the first fault is warned about, the faulty line
+        # too when its fault is the quaternion check that follows the warning
+        f = tmp_path / "traj.txt"
+        f.write_text("0.0 0 0 0 0 0 0 1\n"
+                     "1.0 0 0 0 0 0 0 1.01\n"
+                     "# comment\n"
+                     "2.0 0 0 0 0 0 0 1.0000001\n"
+                     "3.0 0 0 0 0.5 0 0 0.5\n"
+                     "4.0 0 0 0 0 0 0 0\n"
+                     "5.0 0 0 0 0 0 0 3\n")
+        with caplog.at_level("WARNING", logger="wassmap.io"), pytest.raises(
+                ParseError, match=f"^{re.escape(str(f))}:6: bad quaternion: quaternion must"):
+            read_tum(f)
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", f"{f}:2: quaternion norm 1.010000, renormalizing"),
+            ("WARNING", f"{f}:5: quaternion norm 0.707107, renormalizing"),
+            ("WARNING", f"{f}:6: quaternion norm 0.000000, renormalizing"),
+        ]
+
     def test_rejects_garbage(self, tmp_path):
         for body in ("0.0 a 0 0 0 0 0 1\n", "0.0 nan 0 0 0 0 0 1\n",
                      "0.0 0 0 0 0 0 0 0\n"):
@@ -421,6 +448,10 @@ class TestGraphFiles:
             "zeroq.g2o": ("VERTEX_SE3:QUAT 0 0 0 0 0 0 0 0\n",
                           "1: bad quaternion: quaternion must be finite and nonzero"),
             "nanq.g2o": ("VERTEX_SE3:QUAT 0 0 0 0 nan 0 0 1\n", "1: non-finite pose value"),
+            # ids are int64 throughout; a larger one is a parse error
+            "huge_vertex.g2o": (vertex.format(10 ** 20), "1: bad vertex id"),
+            "huge_endpoint.g2o": (vertex.format(0) + "EDGE_SE3:QUAT 0 99999999999999999999 "
+                                  f"0 0 0 0 0 0 1 {EYE21}\n", "2: bad edge endpoint"),
         }
         for name, (body, message) in bad.items():
             f = tmp_path / name
@@ -481,6 +512,28 @@ class TestEdgeList:
         with pytest.raises(ParseError):
             read_edge_list(f)
 
+    def test_structured_errors(self, tmp_path):
+        edge = "EDGE_SE3:QUAT {} {} 0 0 0 0 0 0 1 {}\n"
+        bad = {
+            "record.txt": ("EDGE_SE3_PRIOR 0 0 0 0 0 0 0 1\n",
+                           "1: unknown record 'EDGE_SE3_PRIOR'"),
+            "short.txt": (edge.format(0, 1, EYE21) + "EDGE_SE3:QUAT 1 2 0\n",
+                          "2: edge needs 31 tokens, got 4"),
+            "endpoint.txt": (edge.format(0, "1.5", EYE21), "1: bad edge endpoint"),
+            "huge_endpoint.txt": (edge.format(0, "99999999999999999999", EYE21),
+                                  "1: bad edge endpoint"),
+            "nanpose.txt": ("EDGE_SE3:QUAT 0 1 0 0 0 0 0 nan 1 " + EYE21 + "\n",
+                            "1: non-finite pose value"),
+            "zeroq.txt": ("EDGE_SE3:QUAT 0 1 0 0 0 0 0 0 0 " + EYE21 + "\n",
+                          "1: bad quaternion: quaternion must be finite and nonzero"),
+            "info.txt": (edge.format(0, 1, "y" + EYE21[1:]), "1: non-numeric information entry"),
+        }
+        for name, (body, message) in bad.items():
+            f = tmp_path / name
+            f.write_text(body)
+            with pytest.raises(ParseError, match=f"^{re.escape(f'{f}:{message}')}$"):
+                read_edge_list(f)
+
     def test_invalid_information_names_its_line(self, tmp_path):
         f = tmp_path / "loops.txt"
         f.write_text(f"EDGE_SE3:QUAT 0 1 0 0 0 0 0 0 1 {EYE21}\n"
@@ -505,6 +558,87 @@ class TestEdgeList:
 
 
 # ---------------------------------------------------------------------------
+# First fault: the earliest line wins, even when the check that fails there
+# runs later in a line's order than the check that fails on a later line
+
+
+@pytest.mark.parametrize("name, body, message", [
+    ("a.tum", "0.0 0 0 0 0 0 0 1\n0.0 0 0 0 0 0 0 1\n1.0 0 0\n",
+     "2: non-monotonic timestamp 0.0 after 0.0"),
+    ("b.txt", f"EDGE_SE3:QUAT 0 1 0 0 0 0 0 0 1 inf {EYE21[2:]}\nEDGE_SE3:QUAT 1 2 0\n",
+     "1: non-finite information entry"),
+    ("c.g2o", "VERTEX_SE3:QUAT 0 0 0 x 0 0 0 1\nVERTEX_SE3 1 0 0 0 0 0 0 1\n",
+     "1: non-numeric pose value"),
+    ("d.g2o", "VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1\nVERTEX_SE3:QUAT 1 0 0 0 0 0 0 0\n"
+              "VERTEX_SE3:QUAT 2 0 0 0 0 0 0 1\nVERTEX_SE3:QUAT 3 0 0 0\n",
+     "2: bad quaternion: quaternion must be finite and nonzero"),
+])
+def test_earliest_line_fault_is_reported(tmp_path, name, body, message):
+    reader = {".tum": read_tum, ".txt": read_edge_list, ".g2o": read_graph}
+    f = tmp_path / name
+    f.write_text(body)
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{f}:{message}')}$"):
+        reader[f.suffix](f)
+
+
+# ---------------------------------------------------------------------------
+# Writers: byte for byte the layout of a per-value reference writer
+
+
+class TestWriterBytes:
+    """Each file holds -0.0, 5e-324, 1e-300 and 1e300 in poses and information."""
+
+    def _edges_with_extremes(self, rng, n, kind="odometry"):
+        measurements = [random_pose(rng) for _ in range(n)]
+        measurements[0] = Pose(Rotation(1.0, -0.0, 5e-324, 1e-300), (-0.0, 1e-300, 1e300))
+        info = [random_info(rng) for _ in range(n)]
+        info[0] = np.diag([1e-300, 1e300, 5e-324, 1.0, 2.0, 3.0])
+        info[0][0, 1] = info[0][1, 0] = -0.0
+        return measurements, info
+
+    def test_graph(self, tmp_path):
+        rng = np.random.default_rng(12)
+        graph = PoseGraph()
+        poses = [random_pose(rng) for _ in range(4)]
+        poses[1] = Pose(Rotation(-0.0, 1.0, 5e-324, -1e-300), (1e300, 5e-324, -0.0))
+        for k, pose in enumerate(poses):
+            graph.add_node(k, pose, session=1 + k // 2, fixed=k in (0, 2))
+        measurements, info = self._edges_with_extremes(rng, 4)
+        graph.edges = Edges(["odometry", "loop", "prior", "loop"], [0, 0, 3, 1],
+                            [1, 3, None, 2], measurements, info,
+                            [None, "huber", None, "none"], [1.0, 0.25, 1.0, 1e300])
+        f = tmp_path / "graph.g2o"
+        write_graph(f, graph)
+        assert f.read_text(encoding="ascii") == reference_graph_text(graph)
+        assert "EDGE_SE3_PRIOR 3 " in f.read_text() and "# FIX 2" in f.read_text()
+
+    def test_edge_list(self, tmp_path):
+        rng = np.random.default_rng(13)
+        measurements, info = self._edges_with_extremes(rng, 5)
+        edges = Edges("odometry", [0, 1, 2, 3, 2 ** 62], [1, 2, 3, 4, 0], measurements, info)
+        f = tmp_path / "edges.txt"
+        write_edge_list(f, edges)
+        assert f.read_text(encoding="ascii") == reference_edge_list_text(edges)
+
+    def test_trajectory(self, tmp_path):
+        rng = np.random.default_rng(14)
+        entries = [TrajectoryEntry(0.1 * k - 1.0, random_pose(rng)) for k in range(5)]
+        entries += [TrajectoryEntry(-0.0, Pose(Rotation(5e-324, 1e-300, 1.0, -0.0),
+                                               (5e-324, -1e300, -0.0))),
+                    TrajectoryEntry(5e-324, random_pose(rng)), TrajectoryEntry(1e300, Pose())]
+        f = tmp_path / "traj.tum"
+        write_tum(f, entries)
+        assert f.read_text(encoding="ascii") == reference_tum_text(entries)
+
+    def test_empty(self, tmp_path):
+        for writer, empty in ((write_graph, PoseGraph()), (write_edge_list, Edges()),
+                              (write_tum, [])):
+            f = tmp_path / "empty"
+            writer(f, empty)
+            assert f.read_bytes() == b""
+
+
+# ---------------------------------------------------------------------------
 # Fuzzing: parsers fail loudly but never with an unstructured exception
 
 
@@ -520,8 +654,8 @@ class TestFuzz:
             for reader in self.READERS:
                 try:
                     reader(f)
-                except ParseError:
-                    pass
+                except ParseError as err:
+                    assert str(err).startswith(f"{f}:"), err
 
     def test_mutated_valid_files(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -531,8 +665,14 @@ class TestFuzz:
         write_tum(tum, [TrajectoryEntry(0.1 * k, random_pose(rng)) for k in range(10)])
         g2o = tmp_path / "ok.g2o"
         write_graph(g2o, _sample_graph(rng))
+        edge_list = tmp_path / "ok.edges"
+        edge_rng = np.random.default_rng(9)
+        write_edge_list(edge_list, Edges("odometry", range(6), range(1, 7),
+                                         [random_pose(edge_rng) for _ in range(6)],
+                                         [random_info(edge_rng) for _ in range(6)]))
 
-        for source, reader in ((pcd, read_pcd), (tum, read_tum), (g2o, read_graph)):
+        for source, reader in ((pcd, read_pcd), (tum, read_tum), (g2o, read_graph),
+                               (edge_list, read_edge_list)):
             raw = bytearray(source.read_bytes())
             for trial in range(60):
                 mutated = bytearray(raw)
@@ -545,5 +685,5 @@ class TestFuzz:
                 f.write_bytes(bytes(mutated))
                 try:
                     reader(f)
-                except ParseError:
-                    pass
+                except ParseError as err:
+                    assert str(err).startswith(f"{f}:"), err
