@@ -12,9 +12,14 @@ TUM lines are `timestamp tx ty tz qx qy qz qw`. Graph files use g2o-style
 numbers, fixed flags, and edge kinds carried in comment lines so a plain g2o
 reader still understands the geometry. Information matrices are stored as 21
 upper-triangular entries, row-major, in the tangent order (rotation first)
-used by the residuals. Graph and edge-list readers build one `Edges` table
-per file; its batched check names the `path:line` of a bad row, and a line
-that fails to parse is reported only if no edge above it is bad.
+used by the residuals. Node ids are int64; a larger one is a parse error.
+
+The text readers (TUM, graph, edge list) parse in bulk, as described under
+"Text records" below, and report the fault that reading line by line meets
+first. Graph and edge-list readers build one `Edges` table per file; its
+batched check names the `path:line` of a bad row, and a line that fails to
+parse is reported only if no edge above it is bad. The text writers format
+each record with one format string, 17 significant digits per value.
 """
 
 from __future__ import annotations
@@ -334,7 +339,7 @@ def _first_fault(lines, checks, fault=None):
     line is read; a detail may be a function of the row. A row's fault is the
     first check that flags it, and the earliest flagged row is the type's.
     """
-    failed = np.array([flags for _, flags in checks], dtype=bool).reshape(len(checks), -1)
+    failed = np.array([flags for _, flags in checks], dtype=bool)
     flagged = failed.any(axis=0)
     if not flagged.any():
         return fault
@@ -469,8 +474,8 @@ def _edge_fields(rows):
     """Endpoints (E, 2), pose values (E, 7) and information (E, 6, 6) of
     EDGE_SE3:QUAT and EDGE_SE3_PRIOR token rows, and their checks in the order
     a line is read. A prior's one endpoint fills both columns."""
-    ids, bad_ids = _numbers([t[1:3] if len(t) == 31 else t[1:2] * 2 for t in rows], 2,
-                            np.int64)
+    ids, bad_ids = _numbers([t[1:2] * 2 if t[0] == "EDGE_SE3_PRIOR" else t[1:3] for t in rows],
+                            2, np.int64)
     pose, bad_pose = _numbers([t[-28:-21] for t in rows], 7)
     upper, bad_upper = _numbers([t[-21:] for t in rows], 21)
     info = np.zeros((len(rows), 6, 6))
@@ -592,16 +597,18 @@ def read_graph(path) -> PoseGraph:
         known = ((node_ids[first] == ends)
                  & (np.array(vertex_lines)[first] < np.array(edge_lines)[:, None]))
     i = ends[:, 0].tolist()
-    j = [None if t[0] == "EDGE_SE3_PRIOR" else end for t, end in zip(edge_rows, ends[:, 1].tolist())]
+    j = [None if tokens[0] == "EDGE_SE3_PRIOR" else end
+         for tokens, end in zip(edge_rows, ends[:, 1].tolist())]
     fault = _first_fault(edge_lines, [
         *checks,
         ("bad KIND delta", bad_delta),
         (lambda k: f"edge ({i[k]}, {j[k]}) references a missing node", ~known.all(axis=1)),
     ], fault)
 
-    kind = [pending[0] if pending else "prior" if b is None else
-            "odometry" if abs(a - b) == 1 else "loop"
-            for pending, a, b in zip(edge_kinds, i, j)]
+    kind = [pending[0] if pending
+            else "prior" if end is None
+            else "odometry" if abs(start - end) == 1
+            else "loop" for pending, start, end in zip(edge_kinds, i, j)]
     kernel = [pending[1] if len(pending) > 1 else None for pending in edge_kinds]
     edges = _edge_table(path, edge_lines, fault, pose, kind=kind, i=ends[:, 0], j=j,
                         information=info, kernel=kernel, delta=delta[:, 0])

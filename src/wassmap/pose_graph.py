@@ -11,8 +11,9 @@ and for a prior on node i with absolute measurement Z:
 with the tangent ordering (rotation, translation) of the geometry module.
 Under right perturbations the Jacobian wrt T_j is Jr^{-1}(r) and the one wrt
 T_i is -Jl^{-1}(r) Ad(Z^{-1}). Since Jl(r) = Ad(exp r) Jr(r) (Barfoot &
-Furgale, T-RO 2014), the latter is -Jr^{-1}(r) Ad(exp(-r) Z^{-1}), so each
-edge inverts one 6x6 Jacobian.
+Furgale, T-RO 2014), the latter is -Jr^{-1}(r) Ad(exp(-r) Z^{-1}), and since
+exp(r) = Z^{-1} T_i^{-1} T_j, that is -Jr^{-1}(r) Ad((T_i^{-1} T_j)^{-1}): the
+relative pose the residual already formed gives the adjoint.
 Residuals are whitened by the upper-triangular factor W with W^T W = info
 (so W = cholesky(info)^T), and a Huber kernel may reshape the whitened norm.
 Loop edges default to Huber(1.0) because they are the outlier-prone kind;
@@ -31,17 +32,19 @@ usual positive-definite Hessian approximation of the robust cost. A step is
 accepted only if the true robust cost decreases, so the accepted-cost trace
 is monotone by construction.
 
-Every iteration runs over arrays, one batched kernel for all edges: node
-states are quaternion and translation arrays, and the Hessian is a sparse
-matrix of 6x6 blocks J_k^T J_m. Its structure does not change between
-iterations, so, as in g2o (Kuemmerle et al., ICRA 2011), it is built once per
-optimization: the CSC pattern, the stored position of each entry of each
-block and the diagonal positions. An iteration then refills the values with
-one `np.bincount`, and a damping trial adds lambda to the diagonal of a copy.
-Each trial is one sparse LU solve with diagonal pivots (SuperLU's symmetric
-mode): H + lambda I is symmetric positive definite, so under a symmetric
-fill-reducing permutation every diagonal pivot is positive and the LU is the
-LDL^T factorization, which is stable without row interchanges.
+Every iteration runs over arrays, one batched kernel for all edges with a
+free endpoint; the cost of the edges between fixed nodes does not change and
+is summed once per optimization. Node states are quaternion and translation
+arrays, and the Hessian is a sparse matrix of 6x6 blocks J_k^T J_m. Its
+structure does not change between iterations, so, as in g2o (Kuemmerle et
+al., ICRA 2011), it is built once per optimization: the CSC pattern, the
+stored position of each entry of each block and the diagonal positions. An
+iteration then refills the values with one `np.bincount`, and a damping
+trial adds lambda to the diagonal of a copy. Each trial is one sparse LU
+solve with diagonal pivots (SuperLU's symmetric mode): H + lambda I is
+symmetric positive definite, so under a symmetric fill-reducing permutation
+every diagonal pivot is positive and the LU is the LDL^T factorization,
+which is stable without row interchanges.
 
 Before the first iteration a connected-component pass over the edges finds
 free nodes that no fixed node or prior reaches; the Hessian would be
@@ -205,11 +208,12 @@ class PoseGraph:
 # (identity, i): r = log(Z^{-1} I^{-1} T_i). Every edge then has the same
 # residual and Jacobian form, and the identity row counts as a fixed node.
 
-def _residuals(ends: np.ndarray, z_inv, q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Unwhitened residuals log(Z^{-1} T_a^{-1} T_b), (E, 6); ``ends`` holds rows (a, b)."""
+def _residuals(ends: np.ndarray, z_inv, q: np.ndarray, t: np.ndarray):
+    """Unwhitened residuals log(Z^{-1} T_a^{-1} T_b), (E, 6), and the relative
+    poses T_a^{-1} T_b as a batch; ``ends`` holds rows (a, b)."""
     a, b = ends[:, 0], ends[:, 1]
     rel = compose_batch(invert_batch((q[a], t[a])), (q[b], t[b]))
-    return se3_log(compose_batch(z_inv, rel))
+    return se3_log(compose_batch(z_inv, rel)), rel
 
 
 def _robust(edges: Edges, r: np.ndarray):
@@ -227,10 +231,14 @@ def _robust(edges: Edges, r: np.ndarray):
     return wr, rho, scale
 
 
-def _jacobians(whitener: np.ndarray, z_inv, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened Jacobians of each residual wrt the right perturbations of T_a, T_b."""
+def _jacobians(whitener: np.ndarray, r: np.ndarray, rel) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened Jacobians of each residual wrt the right perturbations of T_a, T_b.
+
+    ``rel`` holds the relative poses T_a^{-1} T_b of the residuals ``r``; since
+    exp(r) = Z^{-1} T_a^{-1} T_b, Ad(exp(-r) Z^{-1}) is Ad(rel^{-1}).
+    """
     jac_b = whitener @ se3_right_jacobian_inv(r)
-    jac_a = -jac_b @ adjoint(compose_batch(se3_exp(-r), z_inv))
+    jac_a = -jac_b @ adjoint(invert_batch(rel))
     return jac_a, jac_b
 
 
@@ -240,8 +248,9 @@ class _Problem:
     ``q``/``t`` hold the initial node states in sorted id order plus the identity
     row, ``free`` marks the rows being optimized, ``ends`` holds each edge's state
     rows (a, b) and ``z_inv`` its inverse measurement, bit for bit as
-    `Pose.inverse` forms it. Only edges with a free endpoint are linearized: edges
-    between fixed rows add a constant to the cost.
+    `Pose.inverse` forms it. Only edges with a free endpoint are linearized and
+    evaluated by `cost`: the edges between fixed rows add ``fixed_cost``, summed
+    once here.
     """
 
     def __init__(self, poses: dict, edges: Edges, fixed_ids=()):
@@ -267,12 +276,18 @@ class _Problem:
         slots = slot[self.ends]
         self.active = (slots >= 0).any(axis=1)
         self.slots, self.linearized = slots[self.active], edges.select(self.active)
+        self.linearized_ends = self.ends[self.active]
         self.linearized_z_inv = tuple(z[self.active] for z in self.z_inv)
+        fixed = ~self.active
+        r, _ = _residuals(self.ends[fixed], tuple(z[fixed] for z in self.z_inv), self.q, self.t)
+        self.fixed_cost = float(_robust(edges.select(fixed), r)[1].sum())
 
-    def cost(self, q: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
-        """Robust cost of every edge at the states ``q``/``t``, and the residuals."""
-        r = _residuals(self.ends, self.z_inv, q, t)
-        return float(_robust(self.edges, r)[1].sum()), r
+    def cost(self, q: np.ndarray, t: np.ndarray):
+        """Robust cost of every edge at the states ``q``/``t``, and the
+        linearization point of `normal_equations`: the residuals and relative
+        poses of the linearized edges."""
+        r, rel = _residuals(self.linearized_ends, self.linearized_z_inv, q, t)
+        return self.fixed_cost + float(_robust(self.linearized, r)[1].sum()), (r, rel)
 
     def unanchored(self) -> list[int]:
         """Ids of free nodes whose edge-connected component holds no fixed row.
@@ -320,18 +335,18 @@ class _Problem:
         diagonal = position[column == row][:, a, a].ravel()
         return e, k, m, position[where], indices, indptr, diagonal
 
-    def normal_equations(self, r: np.ndarray):
+    def normal_equations(self, linearization):
         """IRLS-weighted gradient (6F,) and sparse Hessian (6F, 6F) over free rows.
 
-        ``r`` holds the residuals of all edges. The 6x6 blocks J_k^T J_m of
-        the free endpoints of each linearized edge sum into the stored
-        entries of `pattern`.
+        ``linearization`` is what `cost` returns beside the cost. The 6x6
+        blocks J_k^T J_m of the free endpoints of each linearized edge sum
+        into the stored entries of `pattern`.
         """
         from scipy.sparse import csc_matrix
 
-        edges, slots, r = self.linearized, self.slots, r[self.active]
+        (r, rel), edges, slots = linearization, self.linearized, self.slots
         wr, _, scale = _robust(edges, r)
-        jac = np.stack(_jacobians(edges.whitener, self.linearized_z_inv, r), axis=1)
+        jac = np.stack(_jacobians(edges.whitener, r, rel), axis=1)
         jac = jac * scale[:, None, None, None]
         jac_t = np.swapaxes(jac, -1, -2)
         wr = wr * scale[:, None]
@@ -353,8 +368,8 @@ def whitened_residual_and_jacobians(edge: Edges, nodes):
     Returns (W r, {node_id: W J}); the residual's rotation part comes first.
     """
     problem = _Problem(nodes.poses() if isinstance(nodes, PoseGraph) else nodes, edge)
-    r = _residuals(problem.ends, problem.z_inv, problem.q, problem.t)
-    jac_a, jac_b = _jacobians(edge.whitener, problem.z_inv, r)
+    r, rel = _residuals(problem.ends, problem.z_inv, problem.q, problem.t)
+    jac_a, jac_b = _jacobians(edge.whitener, r, rel)
     i, j = int(edge.i[0]), int(edge.j[0])
     jacs = {i: jac_b[0]} if edge.kind[0] == "prior" else {i: jac_a[0], j: jac_b[0]}
     return edge.whitener[0] @ r[0], jacs
@@ -400,7 +415,7 @@ def optimize(graph: PoseGraph, max_iterations: int = 100) -> OptimizationReport:
             "fix a node or add a prior")
 
     free, q, t = problem.free, problem.q, problem.t
-    cost, r = problem.cost(q, t)
+    cost, point = problem.cost(q, t)
     report = OptimizationReport(0, cost, cost, [cost], "max iterations")
     if not problem.n_free:
         report.reason = "nothing to optimize"
@@ -410,7 +425,7 @@ def optimize(graph: PoseGraph, max_iterations: int = 100) -> OptimizationReport:
     lam = _LAMBDA0
     for iteration in range(max_iterations):
         report.iterations = iteration + 1
-        grad, hess = problem.normal_equations(r)
+        grad, hess = problem.normal_equations(point)
         if float(np.linalg.norm(grad)) < _GRADIENT_TOLERANCE:
             report.iterations = iteration
             report.reason = "gradient tolerance"
@@ -425,7 +440,7 @@ def optimize(graph: PoseGraph, max_iterations: int = 100) -> OptimizationReport:
             trial_q, trial_t = q.copy(), t.copy()
             trial_q[free], trial_t[free] = compose_batch((q[free], t[free]),
                                                          se3_exp(step.reshape(-1, 6)))
-            trial_cost, trial_r = problem.cost(trial_q, trial_t)
+            trial_cost, trial_point = problem.cost(trial_q, trial_t)
             if trial_cost < cost:
                 accepted = True
                 break
@@ -435,7 +450,7 @@ def optimize(graph: PoseGraph, max_iterations: int = 100) -> OptimizationReport:
             report.reason = "damping limit"
             break
 
-        q, t, r = trial_q, trial_t, trial_r
+        q, t, point = trial_q, trial_t, trial_point
         report.accepted_steps += 1
         report.cost_trace.append(trial_cost)
         lam = max(lam / _LAMBDA_FACTOR, 1e-15)

@@ -555,12 +555,12 @@ def test_batched_normal_equations_match_per_edge_oracle():
     graph.edges = Edges(*zip(*rows))
 
     problem = _Problem(graph.poses(), graph.edges, fixed)
-    r = _residuals(problem.ends, problem.z_inv, problem.q, problem.t)
+    r, _ = _residuals(problem.ends, problem.z_inv, problem.q, problem.t)
     _, _, scale = _robust(problem.edges, r)
     assert (scale < 1.0).sum() == 1  # exactly one Huber edge is beyond delta
     assert problem.active.sum() == len(graph.edges) - 3  # 0-1, prior on 1, 0-5 skipped
 
-    grad, hess = problem.normal_equations(r)
+    grad, hess = problem.normal_equations(problem.cost(problem.q, problem.t)[1])
     ref_grad, ref_hess = _oracle_normal_equations(graph, sorted(set(graph.nodes) - fixed))
     hess = hess.toarray()
     assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max()
