@@ -118,11 +118,6 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=-1)
 
 
-# `Rotation` and `Pose` are frozen, so their ``__init__`` sets each field through
-# this; each field is normalized or copied once and set once.
-_set = object.__setattr__
-
-
 def _quat_rotate(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Rotate (..., 3) vectors by (..., 4) unit quaternions: p + 2 u x (u x p + w p)."""
     u = q[..., 1:]
@@ -132,6 +127,10 @@ def _quat_rotate(q: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 # the message of the ValueError `Rotation` raises for a quaternion it cannot normalize
 QUATERNION_ERROR = "quaternion must be finite and nonzero"
+
+# `Rotation` and `Pose` are frozen: their ``__init__`` normalizes or copies
+# each field once and sets it once through this
+_set = object.__setattr__
 
 
 @dataclass(frozen=True, slots=True)
