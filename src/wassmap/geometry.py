@@ -25,7 +25,7 @@ The coefficients of J^{-1} and Q cancel at small angles, so below
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -228,12 +228,22 @@ class Pose:
         return Pose(rinv, -rinv.rotate(self.translation))
 
     def transform_points(self, pts: np.ndarray) -> np.ndarray:
-        """R p + t for an (N, 3) array; a non-finite row stays non-finite."""
+        """R p + t for an (N, 3) array, returned as the transposed view of a
+        (3, N) one so each axis is a contiguous row; non-finite rows stay so."""
         # inf * 0 is NaN in a row the voxel map drops and counts; no warning
         with np.errstate(invalid="ignore"):
-            out = np.asarray(pts, dtype=float) @ self.rotation.as_matrix().T
-        out += self.translation
-        return out
+            out = self.rotation.as_matrix() @ np.asarray(pts, dtype=float).T
+        out += self.translation[:, None]
+        return out.T
+
+
+# the frozen __setattr__ that `dataclass` writes for a slotted class raises
+# TypeError for a name that is not a field; refuse every name alike
+def _refuse(self, name, *value):
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+Rotation.__setattr__ = Rotation.__delattr__ = Pose.__setattr__ = Pose.__delattr__ = _refuse
 
 
 def as_points(points, dtype=float) -> np.ndarray:

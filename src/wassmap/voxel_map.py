@@ -20,9 +20,11 @@ receives, at 21 bits per axis: each relative index must lie in
 outside that range raises `ValueError` naming its voxel; keys never wrap.
 Packed order is lexicographic (i, j, k) order.
 
-Every point set is grouped once (`np.unique` plus `np.bincount`). A stage
-joins the frame's keys against the map's with one `searchsorted` and leaves
-the map untouched; commit adds the matched rows in place and scatters old and
+Every point set is grouped once, by counting over its box of cells as iVox
+does (Faster-LIO, Bai et al. 2022) or, for a box too large, with `np.unique`,
+and summed with `np.bincount`; `_group` says which runs when. A stage joins
+the frame's keys against the map's with one `searchsorted` and leaves the map
+untouched; commit adds the matched rows in place and scatters old and
 new rows into new arrays at positions found once; pruning keeps the rows
 whose cell centre lies within the radius. Single writer per map; reads of the
 base during an open stage are fine. `moments` packs covariances like q.
@@ -82,6 +84,12 @@ def _group(points, voxel_size: float, origin):
     cell, or None for a map that has none yet, in which case the cell of the
     first finite point becomes the origin. Returns (origin, keys (K,), n (K,),
     s (K,3), q (K,6), box (2,3): least and greatest cell per axis, rejected).
+
+    A box of cells with extents e and at most 4 cells per point, as a LiDAR
+    frame has, is counted over: its index ((i - i0) e1 + j - j0) e2 + k - k0
+    runs in key order. A larger box, as one far return makes, would need
+    tables that grow with it, so those points sort a key each. Both routes
+    give the same keys, counts and inverse, hence the same sums.
     """
     pts = as_points(points)
     rejected = 0
@@ -107,14 +115,29 @@ def _group(points, voxel_size: float, origin):
         raise ValueError(
             f"voxel {tuple(int(v) for v in cells[:, row])} is 2^20 or more cells "
             f"from the map origin voxel {tuple(int(v) for v in origin)}")
-    rel = np.empty((3, len(pts)), dtype=np.int64)
-    np.subtract(cells, origin[:, None], out=rel, casting="unsafe")
+    extent = box[1] - box[0] + 1.0
+    counted = extent.prod() <= 4 * len(pts)
+    if counted:  # every term is an integer below 2^53, so exact in float64
+        radix = np.array([extent[1] * extent[2], extent[2], 1.0])
+        loc = (radix @ (cells - box[0][:, None])).astype(np.intp)
+        counts = np.bincount(loc, minlength=int(extent.prod()))
+        occupied = np.flatnonzero(counts > 0)  # nonzero runs faster on bools
+        rank = np.empty(len(counts), dtype=np.intp)
+        rank[occupied] = np.arange(len(occupied))
+        inverse, n = rank[loc], counts[occupied]
+        ij, k = np.divmod(occupied, int(extent[2]))
+        rel = np.stack([*np.divmod(ij, int(extent[1])), k])
+        rel += (box[0] - origin).astype(np.int64)[:, None]
+    else:
+        rel = np.empty((3, len(pts)), dtype=np.int64)
+        np.subtract(cells, origin[:, None], out=rel, casting="unsafe")
     rel += _KEY_BIAS
-    packed = rel[0] << (2 * _AXIS_BITS)
-    packed |= rel[1] << _AXIS_BITS
-    packed |= rel[2]
+    keys = rel[0] << (2 * _AXIS_BITS)
+    keys |= rel[1] << _AXIS_BITS
+    keys |= rel[2]
     del rel
-    keys, inverse, n = np.unique(packed, return_inverse=True, return_counts=True)
+    if not counted:
+        keys, inverse, n = np.unique(keys, return_inverse=True, return_counts=True)
     d = cells
     d += 0.5
     d *= voxel_size

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from wassmap.geometry import (
     se3_log,
     se3_right_jacobian_inv,
 )
+from wassmap.io import write_pcd
 
 from helpers import ReferenceRotation, se3_left_jacobian
 
@@ -101,6 +103,31 @@ def test_transform_points_matches_scalar_transform():
     batch = p.transform_points(pts)
     for i in range(len(pts)):
         assert np.max(np.abs(batch[i] - (p.rotation.rotate(pts[i]) + p.translation))) < TOL
+
+
+def test_transform_points_is_bitwise_the_row_major_product(tmp_path):
+    rng = np.random.default_rng(29)
+    for size in (1, 2, 3, 17, 4096):
+        p = random_pose(rng, max_trans=10.0 ** rng.uniform(-2, 6))
+        pts = rng.normal(scale=10.0 ** rng.uniform(-2, 6), size=(size, 3))
+        got = p.transform_points(pts)
+        ref = pts @ p.rotation.as_matrix().T + p.translation
+        assert got.shape == ref.shape and np.ascontiguousarray(got).tobytes() == ref.tobytes()
+    assert got.T.flags.c_contiguous  # a transposed view of one row per axis
+    write_pcd(tmp_path / "view.pcd", got)
+    write_pcd(tmp_path / "copy.pcd", np.ascontiguousarray(got))
+    assert (tmp_path / "view.pcd").read_bytes() == (tmp_path / "copy.pcd").read_bytes()
+
+    pts[[3, 9, 11]] = [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (np.inf, -np.inf, np.inf)]
+    # the identity's zeros meet the infinities as inf * 0
+    for pose in (p, Pose(Rotation(), p.translation)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pose.transform_points(pts)
+        finite = np.isfinite(got).all(axis=1)
+        assert np.flatnonzero(~finite).tolist() == [3, 9, 11]
+        ref = pts[finite] @ pose.rotation.as_matrix().T + pose.translation
+        assert np.ascontiguousarray(got[finite]).tobytes() == ref.tobytes()
 
 
 def test_group_axioms_seeded():
@@ -252,6 +279,17 @@ def test_pose_values_are_frozen_slotted_values():
     assert not hasattr(r, "__dict__") and not hasattr(p, "__dict__")
     assert Rotation() == Rotation.identity() == Rotation(1.0, 0.0, 0.0, 0.0)
     assert Pose().rotation == Rotation() and Pose().translation.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_pose_values_refuse_every_assignment_and_deletion():
+    # a slotted dataclass's own frozen __setattr__ raises TypeError for a
+    # name that is not a field
+    for value in (Rotation(1.0, 2.0, 3.0, 4.0), Pose(Rotation(), (1.0, 2.0, 3.0))):
+        for name in (dataclasses.fields(value)[0].name, "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"'{name}'"):
+                setattr(value, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"'{name}'"):
+                delattr(value, name)
 
 
 def test_pose_values_compare_hash_and_replace_as_before():

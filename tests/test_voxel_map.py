@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from wassmap.voxel_map import (
     GmmMap,
     InsufficientPointsError,
     StaleStageError,
+    _group,
     moments,
 )
 
@@ -315,3 +317,103 @@ def test_prune_skips_the_scan_when_the_box_is_within_radius():
     grid.centres = lambda: pytest.fail("prune scanned the rows")
     assert grid.prune_outside(center, radius) == 0
     assert len(grid) == 3
+
+
+def sorted_group(points, voxel_size, origin):
+    """`_group` by packing a key per point and sorting the keys with np.unique."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    finite = np.isfinite(pts).all(axis=1)
+    pts = pts[finite]
+    cells = np.floor(pts / voxel_size)
+    if origin is None:
+        origin = cells[0].copy()
+    rel = (cells - origin).astype(np.int64) + (1 << 20)
+    packed = (rel[:, 0] << 42) | (rel[:, 1] << 21) | rel[:, 2]
+    keys, inverse, n = np.unique(packed, return_inverse=True, return_counts=True)
+    d = pts - (cells + 0.5) * voxel_size
+    s = np.stack([np.bincount(inverse, weights=d[:, c], minlength=len(keys))
+                  for c in range(3)], axis=1)
+    q = np.stack([np.bincount(inverse, weights=d[:, i] * d[:, j], minlength=len(keys))
+                  for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))], axis=1)
+    box = np.stack([cells.min(axis=0), cells.max(axis=0)])
+    return origin, keys, n, s, q, box, int((~finite).sum())
+
+
+def surface_frame(rng, cells_per_side, points, voxel_size, corner):
+    """A floor, two walls and a ramp filling a cube of cells_per_side cells
+    whose least cell is ``corner``, so the frame's box is that cube."""
+    side = cells_per_side * voxel_size
+    u, v = rng.uniform(0.0, side, size=(2, points))
+    w = rng.uniform(0.0, 0.3 * voxel_size, size=points)
+    plane = rng.integers(0, 4, size=points)
+    ramp = np.minimum(0.5 * (u + v), np.nextafter(side, 0.0))
+    xyz = np.select([plane[:, None] == k for k in range(4)],
+                    [np.stack(c, axis=1) for c in ((u, v, w), (w, u, v), (u, w, v), (u, v, ramp))])
+    return xyz + np.asarray(corner, dtype=float) * voxel_size
+
+
+def unique_calls(monkeypatch):
+    """A list that grows by one each time numpy's unique is called."""
+    calls, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    return calls
+
+
+def assert_same_bits(got, ref):
+    for name, a, b in zip(("origin", "keys", "n", "s", "q", "box", "rejected"), got, ref):
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def test_counting_route_groups_bit_for_bit_like_sorting(monkeypatch):
+    rng = np.random.default_rng(5)
+    frames = []
+    # box volume over point count 0.5 (10^3 / 2000) to 4 (20^3 / 2000)
+    for side in (10, 13, 16, 20):
+        corner = rng.integers(-50, 50, size=3)  # negative cells too
+        frames.append((surface_frame(rng, side, 2000, 0.5, corner), 0.5, None))
+    frames.append((surface_frame(rng, 12, 1000, 0.25, (-40, -30, -20)), 0.25, np.zeros(3)))
+    frames.append(([(0.3, -0.7, 1e6 + 0.1)], 0.5, None))  # one point
+    faces = rng.integers(-6, 6, size=(500, 3)) * 0.5  # every coordinate on a face
+    faces[::7, 1] = -0.0
+    frames.append((faces, 0.5, None))
+    utm = surface_frame(rng, 15, 3000, 0.5, (0, 0, 0)) + (1e6 + 0.37, -1e6 - 0.21, 31.0)
+    frames.append((utm, 0.5, None))
+    frames.append((utm, 0.5, np.floor(utm[0] / 0.5) - 7))
+    # the outermost cells keys can hold, 2^20 - 1 and -2^20 from the origin
+    frames.append((surface_frame(rng, 8, 500, 1.0, (2 ** 20 - 8,) * 3), 1.0, np.zeros(3)))
+    frames.append((surface_frame(rng, 8, 500, 1.0, (-(2 ** 20),) * 3), 1.0, np.zeros(3)))
+    holed = surface_frame(rng, 14, 1500, 0.5, (3, -9, 1))
+    holed[[0, 5, 77, 900]] = [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, -np.inf), (np.nan,) * 3]
+    frames.append((holed, 0.5, None))
+
+    calls = unique_calls(monkeypatch)
+    ratios = []
+    for points, voxel_size, origin in frames:
+        ref = sorted_group(points, voxel_size, origin)
+        del calls[:]
+        got = _group(points, voxel_size, origin)
+        assert not calls  # the counting route never sorts
+        assert_same_bits(got, ref)
+        box = got[5]
+        ratios.append((box[1] - box[0] + 1).prod() / got[2].sum())
+    assert min(ratios) == 0.5 and max(ratios) == 4.0
+    assert ref[-1] == 4  # the last frame drops its four non-finite rows
+
+
+def test_frame_with_a_far_point_sorts_in_memory_of_its_points(monkeypatch):
+    # two points 1 km apart span a box of 1415 x 1415 x 1 cells at 0.5 m
+    points = [(0.1, 0.2, 0.3), (707.2, 707.3, 0.3)]
+    ref = sorted_group(points, 0.5, None)
+    calls = unique_calls(monkeypatch)
+    tracemalloc.start()
+    try:
+        got = _group(points, 0.5, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 1
+    assert_same_bits(got, ref)
+    volume = (got[5][1] - got[5][0] + 1).prod()
+    assert volume == 1415 * 1415
+    assert peak < 8 * volume / 100  # a count per cell of the box takes 8 bytes each
