@@ -137,6 +137,8 @@ class Edges:
         info = np.repeat(info[None], n, axis=0) if info.shape == (6, 6) else info
         square = info.shape == (n, 6, 6)
         info = info if square else np.zeros((n, 6, 6))
+        finite = np.isfinite(info).all(axis=(1, 2))
+        info[~finite] = 0.0  # rejected below; zeros keep the other checks quiet
         indefinite = np.zeros(n, dtype=bool)
         try:
             lower = np.linalg.cholesky(info)
@@ -149,10 +151,11 @@ class Edges:
         checks = {
             "unknown edge kind {kind!r}": [k not in ("odometry", "loop", "prior") for k in kind],
             "unknown kernel {kernel!r}": [v not in ("none", "huber") for v in kernel],
-            "huber delta must be positive": (kernel == "huber") & (delta <= 0.0),
+            "huber delta must be positive": (kernel == "huber") & ~(delta > 0.0),
             "prior edges take one endpoint, others take two":
                 np.equal([v is None for v in j], kind != "prior"),
             "information must be 6x6": np.full(n, not square),
+            "information matrix not finite": ~finite,
             "information matrix not symmetric":
                 np.abs(info - np.swapaxes(info, 1, 2)).max(axis=(1, 2), initial=0.0) > 1e-9,
             "information matrix not positive definite": indefinite,

@@ -74,9 +74,9 @@ class ScanSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_range <= 0.0:
+        if not self.max_range > 0.0:
             raise ValueError("max_range must be positive")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ValueError("sigma must be >= 0")
         if self.points_per_frame < 0:
             raise ValueError("points_per_frame must be >= 0")
@@ -227,7 +227,7 @@ class NoiseModel:
     sigma_r: float = math.radians(0.1)         # odometry rotation noise, rad
 
     def __post_init__(self):
-        if self.sigma_t < 0 or self.sigma_r < 0:
+        if not (self.sigma_t >= 0 and self.sigma_r >= 0):
             raise ValueError("noise sigmas must be >= 0")
 
     def information(self) -> np.ndarray:

@@ -1,11 +1,11 @@
-"""Voxelized Gaussian map stored as one set of sorted parallel arrays.
+"""Voxelized Gaussian map stored as one row table: sorted keys and their sums.
 
 Row r of a `GmmMap` describes one occupied voxel:
 
-    keys[r]  packed int64 cell index; rows are sorted by key
-    n[r]     point count
-    s[r]     sum of (p - c) over the voxel's points, shape (3,)
-    q[r]     sum of (p - c)(p - c)^T, upper triangle xx xy xz yy yz zz, shape (6,)
+    keys[r]       packed int64 cell index; rows are sorted by key
+    sums[r, 0]    point count n, an integer held in float64 (exact below 2^53)
+    sums[r, 1:4]  s, the sum of (p - c) over the voxel's points
+    sums[r, 4:]   q, the sum of (p - c)(p - c)^T, upper triangle xx xy xz yy yz zz
 
 where c = (cell + 0.5) * voxel_size is the voxel's centre and
 cell = floor(p / voxel_size) per axis. Anchoring the sums at the centre keeps
@@ -22,12 +22,13 @@ Packed order is lexicographic (i, j, k) order.
 
 Every point set is grouped once, by counting over its box of cells as iVox
 does (Faster-LIO, Bai et al. 2022) or, for a box too large, with `np.unique`,
-and summed with `np.bincount`; `_group` says which runs when. A stage joins
-the frame's keys against the map's with one `searchsorted` and leaves the map
-untouched; commit adds the matched rows in place and scatters old and
-new rows into new arrays at positions found once; pruning keeps the rows
-whose cell centre lies within the radius. Single writer per map; reads of the
-base during an open stage are fine. `moments` packs covariances like q.
+and summed with `np.bincount` into one (K, 10) table; `_group` says which
+runs when. A stage joins the frame's keys against the map's with one
+`searchsorted` and leaves the map untouched; commit reuses that join: it adds
+the matched rows in place and inserts the new rows into both arrays at their
+join positions; pruning keeps the rows whose cell centre lies within the
+radius. Single writer per map; reads of the base during an open stage are
+fine. `moments` packs covariances like q.
 
 The map also keeps a box of cells that holds every occupied cell: commit
 grows it by the frame's cell range, found while grouping; prune leaves it as
@@ -60,20 +61,21 @@ class StaleStageError(RuntimeError):
     """Commit of a stage whose base map has changed since staging."""
 
 
-def moments(n, s, q) -> tuple[np.ndarray, np.ndarray]:
-    """Batched means and sample covariances from per-voxel count and anchored sums.
+def moments(sums) -> tuple[np.ndarray, np.ndarray]:
+    """Batched means and sample covariances from per-voxel rows ``[n | s | q]``.
 
-    ``n`` (M,), ``s`` (M,3) and ``q`` (M,6) as a `GmmMap` stores them.
-    Returns ``mu`` (M,3), relative to the anchor the sums were taken about,
-    and ``cov`` (M,6), the covariance packed in q's column order, which does
-    not depend on the anchor; ``cov[:, _UPPER]`` is the full (M,3,3) matrix.
-    The covariance divides by n-1, so every voxel needs n >= 2.
+    ``sums`` (M,10) as a `GmmMap` stores them. Returns ``mu`` (M,3), relative
+    to the anchor the sums were taken about, and ``cov`` (M,6), the covariance
+    packed in q's column order, which does not depend on the anchor;
+    ``cov[:, _UPPER]`` is the full (M,3,3) matrix. The covariance divides by
+    n-1, so every voxel needs n >= 2.
     """
-    n = np.asarray(n, dtype=float)
+    sums = np.asarray(sums, dtype=float)
+    n = sums[:, 0]
     if n.size and n.min() < 2:
         raise InsufficientPointsError("sample covariance needs at least 2 points per voxel")
-    mu = np.asarray(s, dtype=float) / n[:, None]
-    centered = np.asarray(q, dtype=float) - n[:, None] * (mu[:, _ROW] * mu[:, _COL])
+    mu = sums[:, 1:4] / n[:, None]
+    centered = sums[:, 4:] - n[:, None] * (mu[:, _ROW] * mu[:, _COL])
     return mu, centered / (n - 1.0)[:, None]
 
 
@@ -82,8 +84,9 @@ def _group(points, voxel_size: float, origin):
 
     Non-finite rows are dropped and counted. ``origin`` is the map's origin
     cell, or None for a map that has none yet, in which case the cell of the
-    first finite point becomes the origin. Returns (origin, keys (K,), n (K,),
-    s (K,3), q (K,6), box (2,3): least and greatest cell per axis, rejected).
+    first finite point becomes the origin. Returns (origin, keys (K,), sums
+    (K,10) with rows as a `GmmMap` holds them, box (2,3): least and greatest
+    cell per axis, rejected).
 
     A box of cells with extents e and at most 4 cells per point, as a LiDAR
     frame has, is counted over: its index ((i - i0) e1 + j - j0) e2 + k - k0
@@ -99,7 +102,7 @@ def _group(points, voxel_size: float, origin):
         pts = pts[finite]
     if not len(pts):
         none, box = np.empty(0, dtype=np.int64), np.array([[np.inf] * 3, [-np.inf] * 3])
-        return origin, none, none, np.empty((0, 3)), np.empty((0, 6)), box, rejected
+        return origin, none, np.empty((0, 10)), box, rejected
     # One (3, N) buffer, a contiguous row per axis, holds the cell indices and
     # then each point's offset from its cell centre. Every frame-sized
     # temporary saved here is memory the allocator need not take from the
@@ -142,21 +145,24 @@ def _group(points, voxel_size: float, origin):
     d += 0.5
     d *= voxel_size
     np.subtract(pts.T, d, out=d)
-    sums = np.empty((len(keys), 9))
+    sums = np.empty((len(keys), 10))
+    sums[:, 0] = n
     for c in range(3):
-        sums[:, c] = np.bincount(inverse, weights=d[c], minlength=len(keys))
-    for c, (i, j) in enumerate(_UPPER_PAIRS, start=3):
+        sums[:, 1 + c] = np.bincount(inverse, weights=d[c], minlength=len(keys))
+    for c, (i, j) in enumerate(_UPPER_PAIRS, start=4):
         sums[:, c] = np.bincount(inverse, weights=d[i] * d[j], minlength=len(keys))
-    return origin, keys, n, sums[:, :3], sums[:, 3:], box, rejected
+    return origin, keys, sums, box, rejected
 
 
 @dataclass
 class StagedUpdate:
     """One candidate frame's per-voxel deltas, joined against a base map.
 
-    ``keys``, ``hit``, ``n``, ``s`` and ``q`` are aligned: one entry per voxel
-    the frame touches, in key order. ``rows`` holds the base-map row of each
-    hit voxel, in the same order. ``origin`` is the base map's origin, or the
+    ``keys``, ``hit``, ``at`` and ``sums`` are aligned: one entry per voxel the
+    frame touches, in key order, with ``sums`` rows as a `GmmMap` holds them.
+    ``at`` is the join, the base map's `searchsorted` position of each key:
+    the base row of a hit voxel, the insertion point of a new one; the base
+    version pins it until commit. ``origin`` is the base map's origin, or the
     one this stage chose if the base map had none. ``box`` is as `_group`'s.
     """
 
@@ -165,20 +171,18 @@ class StagedUpdate:
     origin: np.ndarray | None
     keys: np.ndarray
     hit: np.ndarray
-    rows: np.ndarray
-    n: np.ndarray
-    s: np.ndarray
-    q: np.ndarray
+    at: np.ndarray
+    sums: np.ndarray
     box: np.ndarray
     rejected: int
 
     @property
     def point_count(self) -> int:
-        return int(self.n.sum())
+        return int(self.sums[:, 0].sum())
 
 
 class GmmMap:
-    """Sorted packed voxel keys with parallel count, sum and outer-sum rows."""
+    """Sorted packed voxel keys with a parallel (M,10) table of count, sum and outer sum."""
 
     def __init__(self, voxel_size: float = 4.0):
         if not 0.0 < voxel_size < np.inf:
@@ -186,15 +190,16 @@ class GmmMap:
         self.voxel_size = float(voxel_size)
         self.origin: np.ndarray | None = None
         self._keys = np.empty(0, dtype=np.int64)
-        self.n = np.empty(0, dtype=np.int64)
-        self.s = np.empty((0, 3))
-        self.q = np.empty((0, 6))
+        self.sums = np.empty((0, 10))
         self._box = np.array([[np.inf] * 3, [-np.inf] * 3])  # min and max cell
         self.version = 0
-        self.total_points = 0
 
     def __len__(self) -> int:
         return len(self._keys)
+
+    @property
+    def total_points(self) -> int:
+        return int(self.sums[:, 0].sum())
 
     def cells(self, rows=None) -> np.ndarray:
         """(M,3) float array of each row's cell index (i, j, k), or of ``rows``."""
@@ -220,38 +225,28 @@ class GmmMap:
 
         Points must already be in the map frame. The base map is not modified.
         """
-        origin, keys, n, s, q, box, rejected = _group(points, self.voxel_size, self.origin)
+        origin, keys, sums, box, rejected = _group(points, self.voxel_size, self.origin)
         at = np.searchsorted(self._keys, keys)
         hit = at < len(self._keys)
         hit[hit] = self._keys[at[hit]] == keys[hit]
-        return StagedUpdate(self, self.version, origin, keys, hit, at[hit],
-                            n, s, q, box, rejected)
+        return StagedUpdate(self, self.version, origin, keys, hit, at, sums, box, rejected)
 
     def commit(self, stage: StagedUpdate) -> None:
         """Adopt a stage's deltas. Rejects stages from another map state."""
         if stage.base is not self or stage.base_version != self.version:
             raise StaleStageError("stage was built against a different map state")
-        hit, rows = stage.hit, stage.rows
-        self.n[rows] += stage.n[hit]
-        self.s[rows] += stage.s[hit]
-        self.q[rows] += stage.q[hit]
+        hit = stage.hit
+        self.sums[stage.at[hit]] += stage.sums[hit]
         self.origin = stage.origin  # chosen by the stage when the map had none
         new = ~hit
         if new.any():
-            at = np.searchsorted(self._keys, stage.keys[new])
-            at += np.arange(len(at))  # the new keys' rows once merged; old rows fill the rest
-            old = np.ones(len(self._keys) + len(at), dtype=bool)
-            old[at] = False
-            for name, add in (("_keys", stage.keys), ("n", stage.n), ("s", stage.s),
-                              ("q", stage.q)):
-                kept = getattr(self, name)
-                merged = np.empty((len(old),) + kept.shape[1:], dtype=kept.dtype)
-                merged[old], merged[at] = kept, add[new]
-                setattr(self, name, merged)
+            # each new key goes before base row at, its join position; np.insert
+            # shifts every position by the new rows inserted ahead of it
+            self._keys = np.insert(self._keys, stage.at[new], stage.keys[new])
+            self.sums = np.insert(self.sums, stage.at[new], stage.sums[new], axis=0)
             # hit cells already lie inside the box
             self._box = np.stack([np.minimum(self._box[0], stage.box[0]),
                                   np.maximum(self._box[1], stage.box[1])])
-        self.total_points += stage.point_count
         self.version += 1
 
     def prune_outside(self, center, radius: float) -> int:
@@ -269,9 +264,7 @@ class GmmMap:
         outside = np.linalg.norm(self.centres() - center, axis=1) > radius
         removed = int(outside.sum())
         if removed:
-            self.total_points -= int(self.n[outside].sum())
             keep = ~outside
-            self._keys, self.n = self._keys[keep], self.n[keep]
-            self.s, self.q = self.s[keep], self.q[keep]
+            self._keys, self.sums = self._keys[keep], self.sums[keep]
             self.version += 1
         return removed

@@ -217,16 +217,17 @@ def map_dissimilarity(stage: StagedUpdate, min_points: int = 2) -> Dissimilarity
     floor = max(int(min_points), 2)
 
     matched = np.flatnonzero(stage.hit)
-    base_n = base.n[stage.rows]
-    usable = (base_n >= floor) & (base_n + stage.n[matched] >= floor)
-    rows, deltas = stage.rows[usable], matched[usable]
+    shared = stage.at[matched]
+    # the overlay holds the base's points and at least one more
+    usable = base.sums[shared, 0] >= floor
+    rows, deltas = shared[usable], matched[usable]
 
     # both sides share each voxel's anchor, so the anchored means compare
-    # directly and the score does not depend on how far the map is from zero
-    n, s, q = base.n[rows], base.s[rows], base.q[rows]
-    mu_base, cov_base = moments(n, s, q)
-    mu_over, cov_over = moments(n + stage.n[deltas], s + stage.s[deltas],
-                                q + stage.q[deltas])
+    # directly and the score does not depend on how far the map is from zero;
+    # counts are integers, so they add exactly in float64
+    sums = base.sums[rows]
+    mu_base, cov_base = moments(sums)
+    mu_over, cov_over = moments(sums + stage.sums[deltas])
     dists = w2_batch(mu_base, cov_base, mu_over, cov_over)
 
     return DissimilarityReport(
@@ -234,6 +235,6 @@ def map_dissimilarity(stage: StagedUpdate, min_points: int = 2) -> Dissimilarity
         rows=rows,
         cell_distances=dists,
         affected_count=len(rows),
-        new_count=len(stage.keys) - len(stage.rows),
-        skipped_count=len(stage.rows) - len(rows),
+        new_count=len(stage.keys) - len(shared),
+        skipped_count=len(shared) - len(rows),
     )

@@ -59,12 +59,13 @@ def keys(grid) -> list[tuple[int, int, int]]:
 def _voxel_gaussians(grid) -> dict:
     """Per-voxel (n, mean, sample covariance), the covariance None below 2 points."""
     # the mean that `moments` forms, taken here so that 1-point voxels have one too
-    mu = grid.s / grid.n[:, None] + grid.centres()
+    n = grid.sums[:, 0]
+    mu = grid.sums[:, 1:4] / n[:, None] + grid.centres()
     sigma = [None] * len(grid)
-    rows = np.flatnonzero(grid.n >= 2)
-    for r, cov in zip(rows, moments(grid.n[rows], grid.s[rows], grid.q[rows])[1]):
+    rows = np.flatnonzero(n >= 2)
+    for r, cov in zip(rows, moments(grid.sums[rows])[1]):
         sigma[r] = cov
-    return {key: (int(n), m, c) for key, n, m, c in zip(keys(grid), grid.n, mu, sigma)}
+    return {key: (int(k), m, c) for key, k, m, c in zip(keys(grid), n, mu, sigma)}
 
 
 def test_ac1_incremental_matches_batch():

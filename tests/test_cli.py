@@ -32,6 +32,19 @@ def _load_module(path: Path, name: str):
     return module
 
 
+def _install_bench_tracer(monkeypatch):
+    """The tracer of `perfbench/run.py --trace 1`, patched into the program."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))  # run.py sets them on import
+    bench_run, spans = (_load_module(bench / f"{name}.py", f"perfbench_{name}")
+                        for name in ("run", "spans"))
+    tracer = spans.Tracer()
+    bench_run.install_tracer(tracer, (wassmap.cli, wassmap.keyframe, wassmap.voxel_map,
+                                      wassmap.geometry, wassmap.pose_graph))
+    return tracer
+
+
 @pytest.fixture(scope="module")
 def corridor_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("corridor")
@@ -215,6 +228,16 @@ class TestSynthCommand:
         graph = read_graph(two_session_dataset / "session1.g2o")
         assert len(graph.nodes) == 25
         assert len(graph.edges) == 24
+
+    @pytest.mark.parametrize("flags", [("--kind", "two_session", "--noise", "nan"),
+                                       ("--kind", "two_session", "--noise-rot", "nan"),
+                                       ("--kind", "corridor", "--noise", "nan"),
+                                       ("--kind", "corridor", "--max-range", "nan")])
+    def test_nan_settings_exit_one(self, flags, tmp_path, capsys):
+        out = tmp_path / "nan"
+        assert run("synth", *flags, "--frames", "3", "--points", "100", "--out", out) == 1
+        assert "must be" in capsys.readouterr().err
+        assert not (out / "session1.g2o").exists() and not list(out.glob("clouds/*.pcd"))
 
 
 class TestKeyframesCommand:
@@ -659,14 +682,7 @@ class TestMergeCommand:
         # `perfbench/run.py --trace 1` patches program functions by name and
         # counts the free nodes of the merged graph; a rename that breaks it
         # fails here instead of in the benchmark
-        bench = Path(__file__).resolve().parents[1] / "perfbench"
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.setenv(var, os.environ.get(var, "1"))  # run.py sets them on import
-        bench_run, spans = (_load_module(bench / f"{name}.py", f"perfbench_{name}")
-                            for name in ("run", "spans"))
-        tracer = spans.Tracer()
-        bench_run.install_tracer(tracer, (wassmap.cli, wassmap.keyframe, wassmap.voxel_map,
-                                          wassmap.geometry, wassmap.pose_graph))
+        tracer = _install_bench_tracer(monkeypatch)
         try:
             code = run("merge", "--graph", two_session_dataset / "session1.g2o",
                        "--trajectory", two_session_dataset / "session2_estimate.tum",
@@ -679,6 +695,36 @@ class TestMergeCommand:
         assert kept["pose_graph.merge_sessions"] == 25
         assert kept["pose_graph.optimize"].iterations > 0
         assert {"io.read_graph", "io.read_edge_list", "io.write_graph"} <= set(tracer.names)
+
+    def test_benchmark_tracer_reads_the_keyframes(self, tmp_path, monkeypatch):
+        # the keyframes counterpart: the tracer patches voxel-map methods by
+        # name and keeps (decision, map size) from each frame
+        data = tmp_path / "loop"
+        assert run("synth", "--kind", "loop_course", "--frames", "8", "--points", "1500",
+                   "--seed", "2", "--out", data) == 0
+        seen = []  # (decision, map size) after each frame, taken beneath the tracer
+        process = wassmap.keyframe.KeyframeSelector.process_frame
+
+        def recorded(selector, *args, **kwargs):
+            decision = process(selector, *args, **kwargs)
+            seen.append((decision, len(selector.map)))
+            return decision
+        monkeypatch.setattr(wassmap.keyframe.KeyframeSelector, "process_frame", recorded)
+        tracer = _install_bench_tracer(monkeypatch)
+        try:
+            code = run("keyframes", "--clouds", data / "clouds",
+                       "--trajectory", data / "trajectory.tum", "--voxel-size", "0.5",
+                       "--radius", "10", "--commit", "always", "--out", tmp_path / "o")
+        finally:
+            tracer.unpatch()
+        assert code == 0
+        assert {"voxel_map.stage_frame", "voxel_map.commit", "voxel_map.prune_outside",
+                "wasserstein.map_dissimilarity", "keyframe.process_frame"} <= set(tracer.names)
+        kept = [tracer.kept[k] for k, name in enumerate(tracer.names)
+                if name == "keyframe.process_frame"]
+        assert len(kept) == len(seen) == 7  # every frame after the bootstrap one
+        for (decision, size), (decision_seen, size_seen) in zip(kept, seen):
+            assert decision is decision_seen and size == size_seen > 0
 
     def test_gauge_underdetermined_exits_two(self, two_session_dataset, tmp_path, capsys):
         # no loops and no alignment prior leaves session 2 as a floating

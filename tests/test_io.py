@@ -488,6 +488,16 @@ class TestGraphFiles:
         with pytest.raises(ParseError):
             read_graph(f)
 
+    def test_nan_huber_delta_rejected_at_its_edge(self, tmp_path):
+        f = tmp_path / "nan_delta.g2o"
+        f.write_text("VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1\n"
+                     "VERTEX_SE3:QUAT 1 1 0 0 0 0 0 1\n"
+                     "# KIND loop huber nan\n"
+                     f"EDGE_SE3:QUAT 0 1 1 0 0 0 0 0 1 {EYE21}\n")
+        message = f"{f}:4: huber delta must be positive"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            read_graph(f)
+
 
 class TestEdgeList:
     def test_round_trip(self, tmp_path):

@@ -72,6 +72,7 @@ def _asymmetric():
     return info
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a non-finite row warns nowhere
 @pytest.mark.parametrize("row, detail", [
     (dict(kind="teleport"), "unknown edge kind 'teleport'"),
     (dict(kernel="cauchy"), "unknown kernel 'cauchy'"),
@@ -82,6 +83,9 @@ def _asymmetric():
     (dict(information=np.eye(5)), "information must be 6x6"),
     (dict(information=_asymmetric()), "information matrix not symmetric"),
     (dict(information=-np.eye(6)), "information matrix not positive definite"),
+    (dict(kernel="huber", delta=np.nan), "huber delta must be positive"),
+    (dict(information=np.where(np.eye(6) > 0, np.nan, 0.0)), "information matrix not finite"),
+    (dict(information=np.where(np.eye(6) > 0, np.inf, 0.0)), "information matrix not finite"),
 ])
 def test_edge_table_rejects_bad_rows(row, detail):
     # the bad row sits between good ones; the table names it and keeps the

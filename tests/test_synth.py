@@ -135,6 +135,10 @@ class TestSimulateScan:
             ScanSpec(sigma=-0.1)
         with pytest.raises(ValueError):
             ScanSpec(points_per_frame=-1)
+        with pytest.raises(ValueError, match="^max_range must be positive$"):
+            ScanSpec(max_range=np.nan)
+        with pytest.raises(ValueError, match="^sigma must be >= 0$"):
+            ScanSpec(sigma=np.nan)
 
 
 class TestPaths:
@@ -242,6 +246,9 @@ class TestTwoSession:
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(-0.01, 0.0)
+        for sigmas in ((np.nan, 0.0), (0.01, np.nan)):
+            with pytest.raises(ValueError, match="^noise sigmas must be >= 0$"):
+                NoiseModel(*sigmas)
 
 
 class TestCoverage:

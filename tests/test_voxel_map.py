@@ -13,7 +13,7 @@ from wassmap.voxel_map import (
     moments,
 )
 
-from helpers import build_map, pack
+from helpers import assert_maps_identical, build_map, pack
 
 
 def keys(grid) -> list[tuple[int, int, int]]:
@@ -23,15 +23,10 @@ def keys(grid) -> list[tuple[int, int, int]]:
 
 def voxel_gaussians(grid):
     """Per-voxel (absolute mean, sample covariance) keyed by cell, for n >= 2."""
-    rows = np.flatnonzero(grid.n >= 2)
-    mu, sigma = moments(grid.n[rows], grid.s[rows], grid.q[rows])
+    rows = np.flatnonzero(grid.sums[:, 0] >= 2)
+    mu, sigma = moments(grid.sums[rows])
     cells = keys(grid)
     return {cells[r]: (m, c) for r, m, c in zip(rows, mu + grid.centres()[rows], sigma)}
-
-
-def voxel_rows(grid):
-    """Per-voxel (n, s, q) keyed by cell."""
-    return {key: (grid.n[r], grid.s[r], grid.q[r]) for r, key in enumerate(keys(grid))}
 
 
 def test_voxel_index_examples():
@@ -75,29 +70,29 @@ def test_keys_beyond_packing_range_rejected():
 
 def test_hand_computed_moments():
     grid = build_map([(1.0, 0.5, 0.5), (3.0, 0.5, 0.5)], voxel_size=4.0)
-    assert grid.n.tolist() == [2]
-    mu, cov = moments(grid.n, grid.s, grid.q)
+    assert grid.sums[:, 0].tolist() == [2]
+    mu, cov = moments(grid.sums)
     np.testing.assert_allclose(mu[0] + grid.centres()[0], (2.0, 0.5, 0.5))
     np.testing.assert_allclose(cov[0], (2.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
     # each packed column is its entry of the 3x3 formula, bit for bit
     rng = np.random.default_rng(5)
     grid = build_map(rng.normal(scale=3.0, size=(2000, 3)) + 1e3, voxel_size=1.0)
-    rows = np.flatnonzero(grid.n >= 2)
-    n, s, q = grid.n[rows], grid.s[rows], grid.q[rows]
+    rows = np.flatnonzero(grid.sums[:, 0] >= 2)
+    n, s, q = grid.sums[rows, 0], grid.sums[rows, 1:4], grid.sums[rows, 4:]
     mu = s / n[:, None]
     full = (q[:, _UPPER] - n[:, None, None] * (mu[:, :, None] * mu[:, None, :])) \
         / (n - 1.0)[:, None, None]
     assert len(rows) > 100
-    assert np.array_equal(moments(n, s, q)[1], pack(full))
+    assert np.array_equal(moments(grid.sums[rows])[1], pack(full))
 
 
 def test_sample_covariance_needs_two_points():
     grid = build_map([(0.5, 0.5, 0.5)], voxel_size=1.0)
     with pytest.raises(InsufficientPointsError):
-        moments(grid.n, grid.s, grid.q)
+        moments(grid.sums)
     with pytest.raises(InsufficientPointsError):
-        moments([0], np.zeros((1, 3)), np.zeros((1, 6)))
+        moments(np.zeros((1, 10)))
 
 
 def test_incremental_matches_batch():
@@ -110,7 +105,7 @@ def test_incremental_matches_batch():
     batch = build_map(pts, voxel_size=2.0)
 
     assert keys(one_by_one) == keys(batch)
-    np.testing.assert_array_equal(one_by_one.n, batch.n)
+    np.testing.assert_array_equal(one_by_one.sums[:, 0], batch.sums[:, 0])
     a, b = voxel_gaussians(batch), voxel_gaussians(one_by_one)
     for key, (mu_a, cov_a) in a.items():
         mu_b, cov_b = b[key]
@@ -127,9 +122,9 @@ def test_insertion_order_invariance():
     # the origin is the first point's voxel, which differs, but keys and
     # centre-anchored sums do not depend on it
     assert keys(a) == keys(b)
-    np.testing.assert_array_equal(a.n, b.n)
-    np.testing.assert_allclose(a.s, b.s, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(a.q, b.q, rtol=1e-9, atol=1e-12)
+    np.testing.assert_array_equal(a.sums[:, 0], b.sums[:, 0])
+    np.testing.assert_allclose(a.sums[:, 1:4], b.sums[:, 1:4], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(a.sums[:, 4:], b.sums[:, 4:], rtol=1e-9, atol=1e-12)
 
 
 def test_merge_equals_single_pass_on_exact_inputs():
@@ -141,9 +136,24 @@ def test_merge_equals_single_pass_on_exact_inputs():
     merged = build_map(pts[:77], voxel_size=8.0)
     merged.commit(merged.stage_frame(pts[77:]))
     assert keys(merged) == keys(whole)
-    assert np.array_equal(merged.n, whole.n)
-    assert np.array_equal(merged.s, whole.s)
-    assert np.array_equal(merged.q, whole.q)
+    assert np.array_equal(merged.sums, whole.sums)
+
+
+def test_stage_join_places_new_keys_around_base_keys():
+    # base cells (2,0,0) and (5,0,0) at 8 m voxels; the frame adds cells before
+    # the first, two between them, one on the second and one after the last
+    base_points = [(17.0, 1.0, 2.0), (20.0, 3.0, 5.0), (41.0, 0.0, 7.0), (46.0, 6.0, 1.0)]
+    frame = [(3.0, 2.0, 1.0), (5.0, 5.0, 5.0), (25.0, 1.0, 1.0), (30.0, 2.0, 2.0),
+             (33.0, 7.0, 3.0), (44.0, 4.0, 4.0), (60.0, 1.0, 6.0), (57.0, 0.0, 0.0)]
+    grid = build_map(base_points, voxel_size=8.0)
+    stage = grid.stage_frame(frame)
+    assert [c[0] for c in keys(grid)] == [2, 5]
+    assert stage.hit.tolist() == [False, False, False, True, False]  # cells 0, 3, 4, 5, 7
+    assert stage.at.tolist() == [0, 1, 1, 1, 2]
+    grid.commit(stage)
+    # integer coordinates and cell centres make every sum exact
+    assert_maps_identical(grid, build_map(base_points + frame, voxel_size=8.0))
+    assert [c[0] for c in keys(grid)] == [0, 2, 3, 4, 5, 7]
 
 
 def test_covariance_is_symmetric_psd():
@@ -152,7 +162,7 @@ def test_covariance_is_symmetric_psd():
         pts = rng.normal(size=(rng.integers(2, 40), 3)) * rng.uniform(0.01, 10.0)
         grid = build_map(pts + 500.0, voxel_size=1000.0)
         assert len(grid) == 1
-        full = moments(grid.n, grid.s, grid.q)[1][0, _UPPER]
+        full = moments(grid.sums)[1][0, _UPPER]
         np.testing.assert_allclose(full, full.T)
         assert np.linalg.eigvalsh(full).min() >= -1e-9
 
@@ -160,24 +170,23 @@ def test_covariance_is_symmetric_psd():
 def test_stage_leaves_base_untouched():
     base = build_map(np.zeros((5, 3)) + 0.5, voxel_size=1.0)
     before_version = base.version
-    before = (keys(base), base.n.copy(), base.s.copy(), base.q.copy())
+    before = (keys(base), base.sums.copy())
 
     stage = base.stage_frame([(0.4, 0.4, 0.4), (3.2, 0.1, 0.1)])
     assert base.version == before_version
     assert keys(base) == before[0] == [(0, 0, 0)]
-    for now, then in zip((base.n, base.s, base.q), before[1:]):
-        assert np.array_equal(now, then)
+    assert np.array_equal(base.sums, before[1])
     # (0,0,0) is in the base, (3,0,0) is new
     assert stage.hit.tolist() == [True, False]
-    assert stage.n.tolist() == [1, 1]
-    assert (base.n[stage.rows] + stage.n[stage.hit]).tolist() == [6]
+    assert stage.sums[:, 0].tolist() == [1, 1]
+    assert (base.sums[stage.at[stage.hit], 0] + stage.sums[stage.hit, 0]).tolist() == [6]
 
     # dropping the stage has no effect; a fresh stage sees the original map
     del stage
     again = base.stage_frame([(0.4, 0.4, 0.4)])
-    assert (base.n[again.rows] + again.n[again.hit]).tolist() == [6]
+    assert (base.sums[again.at[again.hit], 0] + again.sums[again.hit, 0]).tolist() == [6]
     base.commit(again)
-    assert keys(base) == [(0, 0, 0)] and base.n.tolist() == [6]
+    assert keys(base) == [(0, 0, 0)] and base.sums[:, 0].tolist() == [6]
 
 
 def test_commit_matches_direct_insert():
@@ -191,9 +200,9 @@ def test_commit_matches_direct_insert():
 
     assert keys(staged) == keys(direct)
     assert staged.total_points == direct.total_points
-    np.testing.assert_array_equal(staged.n, direct.n)
-    np.testing.assert_allclose(staged.s, direct.s, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(staged.q, direct.q, rtol=1e-9, atol=1e-12)
+    np.testing.assert_array_equal(staged.sums[:, 0], direct.sums[:, 0])
+    np.testing.assert_allclose(staged.sums[:, 1:4], direct.sums[:, 1:4], rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(staged.sums[:, 4:], direct.sums[:, 4:], rtol=1e-9, atol=1e-12)
 
 
 def test_commit_grows_the_box_to_the_occupied_cells():
@@ -232,10 +241,10 @@ def test_conservation_through_mixed_operations():
     grid.commit(grid.stage_frame(rng.normal(scale=6.0, size=(200, 3))))
     for p in rng.normal(scale=6.0, size=(50, 3)):
         grid.insert_points(p[None, :])
-    assert grid.total_points == grid.n.sum() == 550
+    assert grid.total_points == grid.sums[:, 0].sum() == 550
     grid.prune_outside((0.0, 0.0, 0.0), 5.0)
-    assert grid.total_points == grid.n.sum()
-    assert len(keys(grid)) == len(grid.n) == len(grid.s) == len(grid.q)
+    assert grid.total_points == grid.sums[:, 0].sum() < 550
+    assert len(keys(grid)) == len(grid.sums)
 
 
 def test_prune_uses_voxel_center_strictly():
@@ -331,12 +340,12 @@ def sorted_group(points, voxel_size, origin):
     packed = (rel[:, 0] << 42) | (rel[:, 1] << 21) | rel[:, 2]
     keys, inverse, n = np.unique(packed, return_inverse=True, return_counts=True)
     d = pts - (cells + 0.5) * voxel_size
-    s = np.stack([np.bincount(inverse, weights=d[:, c], minlength=len(keys))
-                  for c in range(3)], axis=1)
-    q = np.stack([np.bincount(inverse, weights=d[:, i] * d[:, j], minlength=len(keys))
-                  for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))], axis=1)
+    s = [np.bincount(inverse, weights=d[:, c], minlength=len(keys)) for c in range(3)]
+    q = [np.bincount(inverse, weights=d[:, i] * d[:, j], minlength=len(keys))
+         for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
+    sums = np.stack([n.astype(float), *s, *q], axis=1)
     box = np.stack([cells.min(axis=0), cells.max(axis=0)])
-    return origin, keys, n, s, q, box, int((~finite).sum())
+    return origin, keys, sums, box, int((~finite).sum())
 
 
 def surface_frame(rng, cells_per_side, points, voxel_size, corner):
@@ -360,7 +369,7 @@ def unique_calls(monkeypatch):
 
 
 def assert_same_bits(got, ref):
-    for name, a, b in zip(("origin", "keys", "n", "s", "q", "box", "rejected"), got, ref):
+    for name, a, b in zip(("origin", "keys", "sums", "box", "rejected"), got, ref):
         a, b = np.asarray(a), np.asarray(b)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
@@ -395,8 +404,8 @@ def test_counting_route_groups_bit_for_bit_like_sorting(monkeypatch):
         got = _group(points, voxel_size, origin)
         assert not calls  # the counting route never sorts
         assert_same_bits(got, ref)
-        box = got[5]
-        ratios.append((box[1] - box[0] + 1).prod() / got[2].sum())
+        box = got[3]
+        ratios.append((box[1] - box[0] + 1).prod() / got[2][:, 0].sum())
     assert min(ratios) == 0.5 and max(ratios) == 4.0
     assert ref[-1] == 4  # the last frame drops its four non-finite rows
 
@@ -414,6 +423,6 @@ def test_frame_with_a_far_point_sorts_in_memory_of_its_points(monkeypatch):
         tracemalloc.stop()
     assert len(calls) == 1
     assert_same_bits(got, ref)
-    volume = (got[5][1] - got[5][0] + 1).prod()
+    volume = (got[3][1] - got[3][0] + 1).prod()
     assert volume == 1415 * 1415
     assert peak < 8 * volume / 100  # a count per cell of the box takes 8 bytes each

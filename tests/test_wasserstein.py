@@ -519,8 +519,8 @@ def test_invalid_base_row_names_its_eigenvalue():
                            rng.normal(scale=0.2, size=(30, 3)) + (3.0, 1.0, 1.0)])
     grid = build_map(base, voxel_size=2.0)
     # an indefinite base covariance, which no point set can produce
-    grid.q[1] = (29.0, 0.0, 0.0, 29.0, 0.0, -0.029)
-    grid.s[1] = 0.0
+    grid.sums[1, 4:] = (29.0, 0.0, 0.0, 29.0, 0.0, -0.029)
+    grid.sums[1, 1:4] = 0.0
     frame = np.concatenate([rng.normal(scale=0.2, size=(20, 3)) + (1.0, 1.0, 1.0),
                             rng.normal(scale=0.5, size=(20, 3)) + (3.0, 1.0, 1.0)])
     with pytest.raises(InvalidCovarianceError, match="covariance has eigenvalue -0.001$"):
