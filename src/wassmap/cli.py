@@ -3,8 +3,9 @@
 Subcommands: keyframes, calibrate, merge, synth; each accepts only the
 options it reads. The selector's settings (keyframes and calibrate) resolve
 with flag > config-file > built-in default precedence, and every command
-writes each option it accepts but --out, as resolved, to config.txt in the
-output directory, so results are reproducible from their artifacts alone.
+that succeeds writes each option it accepts but --out, as resolved, to
+config.txt in the output directory, so results are reproducible from their
+artifacts alone; a command that fails writes nothing.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 numerical failure.
 """
@@ -15,7 +16,7 @@ import argparse
 import logging
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,20 +101,19 @@ def resolve_config(args):
     return args
 
 
-def _echo_config(out_dir: Path, args) -> None:
-    """config.txt: the command, then each option it accepts but --out."""
+def _out_dir(args) -> Path:
+    """The output directory, created, with config.txt: the command, then each
+    option it accepts but --out. A command calls it once it has read, checked
+    and computed what it writes, so a failed command writes nothing."""
+    out = Path(args.out or "out")
+    out.mkdir(parents=True, exist_ok=True)
     lines = [f"command={args.command}"]
     for name, value in vars(args).items():
         if name not in ("command", "func", "out"):
             if isinstance(value, list):
                 value = " ".join(map(str, value))
             lines.append(f"{name}={value}")
-    (out_dir / "config.txt").write_text("\n".join(lines) + "\n")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.txt").write_text("\n".join(lines) + "\n")
     return out
 
 
@@ -154,8 +154,6 @@ def _read_frames(clouds, poses):
 def cmd_keyframes(args) -> int:
     decisions = _run_selection(args)
     out = _out_dir(args)
-    _echo_config(out, args)
-
     write_decisions_csv(out / "decisions.csv", decisions)
     selected = keyframe_indices(decisions)
     (out / "keyframes.txt").write_text(
@@ -177,9 +175,6 @@ def cmd_calibrate(args) -> int:
     # score every frame against the always-updated map so the distribution
     # reflects self-distance, independent of any particular threshold
     decisions = _run_selection(args, commit="always")
-    out = _out_dir(args)
-    _echo_config(out, args)
-
     scores = np.array([d.dw for d in decisions
                        if d.flag == "scored" and math.isfinite(d.dw)])
     if len(scores) == 0:
@@ -198,7 +193,7 @@ def cmd_calibrate(args) -> int:
     lines = [f"scored={len(scores)}", f"errors={errors}"]
     lines += ["%s=%.9g" % (k, v) for k, v in quantiles.items()]
     lines.append("suggested_tau=%.9g" % suggested)
-    (out / "calibration.txt").write_text("\n".join(lines) + "\n")
+    (_out_dir(args) / "calibration.txt").write_text("\n".join(lines) + "\n")
     for line in lines:
         print(line)
     return 0
@@ -223,9 +218,6 @@ def _parse_t_init(values) -> Pose:
 def cmd_merge(args) -> int:
     if args.max_iterations < 0:
         raise UsageError(f"negative --max-iterations: {args.max_iterations}")
-    out = _out_dir(args)
-    _echo_config(out, args)
-
     graph1 = read_graph(args.graph)
     trajectory2 = read_tum(args.trajectory)
     odometry2 = read_edge_list(args.odometry)
@@ -243,6 +235,7 @@ def cmd_merge(args) -> int:
     )
     report = optimize(merged, max_iterations=args.max_iterations)
 
+    out = _out_dir(args)
     write_graph(out / "merged.g2o", merged)
     session2 = [node for node in merged.nodes.values() if node.session == 2]
     session2.sort(key=lambda node: node.id)
@@ -268,23 +261,23 @@ def cmd_merge(args) -> int:
 # synth
 
 def cmd_synth(args) -> int:
-    out = _out_dir(args)
-    _echo_config(out, args)
-
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     if args.kind in ("corridor", "loop_course"):
         scene = generate_scene(args.kind)
         if args.kind == "loop_course":
             path = loop_path(n_frames=args.frames)
         else:
             path = corridor_path(40.0, args.frames)
+        spec = ScanSpec(args.max_range, args.noise, args.points, seed=args.seed)
+        out = _out_dir(args)
         clouds_dir = out / "clouds"
         clouds_dir.mkdir(exist_ok=True)
         entries = []
         for k, pose in enumerate(path):
             stamp = 0.1 * k
-            spec = ScanSpec(args.max_range, args.noise, args.points,
-                            seed=args.seed + k)
-            cloud = simulate_scan(scene, pose, spec, frame_index=k, timestamp=stamp)
+            cloud = simulate_scan(scene, pose, replace(spec, seed=args.seed + k),
+                                  frame_index=k, timestamp=stamp)
             write_pcd(clouds_dir / f"{stamp:012.6f}.pcd", cloud.points)
             entries.append(TrajectoryEntry(stamp, pose))
         write_tum(out / "trajectory.tum", entries)
@@ -302,12 +295,13 @@ def cmd_synth(args) -> int:
     noise = NoiseModel(sigma_t=args.noise, sigma_r=sigma_r)
     data = generate_two_session(None, paths, noise, seed=args.seed,
                                 n_loops=args.loops)
+    estimate1 = compose_odometry(data.truth1[0].pose, data.odometry1)
+    estimate2 = compose_odometry(data.truth2[0].pose, data.odometry2)
+    out = _out_dir(args)
     write_tum(out / "session1_truth.tum", data.truth1)
     write_tum(out / "session2_truth.tum", data.truth2)
-    estimate1 = compose_odometry(data.truth1[0].pose, data.odometry1)
     write_graph(out / "session1.g2o",
                 build_session_graph(estimate1, data.odometry1, session=1))
-    estimate2 = compose_odometry(data.truth2[0].pose, data.odometry2)
     write_tum(out / "session2_estimate.tum",
               [TrajectoryEntry(e.timestamp, p)
                for e, p in zip(data.truth2, estimate2)])

@@ -6,7 +6,8 @@ different layer. Writers validate their inputs and raise ValueError, since a
 bad argument is a programming error rather than a data error.
 
 PCD support covers v0.7 ASCII and binary (little-endian) with x, y, z stored
-as 32-bit floats; extra fields are skipped using the declared record layout.
+as 32-bit floats, each named once; extra fields, whose names may repeat, are
+skipped using the declared record layout.
 TUM lines are `timestamp tx ty tz qx qy qz qw`. Graph files use g2o-style
 `VERTEX_SE3:QUAT` / `EDGE_SE3:QUAT` / `EDGE_SE3_PRIOR` records, with session
 numbers, fixed flags, and edge kinds carried in comment lines so a plain g2o
@@ -63,18 +64,8 @@ class TrajectoryEntry:
 # ---------------------------------------------------------------------------
 # PCD
 
-_PCD_TYPE_MAP = {
-    ("F", 4): "<f4",
-    ("F", 8): "<f8",
-    ("I", 1): "<i1",
-    ("I", 2): "<i2",
-    ("I", 4): "<i4",
-    ("I", 8): "<i8",
-    ("U", 1): "<u1",
-    ("U", 2): "<u2",
-    ("U", 4): "<u4",
-    ("U", 8): "<u8",
-}
+# the (TYPE, SIZE) pairs a binary record may hold
+_PCD_TYPES = {("F", 4), ("F", 8)} | {(typ, size) for typ in "IU" for size in (1, 2, 4, 8)}
 
 
 def _pcd_header(path, raw: bytes):
@@ -149,14 +140,23 @@ def read_pcd(path) -> np.ndarray:
     if n_points < 0:
         raise ParseError(path, f"negative POINTS {n_points}", line=line_no)
 
+    # each field's first column (ascii) and first byte (binary)
+    column, byte = [0], [0]
+    for size, count in zip(sizes, counts):
+        column.append(column[-1] + count)
+        byte.append(byte[-1] + size * count)
+    axes = []
     for axis in ("x", "y", "z"):
         if axis not in fields:
             raise ParseError(path, f"missing field {axis!r}", line=line_no)
+        if fields.count(axis) > 1:
+            raise ParseError(path, f"field {axis!r} appears more than once", line=line_no)
         k = fields.index(axis)
         if types[k].upper() != "F" or sizes[k] != 4 or counts[k] != 1:
             raise ParseError(
                 path, f"field {axis!r} must be a scalar 4-byte float", line=line_no
             )
+        axes.append(k)
 
     mode = (header.get("DATA") or [""])[0].lower()
     if mode == "ascii":
@@ -169,53 +169,37 @@ def read_pcd(path) -> np.ndarray:
             raise ParseError(
                 path, f"header says POINTS={n_points} but found {len(rows)} data rows"
             )
-        total_cols = sum(counts)
-        col_of = {}
-        running = 0
-        for name, count in zip(fields, counts):
-            col_of[name] = running
-            running += count
         if n_points == 0:
-            xyz = np.empty((0, 3))
-        else:
-            try:
-                table = np.loadtxt(_stdio.StringIO("\n".join(rows)), ndmin=2)
-            except ValueError as err:
-                raise ParseError(path, f"bad ascii payload: {err}") from None
-            if table.shape[1] != total_cols:
-                raise ParseError(
-                    path,
-                    f"expected {total_cols} columns per row, found {table.shape[1]}",
-                )
-            xyz = table[:, [col_of["x"], col_of["y"], col_of["z"]]]
-    elif mode == "binary":
-        names, formats, offsets = [], [], []
-        running = 0
-        for name, typ, size, count in zip(fields, types, sizes, counts):
-            fmt = _PCD_TYPE_MAP.get((typ.upper(), size))
-            if fmt is None:
-                raise ParseError(path, f"unsupported field type {typ}{size}", line=line_no)
-            names.append(name)
-            formats.append(fmt if count == 1 else (fmt, (count,)))
-            offsets.append(running)
-            running += size * count
-        stride = running
-        need = stride * n_points
-        have = len(raw) - offset
-        if have < need:
+            return np.empty((0, 3))
+        try:
+            table = np.loadtxt(_stdio.StringIO("\n".join(rows)), ndmin=2)
+        except ValueError as err:
+            raise ParseError(path, f"bad ascii payload: {err}") from None
+        if table.shape[1] != column[-1]:
             raise ParseError(
-                path,
-                f"binary payload truncated: need {need} bytes, have {have}",
-                offset=len(raw),
+                path, f"expected {column[-1]} columns per row, found {table.shape[1]}"
             )
-        dtype = np.dtype({"names": names, "formats": formats, "offsets": offsets,
-                          "itemsize": stride})
-        records = np.frombuffer(raw, dtype=dtype, count=n_points, offset=offset)
-        xyz = np.empty((n_points, 3))
+        return table[:, [column[k] for k in axes]]
+    if mode != "binary":
+        raise ParseError(path, f"unsupported DATA mode {mode!r}", line=line_no)
+    for typ, size in zip(types, sizes):
+        if (typ.upper(), size) not in _PCD_TYPES:
+            raise ParseError(path, f"unsupported field type {typ}{size}", line=line_no)
+    need = byte[-1] * n_points
+    have = len(raw) - offset
+    if have < need:
+        raise ParseError(
+            path, f"binary payload truncated: need {need} bytes, have {have}", offset=len(raw)
+        )
+    if n_points == 0:  # no record dtype, whose itemsize must fit a C int
+        return np.empty((0, 3))
+    records = np.frombuffer(raw, count=n_points, offset=offset, dtype=np.dtype({
+        "names": ["x", "y", "z"], "formats": ["<f4"] * 3,
+        "offsets": [byte[k] for k in axes], "itemsize": byte[-1]}))
+    xyz = np.empty((n_points, 3))
+    with np.errstate(invalid="ignore"):  # a signalling NaN is kept, as every stored row is
         for k, axis in enumerate("xyz"):
             xyz[:, k] = records[axis]
-    else:
-        raise ParseError(path, f"unsupported DATA mode {mode!r}", line=line_no)
     return xyz
 
 

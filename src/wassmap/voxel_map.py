@@ -88,11 +88,13 @@ def _group(points, voxel_size: float, origin):
     (K,10) with rows as a `GmmMap` holds them, box (2,3): least and greatest
     cell per axis, rejected).
 
-    A box of cells with extents e and at most 4 cells per point, as a LiDAR
-    frame has, is counted over: its index ((i - i0) e1 + j - j0) e2 + k - k0
-    runs in key order. A larger box, as one far return makes, would need
-    tables that grow with it, so those points sort a key each. Both routes
-    give the same keys, counts and inverse, hence the same sums.
+    A box of cells with extents e and at most 4 cells per point is counted
+    over: its index ((i - i0) e1 + j - j0) e2 + k - k0 runs in key order. At
+    0.5 m cells, 20k-point loop_course frames at 20 m range measured 0.81-1.04
+    cells per point. A larger box would need tables that grow with it, so its
+    points sort a key each: one far return makes such a box, and so does
+    every frame of a 600 m corridor at 50 m range (19-36 cells per point).
+    Both routes give the same keys, counts and inverse, hence the same sums.
     """
     pts = as_points(points)
     rejected = 0

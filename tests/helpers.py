@@ -6,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
-from wassmap.geometry import _skew
+from wassmap.geometry import _skew, compose_batch, se3_exp
+from wassmap.pose_graph import _Problem, _residuals
 from wassmap.voxel_map import GmmMap
 
 
@@ -55,6 +56,53 @@ def write_ascii_pcd(path, points) -> None:
     )
     rows = "".join("%.9g %.9g %.9g\n" % tuple(p) for p in pts)
     Path(path).write_text(header + rows, encoding="ascii")
+
+
+def write_padded_pcd(path, points, mode: str = "binary") -> None:
+    """x y z points (float32) as a PCD file in a PCL layout whose padding
+    fields repeat the name `_`: FIELDS x y z _ intensity _, 32-byte records.
+    Each point's intensity is its index; ascii values keep every float32 bit."""
+    pts = np.asarray(points, dtype=np.float32).reshape(-1, 3)
+    n = len(pts)
+    header = (
+        "VERSION 0.7\nFIELDS x y z _ intensity _\nSIZE 4 4 4 1 4 1\nTYPE F F F U F U\n"
+        f"COUNT 1 1 1 4 1 12\nWIDTH {n}\nHEIGHT 1\nPOINTS {n}\nDATA {mode}\n"
+    )
+    if mode == "binary":
+        records = np.zeros(n, dtype=[("xyz", "<f4", 3), ("pad", "u1", 4), ("intensity", "<f4"),
+                                     ("tail", "u1", 12)])
+        records["xyz"], records["pad"], records["tail"] = pts, 0xAB, 0xCD
+        records["intensity"] = np.arange(n)
+        payload = records.tobytes()
+    else:
+        payload = "".join(" ".join(["%.17g" % v for v in row] + ["171"] * 4 + [str(k)]
+                                   + ["205"] * 12) + "\n"
+                          for k, row in enumerate(pts.astype(float).tolist())).encode("ascii")
+    Path(path).write_bytes(header.encode("ascii") + payload)
+
+
+def central_differences(edge, poses, step: float) -> dict:
+    """{node id: (6, 6)} central differences of a one-row `Edges`' whitened
+    residual wrt the right perturbations T <- T exp(+-step e_k) of each of its
+    nodes, from one batched residual call at all the perturbed states."""
+    problem = _Problem(poses, edge)
+    nodes = [int(edge.i[0])] if edge.kind[0] == "prior" else [int(edge.i[0]), int(edge.j[0])]
+    twists = step * np.concatenate([np.eye(6), -np.eye(6)])
+    q, t, ends = [problem.q], [problem.t], []
+    for node in nodes:
+        row = problem.ids.index(node)
+        first = sum(len(block) for block in q)
+        base = (np.repeat(problem.q[row:row + 1], 12, 0), np.repeat(problem.t[row:row + 1], 12, 0))
+        moved_q, moved_t = compose_batch(base, se3_exp(twists))
+        q.append(moved_q)
+        t.append(moved_t)
+        ends.append(np.where(problem.ends[0] == row, first + np.arange(12)[:, None],
+                             problem.ends[0]))
+    ends = np.concatenate(ends)
+    z_inv = tuple(np.repeat(z, len(ends), 0) for z in problem.z_inv)
+    r, _ = _residuals(ends, z_inv, np.concatenate(q), np.concatenate(t))
+    wr = (r @ edge.whitener[0].T).reshape(len(nodes), 2, 6, 6)
+    return {node: (plus - minus).T / (2.0 * step) for node, (plus, minus) in zip(nodes, wr)}
 
 
 def se3_ad(xi) -> np.ndarray:

@@ -17,8 +17,10 @@ import wassmap.pose_graph
 import wassmap.voxel_map
 from wassmap.cli import build_parser, main, resolve_config
 from wassmap.geometry import Pose
-from wassmap.io import TrajectoryEntry, read_graph, read_tum, write_pcd, write_tum
+from wassmap.io import TrajectoryEntry, read_graph, read_pcd, read_tum, write_pcd, write_tum
 from wassmap.wasserstein import InvalidCovarianceError
+
+from helpers import write_padded_pcd
 
 
 def run(*argv):
@@ -237,7 +239,7 @@ class TestSynthCommand:
         out = tmp_path / "nan"
         assert run("synth", *flags, "--frames", "3", "--points", "100", "--out", out) == 1
         assert "must be" in capsys.readouterr().err
-        assert not (out / "session1.g2o").exists() and not list(out.glob("clouds/*.pcd"))
+        assert not out.exists()
 
 
 class TestKeyframesCommand:
@@ -350,6 +352,22 @@ class TestKeyframesCommand:
                    "--trajectory", corridor_dataset / "trajectory.tum",
                    "--out", tmp_path / "cal") == 0
         assert "errors=1" in capsys.readouterr().out
+
+    def test_cloud_with_repeated_padding_fields_is_read(self, corridor_dataset, tmp_path,
+                                                        capsys):
+        # the fourth cloud in a PCL layout whose padding fields are all named `_`
+        clouds = _copy_clouds(corridor_dataset, tmp_path / "clouds")
+        write_padded_pcd(clouds[3], read_pcd(corridor_dataset / "clouds" / clouds[3].name))
+        outs = {"plain": tmp_path / "plain", "padded": tmp_path / "padded"}
+        for name, source in (("plain", corridor_dataset / "clouds"),
+                             ("padded", tmp_path / "clouds")):
+            assert run("keyframes", "--clouds", source,
+                       "--trajectory", corridor_dataset / "trajectory.tum",
+                       "--tau", "0.3", "--out", outs[name]) == 0
+            assert "frames=12 " in capsys.readouterr().out
+        rows = {name: [row[:-1] for row in _decision_rows(out)] for name, out in outs.items()}
+        assert len(rows["padded"]) == 12
+        assert rows["padded"] == rows["plain"]  # every column but the time
 
     def test_non_numeric_stem_is_unpaired(self, corridor_dataset, tmp_path, caplog):
         clouds = _copy_clouds(corridor_dataset, tmp_path / "clouds")
@@ -768,3 +786,37 @@ class TestMergeCommand:
                        [e.pose.translation for e in after]) < noise_level
         assert max_gap([e.pose.translation for e in after],
                        [e.pose.translation for e in truth2]) < noise_level
+
+
+class TestFailedCommand:
+    @pytest.fixture(scope="class")
+    def one_frame_dataset(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("one_frame")
+        assert run("synth", "--kind", "corridor", "--frames", "1", "--points", "300",
+                   "--out", out) == 0
+        return out
+
+    @pytest.mark.parametrize("argv, message", [
+        (lambda two, one: ["merge", "--graph", two / "absent.g2o",
+                           "--trajectory", two / "session2_estimate.tum",
+                           "--odometry", two / "session2_odometry.txt"], "absent.g2o"),
+        (lambda two, one: ["calibrate", "--clouds", one / "clouds",
+                           "--trajectory", one / "trajectory.tum"], "insufficient frames"),
+        (lambda two, one: ["synth", "--kind", "two_session", "--frames", "0"], "non-empty"),
+        (lambda two, one: ["synth", "--kind", "corridor", "--max-range", "nan"],
+         "max_range must be positive"),
+        (lambda two, one: ["synth", "--kind", "corridor", "--seed", "-1"],
+         "--seed must be >= 0"),
+        (lambda two, one: ["synth", "--kind", "loop_course", "--seed", "-1"],
+         "--seed must be >= 0"),
+        (lambda two, one: ["synth", "--kind", "two_session", "--seed", "-1"],
+         "--seed must be >= 0"),
+    ], ids=["merge-missing-graph", "calibrate-one-frame", "two-session-no-frames",
+            "corridor-nan-range", "corridor-negative-seed", "loop-course-negative-seed",
+            "two-session-negative-seed"])
+    def test_writes_nothing(self, argv, message, two_session_dataset, one_frame_dataset,
+                            tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(*argv(two_session_dataset, one_frame_dataset), "--out", out) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from helpers import (
     reference_graph_text,
     reference_tum_text,
     write_ascii_pcd,
+    write_padded_pcd,
 )
 
 
@@ -99,6 +101,41 @@ class TestPcd:
         payload = np.hstack([xyz, intensity[:, None]]).astype("<f4").tobytes()
         fb.write_bytes((header + "DATA binary\n").encode() + payload)
         assert np.array_equal(read_pcd(fb), xyz.astype(float))
+
+    def test_padding_fields_may_repeat(self, tmp_path):
+        pts = np.random.default_rng(3).normal(scale=50.0, size=(33, 3)).astype(np.float32)
+        for mode in ("binary", "ascii"):
+            f = tmp_path / f"{mode}.pcd"
+            write_padded_pcd(f, pts, mode)
+            np.testing.assert_array_equal(read_pcd(f), pts.astype(float))
+
+    @pytest.mark.parametrize("mode", ["binary", "ascii"])
+    def test_repeated_axis_rejected_at_its_header(self, tmp_path, mode):
+        f = tmp_path / "twice.pcd"
+        f.write_bytes(
+            b"FIELDS x y z y\nSIZE 4 4 4 4\nTYPE F F F F\nCOUNT 1 1 1 1\n"
+            b"POINTS 1\nDATA " + mode.encode() + b"\n" + b"\x00" * 16
+        )
+        with pytest.raises(ParseError, match="field 'y' appears more than once") as err:
+            read_pcd(f)
+        assert str(err.value).startswith(f"{f}:6: ")
+
+    def test_signalling_nan_is_kept_without_a_warning(self, tmp_path):
+        f = tmp_path / "snan.pcd"
+        write_pcd(f, np.ones((2, 3)))
+        raw = bytearray(f.read_bytes())
+        raw[-12:-8] = np.array([0x7FA00000], dtype="<u4").tobytes()  # the last x
+        f.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = read_pcd(f)
+        assert np.isnan(points[1, 0]) and np.isfinite(np.delete(points.ravel(), 3)).all()
+
+    def test_empty_binary_cloud_with_records_wider_than_a_c_int(self, tmp_path):
+        f = tmp_path / "wide.pcd"
+        f.write_bytes(b"FIELDS x y z pad\nSIZE 4 4 4 8\nTYPE F F F U\nCOUNT 1 1 1 300000000\n"
+                      b"POINTS 0\nDATA binary\n")
+        assert read_pcd(f).shape == (0, 3)
 
     def test_point_count_mismatch(self, tmp_path):
         f = tmp_path / "short.pcd"
@@ -652,6 +689,55 @@ class TestWriterBytes:
 # Fuzzing: parsers fail loudly but never with an unstructured exception
 
 
+_PCD_FIELD_TYPES = [("F", 4), ("F", 8), ("U", 1), ("U", 2), ("U", 4), ("U", 8),
+                    ("I", 1), ("I", 2), ("I", 4), ("I", 8), ("F", 2), ("U", 3)]
+
+
+def random_pcd(rng) -> bytes:
+    """A PCD file with a random field list: x, y and z among padding and
+    extra fields, names repeated, dropped and reordered, random SIZE, TYPE
+    and COUNT, and an ascii or binary payload that fits its header or misses
+    it by a little. Binary x, y and z hold floats and now and then a
+    signalling NaN."""
+    names = ["x", "y", "z"] + rng.choice(
+        ["_", "intensity", "rgb", "ring", "x", "y", "z"], size=int(rng.integers(0, 5)),
+        p=[0.35, 0.2, 0.15, 0.15, 0.05, 0.05, 0.05]).tolist()
+    if rng.random() < 0.1:
+        names.remove(str(rng.choice(["x", "y", "z"])))
+    if rng.random() < 0.5:
+        rng.shuffle(names)
+    layout = []
+    for name in names:
+        if name in "xyz" and rng.random() < 0.95:
+            layout.append((name, "F", 4, 1))
+        else:
+            typ, size = _PCD_FIELD_TYPES[int(rng.integers(len(_PCD_FIELD_TYPES)))]
+            layout.append((name, typ, size, int(rng.integers(1, 5))))
+    names, types, sizes, counts = zip(*layout)
+    n = int(rng.integers(0, 6))
+    binary = rng.random() < 0.5
+    header = "".join(f"{key} {' '.join(map(str, values))}\n" for key, values in (
+        ("VERSION", [0.7]), ("FIELDS", names), ("SIZE", sizes), ("TYPE", types),
+        ("COUNT", counts), ("WIDTH", [n]), ("HEIGHT", [1]),
+        ("POINTS", [n + int(rng.random() < 0.1)]), ("DATA", ["binary" if binary else "ascii"])))
+    if binary:
+        stride = sum(size * count for size, count in zip(sizes, counts))
+        records = rng.integers(0, 256, size=(n, stride), dtype=np.uint8)
+        start = 0
+        for name, size, count in zip(names, sizes, counts):
+            if name in "xyz" and size == 4:
+                values = rng.normal(scale=10.0, size=n).astype("<f4")
+                values.view("<u4")[rng.random(n) < 0.2] = 0x7FA00000
+                records[:, start:start + 4] = values.view(np.uint8).reshape(n, 4)
+            start += size * count
+        payload = records.tobytes()[:stride * n - int(rng.random() < 0.1)]
+    else:
+        columns = sum(counts) - int(rng.random() < 0.1)
+        payload = "".join(" ".join("%.9g" % v for v in rng.normal(size=columns)) + "\n"
+                          for _ in range(n)).encode("ascii")
+    return header.encode("ascii") + payload
+
+
 class TestFuzz:
     READERS = [read_pcd, read_tum, read_graph, read_edge_list]
 
@@ -666,6 +752,24 @@ class TestFuzz:
                     reader(f)
                 except ParseError as err:
                     assert str(err).startswith(f"{f}:"), err
+
+    def test_random_headers(self, tmp_path):
+        rng = np.random.default_rng(10)
+        read = {"binary": 0, "ascii": 0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for trial in range(400):
+                blob = random_pcd(rng)
+                f = tmp_path / f"header_{trial}.pcd"
+                f.write_bytes(blob)
+                try:
+                    points = read_pcd(f)
+                except ParseError as err:
+                    assert str(err).startswith(f"{f}:"), err
+                else:
+                    assert points.dtype == np.float64 and points.shape[1:] == (3,)
+                    read["binary" if b"DATA binary" in blob else "ascii"] += 1
+        assert min(read.values()) >= 40, read
 
     def test_mutated_valid_files(self, tmp_path):
         rng = np.random.default_rng(8)
