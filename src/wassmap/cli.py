@@ -264,6 +264,8 @@ def cmd_synth(args) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
     if args.kind in ("corridor", "loop_course"):
+        if args.frames < 1:
+            raise UsageError("--frames must be >= 1")
         scene = generate_scene(args.kind)
         if args.kind == "loop_course":
             path = loop_path(n_frames=args.frames)
@@ -284,6 +286,8 @@ def cmd_synth(args) -> int:
         print(f"kind={args.kind} frames={len(path)} out={out}")
         return 0
 
+    if args.loops < 0:
+        raise UsageError("--loops must be >= 0")
     paths = (corridor_path(40.0, args.frames, height=1.5),
              corridor_path(40.0, args.frames, height=1.6))
     # rotation noise tracks translation noise unless set explicitly, so

@@ -34,7 +34,9 @@ class Patch:
     v: tuple[float, float, float]
 
     def __post_init__(self):
-        if self.area <= 0.0:
+        if not all(map(math.isfinite, (*self.origin, *self.u, *self.v))):
+            raise ValueError("patch coordinates must be finite")
+        if not self.area > 0.0:
             raise ValueError("patch must have positive area")
 
     @property
@@ -42,11 +44,6 @@ class Patch:
         nu = math.sqrt(sum(c * c for c in self.u))
         nv = math.sqrt(sum(c * c for c in self.v))
         return nu * nv
-
-    def sample(self, n: int, rng) -> np.ndarray:
-        ab = rng.random((n, 2))
-        origin = np.asarray(self.origin)
-        return origin + ab[:, :1] * np.asarray(self.u) + ab[:, 1:] * np.asarray(self.v)
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,7 @@ class Scene:
     def __post_init__(self):
         if not self.patches:
             raise ValueError("scene needs at least one patch")
-        if self.density <= 0.0:
+        if not 0.0 < self.density < math.inf:
             raise ValueError("density must be positive")
         object.__setattr__(self, "patches", tuple(self.patches))
 
@@ -103,12 +100,12 @@ def generate_scene(kind: str, dims=None, density: float = 100.0) -> Scene:
     """
     if kind == "corridor":
         length, width, height = dims or (40.0, 4.0, 3.0)
-        if min(length, width, height) <= 0:
+        if not all(0 < d < math.inf for d in (length, width, height)):
             raise ValueError("dimensions must be positive")
         patches = _box_patches(0.0, length, -width / 2.0, width / 2.0, 0.0, height)
     elif kind == "loop_course":
         side, width, height = dims or (30.0, 4.0, 3.0)
-        if min(side, width, height) <= 0 or width * 2.0 >= side:
+        if not all(0 < d < math.inf for d in (side, width, height)) or width * 2.0 >= side:
             raise ValueError("need positive dims with corridor width < side/2")
         s, w, h = side, width, height
         patches = [
@@ -139,41 +136,43 @@ def simulate_scan(scene: Scene, pose: Pose, spec: ScanSpec,
                   frame_index: int = 0, timestamp: float = 0.0) -> CloudFrame:
     """Sample visible surface around a pose; returns sensor-frame points.
 
-    Visibility is a pure range test. Candidates are drawn patch-by-patch in
-    proportion to area; the total candidate budget is the scene surface area
-    times its density, so sparse scenes yield short frames. With sigma = 0
-    the points lie exactly on their patch planes.
+    Visibility is a pure range test. Candidates are drawn in chunks, each
+    split over the patches by one multinomial draw in proportion to area; the
+    total candidate budget is the scene surface area times its density, so
+    sparse scenes yield short frames. With sigma = 0 the points lie exactly
+    on their patch planes.
     """
     rng = np.random.default_rng(spec.seed)
     areas = np.array([p.area for p in scene.patches])
     weights = areas / areas.sum()
     budget = int(math.ceil(scene.total_area * scene.density))
     center = np.asarray(pose.translation)
+    # (3, P): x, y and z rows of the patches' origin corners and edge vectors
+    origin, u, v = (np.array([getattr(p, name) for p in scene.patches], dtype=float).T
+                    for name in ("origin", "u", "v"))
 
-    kept: list[np.ndarray] = []
+    kept = [np.empty((0, 3))]  # (k, 3) blocks of in-range points, in draw order
     n_kept = 0
     while n_kept < spec.points_per_frame and budget > 0:
         chunk = min(max(2 * spec.points_per_frame, 1024), budget)
         budget -= chunk
         counts = rng.multinomial(chunk, weights)
-        for patch, count in zip(scene.patches, counts):
-            if count == 0:
-                continue
-            pts = patch.sample(int(count), rng)
-            dist = np.linalg.norm(pts - center, axis=1)
-            pts = pts[dist <= spec.max_range]
-            if len(pts):
-                kept.append(pts)
-                n_kept += len(pts)
+        # one draw takes the stream that one draw per patch takes in turn;
+        # built a coordinate at a time, each temporary is one (chunk,) row
+        a, b = rng.random((chunk, 2)).T
+        xyz = [np.repeat(o, counts) + a * np.repeat(e1, counts) + b * np.repeat(e2, counts)
+               for o, e1, e2 in zip(origin, u, v)]
+        d0, d1, d2 = (row - c for row, c in zip(xyz, center))
+        # summed in np.linalg.norm(axis=1)'s order, so the same points pass
+        near = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2) <= spec.max_range
+        kept.append(np.stack([row[near] for row in xyz], axis=1))
+        n_kept += len(kept[-1])
 
-    if n_kept == 0:
-        world = np.empty((0, 3))
-    else:
-        world = np.concatenate(kept)
-        if len(world) > spec.points_per_frame:
-            # unbiased truncation: drop surplus uniformly, not per patch order
-            order = rng.permutation(len(world))[: spec.points_per_frame]
-            world = world[np.sort(order)]
+    world = np.concatenate(kept)
+    if len(world) > spec.points_per_frame:
+        # unbiased truncation: drop surplus uniformly, not per patch order
+        order = rng.permutation(len(world))[: spec.points_per_frame]
+        world = world[np.sort(order)]
     if spec.sigma > 0.0 and len(world):
         world = world + rng.normal(scale=spec.sigma, size=world.shape)
     sensor = pose.inverse().transform_points(world) if len(world) else world
@@ -271,6 +270,8 @@ def generate_two_session(scene: Scene | None, paths, noise: NoiseModel = NoiseMo
     path1, path2 = [list(p) for p in paths]
     if not path1 or not path2:
         raise ValueError("both paths must be non-empty")
+    if n_loops < 0:
+        raise ValueError("n_loops must be >= 0")
     rng = np.random.default_rng(seed)
 
     truth1 = [TrajectoryEntry(0.1 * k, p) for k, p in enumerate(path1)]

@@ -8,6 +8,7 @@ import numpy as np
 
 from wassmap.geometry import _skew, compose_batch, se3_exp
 from wassmap.pose_graph import _Problem, _residuals
+from wassmap.synth import CloudFrame
 from wassmap.voxel_map import GmmMap
 
 
@@ -199,3 +200,43 @@ def reference_edge_list_text(edges) -> str:
 
 def reference_tum_text(entries) -> str:
     return _text(["%.9f " % entry.timestamp + format_pose(entry.pose) for entry in entries])
+
+
+def reference_scan(scene, pose, spec, frame_index: int = 0, timestamp: float = 0.0):
+    """The per-patch sampler `simulate_scan` must match bit for bit: one
+    uniform draw and one range test per patch with points in the chunk."""
+    rng = np.random.default_rng(spec.seed)
+    areas = np.array([p.area for p in scene.patches])
+    weights = areas / areas.sum()
+    budget = int(math.ceil(scene.total_area * scene.density))
+    center = np.asarray(pose.translation)
+
+    kept: list[np.ndarray] = []
+    n_kept = 0
+    while n_kept < spec.points_per_frame and budget > 0:
+        chunk = min(max(2 * spec.points_per_frame, 1024), budget)
+        budget -= chunk
+        counts = rng.multinomial(chunk, weights)
+        for patch, count in zip(scene.patches, counts):
+            if count == 0:
+                continue
+            ab = rng.random((int(count), 2))
+            pts = (np.asarray(patch.origin) + ab[:, :1] * np.asarray(patch.u)
+                   + ab[:, 1:] * np.asarray(patch.v))
+            dist = np.linalg.norm(pts - center, axis=1)
+            pts = pts[dist <= spec.max_range]
+            if len(pts):
+                kept.append(pts)
+                n_kept += len(pts)
+
+    if n_kept == 0:
+        world = np.empty((0, 3))
+    else:
+        world = np.concatenate(kept)
+        if len(world) > spec.points_per_frame:
+            order = rng.permutation(len(world))[: spec.points_per_frame]
+            world = world[np.sort(order)]
+    if spec.sigma > 0.0 and len(world):
+        world = world + rng.normal(scale=spec.sigma, size=world.shape)
+    sensor = pose.inverse().transform_points(world) if len(world) else world
+    return CloudFrame(frame_index, timestamp, sensor)

@@ -241,6 +241,17 @@ class TestSynthCommand:
         assert "must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--kind", "corridor", "--frames", "0"), "--frames must be >= 1"),
+        (("--kind", "loop_course", "--frames", "-3"), "--frames must be >= 1"),
+        (("--kind", "two_session", "--frames", "5", "--loops", "-1"), "--loops must be >= 0"),
+    ], ids=["corridor-no-frames", "loop-course-negative-frames", "two-session-negative-loops"])
+    def test_bad_counts_exit_one(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "bad"
+        assert run("synth", *flags, "--points", "100", "--out", out) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestKeyframesCommand:
     def test_one_row_per_paired_frame(self, corridor_dataset, tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import wassmap.synth
 from wassmap.geometry import Pose, Rotation, se3_exp, se3_log
 from wassmap.keyframe import KeyframeSelector, SelectorConfig
 from wassmap.synth import (
@@ -18,6 +19,8 @@ from wassmap.synth import (
     loop_path,
     simulate_scan,
 )
+
+from helpers import reference_scan
 
 
 def perturb_pose(pose: Pose, sigma_t: float, sigma_r: float, rng) -> Pose:
@@ -65,8 +68,83 @@ class TestScenes:
         with pytest.raises(ValueError):
             Patch((0, 0, 0), (0, 0, 0), (0, 1, 0))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: generate_scene("corridor", density=math.nan), "density must be positive"),
+        (lambda: generate_scene("corridor", density=math.inf), "density must be positive"),
+        (lambda: Patch((0, 0, 0), (math.nan, 0, 0), (0, 1, 0)), "patch coordinates must be finite"),
+        (lambda: Patch((math.inf, 0, 0), (1, 0, 0), (0, 1, 0)), "patch coordinates must be finite"),
+        (lambda: generate_scene("corridor", dims=(40, 4, math.nan)), "dimensions must be positive"),
+        (lambda: generate_scene("loop_course", dims=(math.inf, 4, 3)), "need positive dims"),
+    ], ids=["nan-density", "inf-density", "nan-edge", "inf-origin", "nan-corridor-height",
+            "inf-loop-side"])
+    def test_non_finite_values_rejected(self, build, message):
+        # each one used to pass here and fail later inside simulate_scan
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+def _assert_same_frame(a, b):
+    assert (a.frame_index, a.timestamp) == (b.frame_index, b.timestamp)
+    assert (a.points.dtype, a.points.shape) == (b.points.dtype, b.points.shape)
+    assert a.points.tobytes() == b.points.tobytes()
+
+
+_CORRIDOR = generate_scene("corridor")
+_LOOP = generate_scene("loop_course")
+_AT_5 = Pose(Rotation.identity(), (5.0, 0.0, 1.5))
+# a 1 m² patch beside a 10,000 m² wall gets no point in most chunks
+_INTEGER_PATCHES = Scene((Patch((0, 0, 0), (1, 0, 0), (0, 1, 0)),
+                          Patch((0, -5, 0), (200, 0, 0), (0, 0, 50))), 10.0)
+# y depends on both draws, so (origin + a u) + b v rounds unlike origin + (a u + b v)
+_TILTED = Scene((Patch((0.5, -1.0, 0.25), (3.0, 1.0, 0.0), (0.0, 1.5, 2.0)),), 100.0)
+
 
 class TestSimulateScan:
+    @pytest.mark.parametrize("scene, pose, spec", [
+        (_LOOP, loop_path(n_frames=8)[3], ScanSpec(4.0, 0.01, 1500, seed=1)),
+        (_CORRIDOR, Pose(Rotation.from_rotvec((0.0, 0.0, 0.8)), (12.0, 0.5, 1.5)),
+         ScanSpec(9.0, 0.0, 2000, seed=5)),
+        (_CORRIDOR, _AT_5, ScanSpec(1.0, 0.01, 100, seed=2)),
+        (_CORRIDOR, _AT_5, ScanSpec(30.0, 0.01, 0, seed=3)),
+        (Scene((Patch((0.0, 0.0, 0.0), (2.0, 0, 0), (0, 2.0, 0)),), 10.0),
+         Pose(Rotation.identity(), (1.0, 1.0, 1.0)), ScanSpec(100.0, 0.02, 100, seed=4)),
+        (_INTEGER_PATCHES, Pose(Rotation.identity(), (0.0, 0.0, 1.0)),
+         ScanSpec(30.0, 0.01, 300, seed=6)),
+        (_LOOP, loop_path()[10], ScanSpec(seed=7)),
+        (_TILTED, Pose(Rotation.identity(), (1.0, 0.0, 1.0)), ScanSpec(30.0, 0.01, 300, seed=8)),
+    ], ids=["loop-course-8-chunks-truncated", "corridor-sigma-zero", "nearest-patch-out-of-range",
+            "zero-points", "budget-below-one-chunk", "integer-patches-zero-counts",
+            "loop-course-defaults", "tilted-patch"])
+    def test_matches_per_patch_reference(self, scene, pose, spec):
+        _assert_same_frame(simulate_scan(scene, pose, spec, frame_index=4, timestamp=0.4),
+                           reference_scan(scene, pose, spec, frame_index=4, timestamp=0.4))
+
+    def test_range_ties_fall_as_in_the_reference(self):
+        # one chunk (the budget is below it), sigma 0 and the identity pose, so
+        # an infinite range returns every candidate as drawn; a range equal to
+        # a candidate's distance keeps it only when the squares are summed in
+        # np.linalg.norm's order, and these candidates round apart in another
+        pose = Pose(Rotation.identity(), (0.0, 0.0, 0.0))
+        xyz = reference_scan(_TILTED, pose, ScanSpec(math.inf, 0.0, 5000, seed=9)).points
+        dist = np.linalg.norm(xyz, axis=1)
+        x, y, z = xyz.T
+        ties = dist[np.sqrt(x * x + (y * y + z * z)) != dist]
+        assert len(ties) >= 5
+        for tie in ties[:5]:
+            spec = ScanSpec(float(tie), 0.0, 5000, seed=9)
+            _assert_same_frame(simulate_scan(_TILTED, pose, spec),
+                               reference_scan(_TILTED, pose, spec))
+
+    def test_two_session_scans_match_reference(self, monkeypatch):
+        paths = (corridor_path(40.0, 3), corridor_path(40.0, 3, height=1.6))
+        spec = ScanSpec(10.0, 0.01, 500, seed=3)
+        data = generate_two_session(_CORRIDOR, paths, seed=1, scan_spec=spec)
+        monkeypatch.setattr(wassmap.synth, "simulate_scan", reference_scan)
+        ref = generate_two_session(_CORRIDOR, paths, seed=1, scan_spec=spec)
+        assert len(data.scans1 + data.scans2) == 6
+        for new, old in zip(data.scans1 + data.scans2, ref.scans1 + ref.scans2):
+            _assert_same_frame(new, old)
+
     def test_zero_sigma_floor_is_exact(self):
         floor = Scene((Patch((0.0, 0.0, 0.0), (10.0, 0, 0), (0, 10.0, 0)),), 50.0)
         pose = Pose(Rotation.identity(), (2.0, 1.0, 1.5))
@@ -242,6 +320,11 @@ class TestTwoSession:
         pose = Pose(Rotation.identity(), (1.0, 2.0, 3.0))
         moved = perturb_pose(pose, 0.5, 0.05, rng)
         assert np.linalg.norm(np.asarray(moved.translation) - (1, 2, 3)) > 1e-3
+
+    def test_negative_loop_count_rejected(self):
+        paths = (corridor_path(40.0, 5), corridor_path(40.0, 5, height=1.6))
+        with pytest.raises(ValueError, match="n_loops must be >= 0"):
+            generate_two_session(None, paths, n_loops=-1)
 
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
