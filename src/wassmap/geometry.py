@@ -125,9 +125,6 @@ def _quat_rotate(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p + q[..., :1] * t + _cross(u, t)
 
 
-# the message of the ValueError `Rotation` raises for a quaternion it cannot normalize
-QUATERNION_ERROR = "quaternion must be finite and nonzero"
-
 # `Rotation` and `Pose` are frozen: their ``__init__`` normalizes or copies
 # each field once and sets it once through this
 _set = object.__setattr__
@@ -145,7 +142,7 @@ class Rotation:
     def __init__(self, w=1.0, x=0.0, y=0.0, z=0.0):
         n = math.sqrt(w * w + x * x + y * y + z * z)
         if not (n > 0.0) or not math.isfinite(n):
-            raise ValueError(QUATERNION_ERROR)
+            raise ValueError("quaternion must be finite and nonzero")
         _set(self, "w", w / n)
         _set(self, "x", x / n)
         _set(self, "y", y / n)

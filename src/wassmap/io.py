@@ -15,12 +15,12 @@ reader still understands the geometry. Information matrices are stored as 21
 upper-triangular entries, row-major, in the tangent order (rotation first)
 used by the residuals. Node ids are int64; a larger one is a parse error.
 
-The text readers (TUM, graph, edge list) parse in bulk, as described under
-"Text records" below, and report the fault that reading line by line meets
-first. Graph and edge-list readers build one `Edges` table per file; its
-batched check names the `path:line` of a bad row, and a line that fails to
-parse is reported only if no edge above it is bad. The text writers format
-each record with one format string, 17 significant digits per value.
+The text readers (TUM, graph, edge list) parse and check one line at a time
+and stop at the first bad line. Graph and edge-list readers keep their edges
+in a list and build one `Edges` table per file at the end; its batched check
+names the `path:line` of a bad row, and a line that fails to parse is reported
+only if no edge above it is bad. The text writers format each record with one
+format string, 17 significant digits per value.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from wassmap.geometry import QUATERNION_ERROR, Pose, Rotation, as_points, stack_poses
-from wassmap.pose_graph import EdgeError, Edges, PoseGraph
+from wassmap.geometry import Pose, Rotation, as_points, stack_poses
+from wassmap.pose_graph import ID_LIMIT, EdgeError, Edges, PoseGraph
 
 logger = logging.getLogger(__name__)
 
@@ -249,17 +249,6 @@ def read_cloud_dir(directory) -> list[tuple[Path, float | None]]:
 
 # ---------------------------------------------------------------------------
 # Text records
-#
-# A text reader makes one pass over the lines. It checks record names and
-# token counts and stops at the first line that fails them. The numbers of the
-# records above that line are converted with one `np.array` call per field,
-# and every check on values is an array check that flags rows. The fault
-# reported is the first check, in the order a line is read, that flags the
-# earliest line, so a file fails with the message and line that reading it
-# line by line would give.
-
-_BAD_QUATERNION = f"bad quaternion: {QUATERNION_ERROR}"
-
 
 def _decode_lines(path):
     try:
@@ -269,69 +258,44 @@ def _decode_lines(path):
     return text.splitlines()
 
 
-def _numbers(rows, width: int, dtype=float):
-    """Token rows as one (len(rows), width) array, and a mask flagging the
-    first row that does not convert. Only when the bulk conversion fails are
-    the rows walked, one conversion each, to find that row; it and the rows
-    after it read as zeros."""
-    bad = np.zeros(len(rows), dtype=bool)
+def _floats(path, tokens, line_no, what: str) -> list[float]:
     try:
-        return np.array(rows, dtype=dtype).reshape(len(rows), width), bad
-    except (ValueError, OverflowError):  # OverflowError: an integer beyond int64
-        pass
-    values = np.zeros((len(rows), width), dtype=dtype)
-    for k, row in enumerate(rows):
-        try:
-            values[k] = np.array(row, dtype=dtype)
-        except (ValueError, OverflowError):
-            bad[k] = True
-            break
-    return values, bad
+        values = list(map(float, tokens))
+    except ValueError:
+        raise ParseError(path, f"non-numeric {what}", line=line_no) from None
+    if not all(map(math.isfinite, values)):
+        raise ParseError(path, f"non-finite {what}", line=line_no)
+    return values
 
 
-def _quaternion_fails(w, x, y, z) -> np.ndarray:
-    """Rows that `Rotation` rejects, by its own arithmetic."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm_sq = w * w + x * x + y * y + z * z
-    return ~(norm_sq > 0.0) | ~np.isfinite(norm_sq)
+def _node_id(path, token, line_no, detail: str) -> int:
+    """An int64 node id; any other token raises ParseError with ``detail``."""
+    try:
+        node_id = int(token)
+    except ValueError:
+        raise ParseError(path, detail, line=line_no) from None
+    if not -ID_LIMIT <= node_id < ID_LIMIT:
+        raise ParseError(path, detail, line=line_no)
+    return node_id
 
 
-def _pose_checks(values, bad):
-    """Checks of tx ty tz qx qy qz qw rows in the order a pose is read;
-    ``bad`` flags the row that did not convert."""
-    return [("non-numeric pose value", bad),
-            ("non-finite pose value", ~np.isfinite(values).all(axis=1)),
-            (_BAD_QUATERNION, _quaternion_fails(*values[:, [6, 3, 4, 5]].T))]
+def _rotation(path, qw, qx, qy, qz, line_no) -> Rotation:
+    try:
+        return Rotation(qw, qx, qy, qz)
+    except ValueError as err:
+        raise ParseError(path, f"bad quaternion: {err}", line=line_no) from None
 
 
-def _poses(values) -> list[Pose]:
-    """tx ty tz qx qy qz qw rows as poses; each `Rotation` normalizes the values as read."""
-    return [Pose(Rotation(qw, qx, qy, qz), (tx, ty, tz))
-            for tx, ty, tz, qx, qy, qz, qw in values.tolist()]
+def _parse_pose(path, tokens, line_no) -> Pose:
+    """tx ty tz qx qy qz qw as a pose; `Rotation` normalizes the values as read."""
+    tx, ty, tz, qx, qy, qz, qw = _floats(path, tokens, line_no, "pose value")
+    return Pose(_rotation(path, qw, qx, qy, qz, line_no), (tx, ty, tz))
 
 
 def _pose_values(poses) -> np.ndarray:
     """tx ty tz qx qy qz qw of each pose, the order the text formats store."""
     q, t = stack_poses(poses)
     return np.concatenate([t, q[:, 1:], q[:, :1]], axis=1)
-
-
-def _first_fault(lines, checks, fault=None):
-    """The earlier of ``fault`` and the first fault of one record type's rows.
-
-    Faults are (line, detail). ``checks`` holds (detail, flags) in the order a
-    line is read; a detail may be a function of the row. A row's fault is the
-    first check that flags it, and the earliest flagged row is the type's.
-    """
-    failed = np.array([flags for _, flags in checks], dtype=bool)
-    flagged = failed.any(axis=0)
-    if not flagged.any():
-        return fault
-    row = int(np.argmax(flagged))
-    if fault and fault[0] < lines[row]:
-        return fault
-    detail = checks[int(np.argmax(failed[:, row]))][0]
-    return lines[row], detail if isinstance(detail, str) else detail(row)
 
 
 def _write_lines(path, lines) -> None:
@@ -346,41 +310,26 @@ _TUM_FORMAT = "%.9f " + " ".join(["%.17g"] * 7)
 
 def read_tum(path) -> list[TrajectoryEntry]:
     path = Path(path)
-    lines, rows, fault = [], [], None
+    entries: list[TrajectoryEntry] = []
+    previous = None
     for line_no, line in enumerate(_decode_lines(path), 1):
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue
         if len(tokens) != 8:
-            fault = line_no, f"expected 8 columns, got {len(tokens)}"
-            break
-        lines.append(line_no)
-        rows.append(tokens)
-
-    values, bad = _numbers(rows, 8)
-    stamp, qx, qy, qz, qw = values[:, [0, 4, 5, 6, 7]].T
-    finite = np.isfinite(values).all(axis=1)
-    backwards = np.zeros(len(rows), dtype=bool)
-    backwards[1:] = stamp[1:] <= stamp[:-1]
-    fault = _first_fault(lines, [
-        ("non-numeric value", bad),
-        ("non-finite value", ~finite),
-        (lambda k: f"non-monotonic timestamp {float(stamp[k])} after {float(stamp[k - 1])}",
-         backwards),
-        (_BAD_QUATERNION, _quaternion_fails(qw, qx, qy, qz)),
-    ], fault)
-    # a line's norm is logged once the checks before the quaternion's pass:
-    # on every line above the fault, and on the fault's line if that check failed
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
-    logged = (np.abs(norm - 1.0) > 1e-3) & ~bad & finite & ~backwards
-    if fault:
-        logged &= np.array(lines, dtype=np.int64) <= fault[0]
-    for k in np.flatnonzero(logged):
-        logger.warning("%s:%d: quaternion norm %.6f, renormalizing", path, lines[k], norm[k])
-    if fault:
-        raise ParseError(path, fault[1], line=fault[0])
-    return [TrajectoryEntry(t, pose) for t, pose in zip(stamp.tolist(), _poses(values[:, 1:]))]
+            raise ParseError(path, f"expected 8 columns, got {len(tokens)}", line=line_no)
+        timestamp, tx, ty, tz, qx, qy, qz, qw = _floats(path, tokens, line_no, "value")
+        if previous is not None and timestamp <= previous:
+            raise ParseError(
+                path, f"non-monotonic timestamp {timestamp} after {previous}", line=line_no
+            )
+        previous = timestamp
+        norm = math.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
+        if abs(norm - 1.0) > 1e-3:
+            logger.warning("%s:%d: quaternion norm %.6f, renormalizing", path, line_no, norm)
+        rotation = _rotation(path, qw, qx, qy, qz, line_no)
+        entries.append(TrajectoryEntry(timestamp, Pose(rotation, (tx, ty, tz))))
+    return entries
 
 
 def write_tum(path, entries) -> None:
@@ -454,38 +403,31 @@ _VERTEX_FORMAT = "VERTEX_SE3:QUAT %d " + " ".join(["%.17g"] * 7)
 _EDGE_TOKENS = {"EDGE_SE3:QUAT": 31, "EDGE_SE3_PRIOR": 30}
 
 
-def _edge_fields(rows):
-    """Endpoints (E, 2), pose values (E, 7) and information (E, 6, 6) of
-    EDGE_SE3:QUAT and EDGE_SE3_PRIOR token rows, and their checks in the order
-    a line is read. A prior's one endpoint fills both columns."""
-    ids, bad_ids = _numbers([t[1:2] * 2 if t[0] == "EDGE_SE3_PRIOR" else t[1:3] for t in rows],
-                            2, np.int64)
-    pose, bad_pose = _numbers([t[-28:-21] for t in rows], 7)
-    upper, bad_upper = _numbers([t[-21:] for t in rows], 21)
+def _parse_edge(path, tokens, line_no):
+    """An EDGE_SE3:QUAT or EDGE_SE3_PRIOR record's tokens, record name first,
+    to (i, j, measurement, upper triangle); j is None for a prior."""
+    expected = _EDGE_TOKENS[tokens[0]]
+    if len(tokens) != expected:
+        raise ParseError(path, f"edge needs {expected} tokens, got {len(tokens)}", line=line_no)
+    ids = [_node_id(path, t, line_no, "bad edge endpoint") for t in tokens[1:-28]]
+    measurement = _parse_pose(path, tokens[-28:-21], line_no)
+    upper = _floats(path, tokens[-21:], line_no, "information entry")
+    return ids[0], ids[1] if len(ids) == 2 else None, measurement, upper
+
+
+def _edge_table(path, rows) -> Edges:
+    """`Edges` of (line, kind, i, j, measurement, upper triangle, kernel, delta)
+    rows, filling every information matrix at once; a row the table rejects is
+    a ParseError at its line."""
+    lines, kind, i, j, measurement, upper, kernel, delta = zip(*rows) if rows else [()] * 8
+    upper = np.array(upper, dtype=float).reshape(len(rows), 21)
     info = np.zeros((len(rows), 6, 6))
     info[:, _UPPER[0], _UPPER[1]] = upper
     info[:, _UPPER[1], _UPPER[0]] = upper
-    return ids, pose, info, [("bad edge endpoint", bad_ids), *_pose_checks(pose, bad_pose),
-                             ("non-numeric information entry", bad_upper),
-                             ("non-finite information entry", ~np.isfinite(upper).all(axis=1))]
-
-
-def _edge_table(path, lines, fault, pose, **columns) -> Edges:
-    """`Edges` of the rows above ``fault``, whose pose values are ``pose``.
-
-    A line-by-line reader checks these rows before it reaches the fault, so a
-    row the table rejects is raised first, as a ParseError at its line. Then
-    ``fault``, if any, is raised.
-    """
-    n = len(lines) if fault is None else int(np.searchsorted(lines, fault[0]))
     try:
-        edges = Edges(measurement=_poses(pose[:n]),
-                      **{name: column[:n] for name, column in columns.items()})
+        return Edges(kind, i, j, measurement, info, kernel, delta)
     except EdgeError as err:
         raise ParseError(path, err.detail, line=lines[err.row]) from None
-    if fault:
-        raise ParseError(path, fault[1], line=fault[0])
-    return edges
 
 
 def _edge_values(edges: Edges) -> list[list[float]]:
@@ -523,83 +465,58 @@ def read_graph(path) -> PoseGraph:
     sessions: dict[int, int] = {}
     fixed: set[int] = set()
     pending_kind: list[str] = []
-    vertex_lines, vertex_rows = [], []
-    edge_lines, edge_rows, edge_kinds = [], [], []  # both edge records, in line order
-    fault = None
-    for line_no, line in enumerate(_decode_lines(path), 1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        record = tokens[0]
-        if record == "#":
-            try:
-                if len(tokens) >= 4 and tokens[1] == "SESSION":
-                    sessions[int(tokens[2])] = int(tokens[3])
-                elif len(tokens) >= 3 and tokens[1] == "FIX":
-                    fixed.add(int(tokens[2]))
-                elif len(tokens) >= 3 and tokens[1] == "KIND":
-                    pending_kind = tokens[2:5]
-            except ValueError:
-                fault = line_no, f"bad {tokens[1]} comment"
-                break
-        elif record == "VERTEX_SE3:QUAT":
-            if len(tokens) != 9:
-                fault = line_no, f"vertex needs 9 tokens, got {len(tokens)}"
-                break
-            vertex_lines.append(line_no)
-            vertex_rows.append(tokens)
-        elif record in _EDGE_TOKENS:
-            if len(tokens) != _EDGE_TOKENS[record]:
-                fault = line_no, f"edge needs {_EDGE_TOKENS[record]} tokens, got {len(tokens)}"
-                break
-            edge_lines.append(line_no)
-            edge_rows.append(tokens)
-            edge_kinds.append(pending_kind)
-            pending_kind = []
-        else:
-            fault = line_no, f"unknown record {record!r}"
-            break
+    vertices: dict[int, Pose] = {}
+    rows = []  # line, kind, i, j, measurement, upper triangle, kernel, delta
+    try:
+        for line_no, line in enumerate(_decode_lines(path), 1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            record = tokens[0]
+            if record == "#":
+                try:
+                    if len(tokens) >= 4 and tokens[1] == "SESSION":
+                        sessions[int(tokens[2])] = int(tokens[3])
+                    elif len(tokens) >= 3 and tokens[1] == "FIX":
+                        fixed.add(int(tokens[2]))
+                    elif len(tokens) >= 3 and tokens[1] == "KIND":
+                        pending_kind = tokens[2:5]
+                except ValueError:
+                    raise ParseError(path, f"bad {tokens[1]} comment", line=line_no) from None
+            elif record == "VERTEX_SE3:QUAT":
+                if len(tokens) != 9:
+                    raise ParseError(path, f"vertex needs 9 tokens, got {len(tokens)}",
+                                     line=line_no)
+                node_id = _node_id(path, tokens[1], line_no, "bad vertex id")
+                if node_id in vertices:
+                    raise ParseError(path, f"duplicate vertex {node_id}", line=line_no)
+                vertices[node_id] = _parse_pose(path, tokens[2:], line_no)
+            elif record in _EDGE_TOKENS:
+                i, j, measurement, upper = _parse_edge(path, tokens, line_no)
+                try:
+                    delta = float(pending_kind[2]) if len(pending_kind) > 2 else 1.0
+                except ValueError:
+                    raise ParseError(path, "bad KIND delta", line=line_no) from None
+                if i not in vertices or (j is not None and j not in vertices):
+                    raise ParseError(path, f"edge ({i}, {j}) references a missing node",
+                                     line=line_no)
+                kind = (pending_kind[0] if pending_kind
+                        else "prior" if j is None
+                        else "odometry" if abs(i - j) == 1
+                        else "loop")
+                kernel = pending_kind[1] if len(pending_kind) > 1 else None
+                rows.append((line_no, kind, i, j, measurement, upper, kernel, delta))
+                pending_kind = []
+            else:
+                raise ParseError(path, f"unknown record {record!r}", line=line_no)
+    except ParseError:
+        _edge_table(path, rows)  # a bad edge above the fault is reported first
+        raise
 
-    node_ids, bad_ids = _numbers([t[1:2] for t in vertex_rows], 1, np.int64)
-    node_ids = node_ids[:, 0]
-    node_poses, bad_poses = _numbers([t[2:] for t in vertex_rows], 7)
-    order = np.argsort(node_ids, kind="stable")  # each id's first line first
-    repeated = np.zeros(len(node_ids), dtype=bool)
-    repeated[order[1:]] = node_ids[order[1:]] == node_ids[order[:-1]]
-    fault = _first_fault(vertex_lines, [
-        ("bad vertex id", bad_ids),
-        (lambda k: f"duplicate vertex {node_ids[k]}", repeated),
-        *_pose_checks(node_poses, bad_poses),
-    ], fault)
-
-    ends, pose, info, checks = _edge_fields(edge_rows)
-    delta, bad_delta = _numbers([kind[2:3] or ["1.0"] for kind in edge_kinds], 1)
-    # an edge's nodes must be vertices on lines above it
-    known = np.zeros(ends.shape, dtype=bool)
-    if len(order):
-        first = order[np.searchsorted(node_ids[order], ends).clip(max=len(order) - 1)]
-        known = ((node_ids[first] == ends)
-                 & (np.array(vertex_lines)[first] < np.array(edge_lines)[:, None]))
-    i = ends[:, 0].tolist()
-    j = [None if tokens[0] == "EDGE_SE3_PRIOR" else end
-         for tokens, end in zip(edge_rows, ends[:, 1].tolist())]
-    fault = _first_fault(edge_lines, [
-        *checks,
-        ("bad KIND delta", bad_delta),
-        (lambda k: f"edge ({i[k]}, {j[k]}) references a missing node", ~known.all(axis=1)),
-    ], fault)
-
-    kind = [pending[0] if pending
-            else "prior" if end is None
-            else "odometry" if abs(start - end) == 1
-            else "loop" for pending, start, end in zip(edge_kinds, i, j)]
-    kernel = [pending[1] if len(pending) > 1 else None for pending in edge_kinds]
-    edges = _edge_table(path, edge_lines, fault, pose, kind=kind, i=ends[:, 0], j=j,
-                        information=info, kernel=kernel, delta=delta[:, 0])
     graph = PoseGraph()
-    for node_id, node_pose in zip(node_ids.tolist(), _poses(node_poses)):
-        graph.add_node(node_id, node_pose, sessions.get(node_id, 1), node_id in fixed)
-    graph.edges = edges
+    for node_id, pose in vertices.items():
+        graph.add_node(node_id, pose, sessions.get(node_id, 1), node_id in fixed)
+    graph.edges = _edge_table(path, rows)
     return graph
 
 
@@ -608,23 +525,20 @@ def read_edge_list(path) -> Edges:
     `merge_sessions` gives each list its kind. A row the table rejects raises
     ParseError at its line."""
     path = Path(path)
-    lines, rows, fault = [], [], None
-    for line_no, line in enumerate(_decode_lines(path), 1):
-        tokens = line.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if tokens[0] != "EDGE_SE3:QUAT":
-            fault = line_no, f"unknown record {tokens[0]!r}"
-            break
-        if len(tokens) != 31:
-            fault = line_no, f"edge needs 31 tokens, got {len(tokens)}"
-            break
-        lines.append(line_no)
-        rows.append(tokens)
-    ends, pose, info, checks = _edge_fields(rows)
-    fault = _first_fault(lines, checks, fault)
-    return _edge_table(path, lines, fault, pose, kind=np.full(len(rows), "odometry"),
-                       i=ends[:, 0], j=ends[:, 1].tolist(), information=info)
+    rows = []
+    try:
+        for line_no, line in enumerate(_decode_lines(path), 1):
+            tokens = line.split()
+            if not tokens or tokens[0].startswith("#"):
+                continue
+            if tokens[0] != "EDGE_SE3:QUAT":
+                raise ParseError(path, f"unknown record {tokens[0]!r}", line=line_no)
+            i, j, measurement, upper = _parse_edge(path, tokens, line_no)
+            rows.append((line_no, "odometry", i, j, measurement, upper, None, 1.0))
+    except ParseError:
+        _edge_table(path, rows)  # a bad edge above the fault is reported first
+        raise
+    return _edge_table(path, rows)
 
 
 def write_edge_list(path, edges: Edges) -> None:

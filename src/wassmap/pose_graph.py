@@ -83,7 +83,7 @@ logger = logging.getLogger(__name__)
 PRIOR_INFORMATION = np.eye(6) * 1e4
 
 # node ids are int64: the first id too large to be one
-_ID_LIMIT = 2 ** 63
+ID_LIMIT = 2 ** 63
 
 # Levenberg-Marquardt schedule of `optimize`
 _LAMBDA0 = 1e-4
@@ -503,7 +503,7 @@ def merge_sessions(
     if missing.any():
         raise ValueError(f"loop references missing session-1 node {loops12.i[missing][0]}")
     offset = max(graph1.nodes) + 1
-    too_large = max(offset, _ID_LIMIT)
+    too_large = max(offset, ID_LIMIT)
     if too_large < offset + n2:
         raise ValueError(f"session-2 node id {too_large} does not fit in int64")
     if not len(loops12):
