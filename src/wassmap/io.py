@@ -483,6 +483,8 @@ def read_graph(path) -> PoseGraph:
                         pending_kind = tokens[2:5]
                 except ValueError:
                     raise ParseError(path, f"bad {tokens[1]} comment", line=line_no) from None
+            elif record.startswith("#"):
+                pass  # a plain comment: only a lone '#' opens an annotation
             elif record == "VERTEX_SE3:QUAT":
                 if len(tokens) != 9:
                     raise ParseError(path, f"vertex needs 9 tokens, got {len(tokens)}",

@@ -467,6 +467,25 @@ class TestGraphFiles:
         assert graph.edges.huber.tolist() == [False, True]
         assert all(n.session == 1 and not n.fixed for n in graph.nodes.values())
 
+    def test_comment_tokens_other_than_a_lone_hash_are_plain_comments(self, tmp_path):
+        # as in the TUM and edge-list readers and g2o's own loader: '#SESSION'
+        # and '#FIX', without a space after '#', are comments, not annotations;
+        # blank lines are skipped
+        f = tmp_path / "comments.g2o"
+        f.write_text("#comment\n"
+                     "#SESSION 0 2\n"
+                     "# SESSION 1 2\n"
+                     "VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1\n"
+                     "#FIX 1\n"
+                     "\n"
+                     "VERTEX_SE3:QUAT 1 1 0 0 0 0 0 1\n"
+                     "#! KIND loop\n"
+                     f"EDGE_SE3:QUAT 0 1 1 0 0 0 0 0 1 {EYE21}\n")
+        graph = read_graph(f)
+        assert [(n.id, n.session, n.fixed) for n in graph.nodes.values()] == [
+            (0, 1, False), (1, 2, False)]
+        assert graph.edges.kind.tolist() == ["odometry"]
+
     def test_structured_errors(self, tmp_path):
         info21 = " ".join(["1"] * 21)
         vertex = "VERTEX_SE3:QUAT {} 0 0 0 0 0 0 1\n"
