@@ -131,14 +131,12 @@ def read_pcd(path) -> np.ndarray:
     if any(c < 1 for c in counts) or any(s < 1 for s in sizes):
         raise ParseError(path, "non-positive SIZE or COUNT", line=line_no)
 
-    if "POINTS" in header:
-        n_points = _int_field(path, header, "POINTS", line_no)
-    else:
-        n_points = _int_field(path, header, "WIDTH", line_no) * _int_field(
-            path, header, "HEIGHT", line_no
-        )
-    if n_points < 0:
-        raise ParseError(path, f"negative POINTS {n_points}", line=line_no)
+    n_points = 1
+    for key in ("POINTS",) if "POINTS" in header else ("WIDTH", "HEIGHT"):
+        value = _int_field(path, header, key, line_no)
+        if value < 0:
+            raise ParseError(path, f"negative {key} {value}", line=line_no)
+        n_points *= value
 
     # each field's first column (ascii) and first byte (binary)
     column, byte = [0], [0]

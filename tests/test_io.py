@@ -190,6 +190,19 @@ class TestPcd:
             with pytest.raises(ParseError):
                 read_pcd(f)
 
+    def test_point_count_from_width_and_height(self, tmp_path):
+        # without POINTS the count is WIDTH x HEIGHT; neither may be negative
+        header = "FIELDS x y z\nSIZE 4 4 4\nTYPE F F F\nCOUNT 1 1 1\nWIDTH {}\nHEIGHT {}\nDATA ascii\n"
+        rows = "".join(f"{k} {k + 1} {k + 2}\n" for k in range(6))
+        f = tmp_path / "organized.pcd"
+        f.write_text(header.format(2, 3) + rows)
+        np.testing.assert_array_equal(read_pcd(f), np.arange(6)[:, None] + np.arange(3))
+        for width, height, message in ((-2, -3, "negative WIDTH -2"),
+                                       (2, -3, "negative HEIGHT -3")):
+            f.write_text(header.format(width, height) + rows)
+            with pytest.raises(ParseError, match=f"^{re.escape(f'{f}:7: {message}')}$"):
+                read_pcd(f)
+
     def test_huge_declared_count_fails_before_allocation(self, tmp_path):
         f = tmp_path / "huge.pcd"
         f.write_bytes(
