@@ -38,6 +38,8 @@ class Patch:
             raise ValueError("patch coordinates must be finite")
         if not self.area > 0.0:
             raise ValueError("patch must have positive area")
+        if not self.area < math.inf:
+            raise ValueError("patch area must be finite")
 
     @property
     def area(self) -> float:
@@ -57,6 +59,8 @@ class Scene:
         if not 0.0 < self.density < math.inf:
             raise ValueError("density must be positive")
         object.__setattr__(self, "patches", tuple(self.patches))
+        if not self.total_area * self.density < math.inf:
+            raise ValueError("candidate budget (area x density) must be finite")
 
     @property
     def total_area(self) -> float:
@@ -75,6 +79,8 @@ class ScanSpec:
             raise ValueError("max_range must be positive")
         if not self.sigma >= 0.0:
             raise ValueError("sigma must be >= 0")
+        if not self.sigma < math.inf:
+            raise ValueError("sigma must be finite")
         if self.points_per_frame < 0:
             raise ValueError("points_per_frame must be >= 0")
 
@@ -228,6 +234,8 @@ class NoiseModel:
     def __post_init__(self):
         if not (self.sigma_t >= 0 and self.sigma_r >= 0):
             raise ValueError("noise sigmas must be >= 0")
+        if not max(self.sigma_t, self.sigma_r) < math.inf:
+            raise ValueError("noise sigmas must be finite")
 
     def information(self) -> np.ndarray:
         # rotation block first, matching the residual tangent ordering;

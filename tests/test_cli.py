@@ -816,6 +816,12 @@ class TestFailedCommand:
         (lambda two, one: ["synth", "--kind", "two_session", "--frames", "0"], "non-empty"),
         (lambda two, one: ["synth", "--kind", "corridor", "--max-range", "nan"],
          "max_range must be positive"),
+        (lambda two, one: ["synth", "--kind", "corridor", "--noise", "inf"],
+         "sigma must be finite"),
+        (lambda two, one: ["synth", "--kind", "two_session", "--noise", "inf"],
+         "noise sigmas must be finite"),
+        (lambda two, one: ["synth", "--kind", "two_session", "--noise-rot", "inf"],
+         "noise sigmas must be finite"),
         (lambda two, one: ["synth", "--kind", "corridor", "--seed", "-1"],
          "--seed must be >= 0"),
         (lambda two, one: ["synth", "--kind", "loop_course", "--seed", "-1"],
@@ -823,7 +829,8 @@ class TestFailedCommand:
         (lambda two, one: ["synth", "--kind", "two_session", "--seed", "-1"],
          "--seed must be >= 0"),
     ], ids=["merge-missing-graph", "calibrate-one-frame", "two-session-no-frames",
-            "corridor-nan-range", "corridor-negative-seed", "loop-course-negative-seed",
+            "corridor-nan-range", "corridor-inf-noise", "two-session-inf-noise",
+            "two-session-inf-rotation-noise", "corridor-negative-seed", "loop-course-negative-seed",
             "two-session-negative-seed"])
     def test_writes_nothing(self, argv, message, two_session_dataset, one_frame_dataset,
                             tmp_path, capsys):

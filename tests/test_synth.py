@@ -75,8 +75,12 @@ class TestScenes:
         (lambda: Patch((math.inf, 0, 0), (1, 0, 0), (0, 1, 0)), "patch coordinates must be finite"),
         (lambda: generate_scene("corridor", dims=(40, 4, math.nan)), "dimensions must be positive"),
         (lambda: generate_scene("loop_course", dims=(math.inf, 4, 3)), "need positive dims"),
+        # finite values whose products overflow
+        (lambda: generate_scene("corridor", density=1e308),
+         "candidate budget \\(area x density\\) must be finite"),
+        (lambda: Patch((0, 0, 0), (1e200, 0, 0), (0, 1e200, 0)), "patch area must be finite"),
     ], ids=["nan-density", "inf-density", "nan-edge", "inf-origin", "nan-corridor-height",
-            "inf-loop-side"])
+            "inf-loop-side", "overflowing-budget", "overflowing-area"])
     def test_non_finite_values_rejected(self, build, message):
         # each one used to pass here and fail later inside simulate_scan
         with pytest.raises(ValueError, match=message):
@@ -217,6 +221,8 @@ class TestSimulateScan:
             ScanSpec(max_range=np.nan)
         with pytest.raises(ValueError, match="^sigma must be >= 0$"):
             ScanSpec(sigma=np.nan)
+        with pytest.raises(ValueError, match="^sigma must be finite$"):
+            ScanSpec(sigma=np.inf)
 
 
 class TestPaths:
@@ -331,6 +337,9 @@ class TestTwoSession:
             NoiseModel(-0.01, 0.0)
         for sigmas in ((np.nan, 0.0), (0.01, np.nan)):
             with pytest.raises(ValueError, match="^noise sigmas must be >= 0$"):
+                NoiseModel(*sigmas)
+        for sigmas in ((np.inf, 0.0), (0.01, np.inf)):
+            with pytest.raises(ValueError, match="^noise sigmas must be finite$"):
                 NoiseModel(*sigmas)
 
 
