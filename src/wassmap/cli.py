@@ -7,7 +7,7 @@ that succeeds writes each option it accepts but --out, as resolved, to
 config.txt in the output directory, so results are reproducible from their
 artifacts alone; a command that fails writes nothing.
 
-Exit codes: 0 success, 1 usage or I/O error, 2 numerical failure.
+Exit codes: 0 success, 1 usage or I/O error, 2 gauge underdetermined (merge).
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from wassmap.synth import (
     loop_path,
     simulate_scan,
 )
-from wassmap.wasserstein import InvalidCovarianceError
 
 
 class UsageError(Exception):
@@ -392,9 +391,6 @@ def main(argv=None) -> int:
         return 1
     except GaugeUnderdeterminedError as err:
         print(f"error: gauge underdetermined: {err}", file=sys.stderr)
-        return 2
-    except (InvalidCovarianceError, np.linalg.LinAlgError) as err:
-        print(f"error: numerical failure: {err}", file=sys.stderr)
         return 2
     except (ParseError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
