@@ -521,6 +521,11 @@ class TestGraphFiles:
             "huge_vertex.g2o": (vertex.format(10 ** 20), "1: bad vertex id"),
             "huge_endpoint.g2o": (vertex.format(0) + "EDGE_SE3:QUAT 0 99999999999999999999 "
                                   f"0 0 0 0 0 0 1 {EYE21}\n", "2: bad edge endpoint"),
+            "bad_session.g2o": ("# SESSION x 1\n", "1: bad SESSION comment"),
+            "bad_fix.g2o": (vertex.format(0) + "# FIX 0.5\n", "2: bad FIX comment"),
+            "bad_delta.g2o": (vertex.format(0) + vertex.format(1) + "# KIND loop huber abc\n"
+                              + f"EDGE_SE3:QUAT 0 1 0 0 0 0 0 0 1 {EYE21}\n",
+                              "4: bad KIND delta"),
         }
         for name, (body, message) in bad.items():
             f = tmp_path / name
@@ -584,6 +589,13 @@ class TestEdgeList:
         assert np.allclose(edges.information, back.information, atol=1e-12)
         for binfo in back.information:
             assert np.array_equal(binfo, binfo.T)
+
+    def test_comments_and_blanks_skipped(self, tmp_path):
+        f = tmp_path / "commented.txt"
+        f.write_text(f"# i j tx ty tz qx qy qz qw information\n#\n\n"
+                     f"EDGE_SE3:QUAT 0 1 0 0 0 0 0 0 1 {EYE21}\n#comment\n")
+        edges = read_edge_list(f)
+        assert (edges.i.tolist(), edges.j.tolist()) == ([0], [1])
 
     def test_rejects_other_records(self, tmp_path):
         f = tmp_path / "bad.txt"

@@ -252,6 +252,38 @@ def test_negative_iteration_budget_rejected():
     assert optimize(graph, max_iterations=0).iterations == 0
 
 
+def test_optimize_with_every_node_fixed_has_nothing_to_optimize():
+    rng = np.random.default_rng(10)
+    graph, _ = _chain_graph(rng, n=3, perturb=0.05)
+    for node in graph.nodes.values():
+        node.fixed = True
+    before = [n.pose.as_matrix() for n in graph.nodes.values()]
+    report = optimize(graph)
+    assert (report.reason, report.iterations) == ("nothing to optimize", 0)
+    assert report.initial_cost == report.final_cost > 0.0
+    for node, mat in zip(graph.nodes.values(), before):
+        np.testing.assert_array_equal(node.pose.as_matrix(), mat)
+
+
+def test_optimize_stops_at_the_damping_limit():
+    # a prior and an odometry edge of information 1e8 I pin both nodes exactly;
+    # once the cost is down to rounding, no damped step lowers it, and the
+    # last iteration rejects every trial up to the largest damping
+    rng = np.random.default_rng(4)
+    a, b, z0, z1 = (se3_exp(rng.normal(scale=0.8, size=6)) for _ in range(4))
+    graph = PoseGraph()
+    graph.add_node(0, a)
+    graph.add_node(1, b)
+    graph.edges = Edges(["prior", "odometry"], [0, 0], [None, 1], [z0, z1], np.eye(6) * 1e8)
+    report = optimize(graph)
+    assert report.reason == "damping limit"
+    assert report.accepted_steps == report.iterations - 1 >= 1
+    assert report.rejected_steps >= 10
+    assert all(y < x for x, y in zip(report.cost_trace, report.cost_trace[1:]))
+    assert report.final_cost < 1e-16 * report.initial_cost
+    assert poses_close(graph.nodes[0].pose, z0) and poses_close(graph.nodes[1].pose, z0 * z1)
+
+
 def test_gauge_errors():
     rng = np.random.default_rng(13)
     graph, _ = _chain_graph(rng)

@@ -262,6 +262,13 @@ def test_prune_uses_voxel_center_strictly():
     assert grid.prune_outside((1e9, 0.0, 0.0), np.inf) == 0
 
 
+def test_empty_map_prunes_nothing_and_has_no_cells():
+    grid = GmmMap(voxel_size=2.0)
+    assert grid.origin is None
+    assert grid.cells().shape == grid.centres().shape == (0, 3)
+    assert grid.prune_outside((0.0, 0.0, 0.0), 1.0) == 0
+
+
 def test_non_finite_points_rejected_not_fatal():
     grid = GmmMap(voxel_size=1.0)
     assert grid.stage_frame([(np.nan, 0.0, 0.0)]).rejected == 1
