@@ -268,7 +268,7 @@ class _Problem:
         self.ends = np.searchsorted(ids, nodes)
         self.ends[prior, 0] = len(ids)
         q, t = stack_poses(edges.measurement)
-        w, x, y, z = q.T  # renormalized in `Rotation.__post_init__`'s order
+        w, x, y, z = q.T  # renormalized in `Rotation.__init__`'s order
         self.edges = edges
         self.z_inv = invert_batch((q / np.sqrt(w * w + x * x + y * y + z * z)[:, None], t))
 
