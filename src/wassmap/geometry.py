@@ -8,11 +8,11 @@ right perturbation ``T * exp(xi)`` throughout.
 
 All types are immutable values and every operation is a pure function.
 
-The exp/log maps, their Jacobians and the adjoint also take a leading batch
-axis. A batch of poses is a pair of arrays ``(q, t)``: unit quaternions
-``(..., 4)`` ordered (w, x, y, z) and translations ``(..., 3)``; see
-``stack_poses``, ``compose_batch`` and ``invert_batch``. The single-value
-forms are wrappers over the batched kernels, so both run the same arithmetic.
+The exp/log maps, their Jacobians and the adjoint take a leading batch axis.
+A batch of poses is a pair of arrays ``(q, t)``: unit quaternions ``(..., 4)``
+ordered (w, x, y, z) and translations ``(..., 3)``; see ``stack_poses``,
+``compose_batch`` and ``invert_batch``. `se3_exp` also takes one twist and
+returns a `Pose`, through the same batched arithmetic.
 
 The inverse right Jacobian of SE(3) is taken in closed form,
 Jr^{-1}(xi) = Jl^{-1}(-xi) = [[A, 0], [-A Q A, A]] with A = J^{-1}(-w) of SO(3)
@@ -157,12 +157,8 @@ class Rotation:
         """Axis-angle 3-vector (radians) to quaternion."""
         return Rotation(*_quat_exp(np.asarray(v, dtype=float).reshape(3)).tolist())
 
-    def as_quat(self) -> np.ndarray:
-        """(w, x, y, z) as an array."""
-        return np.array([self.w, self.x, self.y, self.z])
-
     def as_matrix(self) -> np.ndarray:
-        return _quat_matrix(self.as_quat())
+        return _quat_matrix(np.array([self.w, self.x, self.y, self.z]))
 
     def __mul__(self, other: "Rotation") -> "Rotation":
         w1, x1, y1, z1 = self.w, self.x, self.y, self.z
@@ -209,12 +205,6 @@ class Pose:
     @staticmethod
     def identity() -> "Pose":
         return Pose()
-
-    def as_matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation.as_matrix()
-        m[:3, 3] = self.translation
-        return m
 
     def __mul__(self, other: "Pose") -> "Pose":
         """compose(a, b): apply b first, then a."""
@@ -275,13 +265,6 @@ def invert_batch(a) -> tuple[np.ndarray, np.ndarray]:
     return q_inv, -_quat_rotate(q_inv, t)
 
 
-def _as_batch(pose) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(pose, Pose):
-        return pose.rotation.as_quat(), pose.translation
-    q, t = pose
-    return np.asarray(q, dtype=float), np.asarray(t, dtype=float)
-
-
 def _v_matrix(rotvec: np.ndarray) -> np.ndarray:
     """Integral of the rotation series: exp couples translation through V."""
     th_sq = (rotvec * rotvec).sum(axis=-1)[..., None, None]
@@ -340,19 +323,17 @@ def se3_exp(xi):
 
 
 def se3_log(pose) -> np.ndarray:
-    """Pose to twist; unique for rotation angles below pi.
-
-    Takes a `Pose` or a batch ``(q, t)``. At angle exactly pi the branch
-    follows `_quat_log`.
+    """Batch of poses ``(q, t)`` to twists ``(..., 6)``; unique for rotation
+    angles below pi. At angle exactly pi the branch follows `_quat_log`.
     """
-    q, t = _as_batch(pose)
+    q, t = pose
     w = _quat_log(q)
     return np.concatenate([w, (_v_matrix_inv(w) @ t[..., None])[..., 0]], axis=-1)
 
 
 def adjoint(pose) -> np.ndarray:
-    """6x6 map satisfying exp(adjoint(T) xi) = T exp(xi) T^-1; batched over ``(q, t)``."""
-    q, t = _as_batch(pose)
+    """6x6 maps satisfying exp(adjoint(T) xi) = T exp(xi) T^-1, of a batch ``(q, t)``."""
+    q, t = pose
     r = _quat_matrix(q)
     out = np.zeros(q.shape[:-1] + (6, 6))
     out[..., :3, :3] = r

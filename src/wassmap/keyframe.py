@@ -34,7 +34,6 @@ from wassmap.wasserstein import map_dissimilarity
 logger = logging.getLogger(__name__)
 
 COMMIT_POLICIES = ("keyframes", "always")
-DECISION_FLAGS = ("bootstrap", "scored", "no_comparable", "error", "unpaired")
 
 
 class EmptyFrameError(ValueError):
@@ -65,10 +64,9 @@ class SelectorConfig:
 @dataclass(frozen=True)
 class FrameDecision:
     frame_index: int          # 1-based position in the input sequence
-    pose: Pose | None         # None when unpaired
     dw: float                 # +inf for bootstrap, NaN when not compared
     keyframe: bool
-    flag: str                 # one of DECISION_FLAGS
+    flag: str                 # bootstrap, scored, no_comparable, error or unpaired
     affected_count: int = 0
     new_count: int = 0
     skipped_count: int = 0
@@ -157,14 +155,14 @@ class KeyframeSelector:
         if not bootstrapping:
             self.map.prune_outside(pose.translation, cfg.radius)
 
-        decision = FrameDecision(self._frames_seen, pose, dw, keyframe, flag, *counts,
+        decision = FrameDecision(self._frames_seen, dw, keyframe, flag, *counts,
                                  millis=(time.perf_counter() - start) * 1e3,
                                  timestamp=timestamp)
         self.decisions.append(decision)
         return decision
 
     def run_sequence(self, frames) -> list[FrameDecision]:
-        """Process an ordered sequence of (points, pose[, timestamp]) frames;
+        """Process an ordered sequence of (points, pose, timestamp) frames;
         returns their decisions, the tail of `decisions`.
 
         Every frame gets one decision. A frame whose pose is None is flagged
@@ -178,11 +176,10 @@ class KeyframeSelector:
         frame is drawn, so a lazy `frames` holds one frame at a time.
         """
         first = len(self.decisions)
-        for points, pose, *rest in frames:
-            timestamp = rest[0] if rest else None
+        for points, pose, timestamp in frames:
             index = self._frames_seen + 1
             if pose is None:
-                self._unscored(index, pose, "unpaired", timestamp)
+                self._unscored(index, "unpaired", timestamp)
             else:
                 # by attribute, not `_step`, so that wrappers of either see the call
                 step = self.process_frame if self.bootstrapped else self.bootstrap
@@ -192,11 +189,10 @@ class KeyframeSelector:
                     step(points, pose, timestamp)
                 except ValueError as err:
                     logger.warning("frame %d failed: %s", index, err)
-                    self._unscored(index, pose, "error", timestamp)
+                    self._unscored(index, "error", timestamp)
             del points  # before `frames` reads the next one
         return self.decisions[first:]
 
-    def _unscored(self, index: int, pose, flag: str, timestamp) -> None:
+    def _unscored(self, index: int, flag: str, timestamp) -> None:
         self._frames_seen = index
-        self.decisions.append(FrameDecision(index, pose, math.nan, False, flag,
-                                            timestamp=timestamp))
+        self.decisions.append(FrameDecision(index, math.nan, False, flag, timestamp=timestamp))

@@ -363,14 +363,14 @@ class _Problem:
         return grad, csc_matrix((values, indices, indptr), shape=(dim, dim))
 
 
-def whitened_residual_and_jacobians(edge: Edges, nodes):
+def whitened_residual_and_jacobians(edge: Edges, poses: dict):
     """Whitened residual plus analytic Jacobians wrt each endpoint's tangent.
 
-    ``edge`` is a one-row `Edges`, ``nodes`` a `PoseGraph` or a mapping of node
-    id to pose. Right perturbation convention: d/dxi of residual at T <- T exp(xi).
+    ``edge`` is a one-row `Edges`, ``poses`` maps node id to pose. Right
+    perturbation convention: d/dxi of residual at T <- T exp(xi).
     Returns (W r, {node_id: W J}); the residual's rotation part comes first.
     """
-    problem = _Problem(nodes.poses() if isinstance(nodes, PoseGraph) else nodes, edge)
+    problem = _Problem(poses, edge)
     r, rel = _residuals(problem.ends, problem.z_inv, problem.q, problem.t)
     jac_a, jac_b = _jacobians(edge.whitener, r, rel)
     i, j = int(edge.i[0]), int(edge.j[0])
@@ -378,9 +378,9 @@ def whitened_residual_and_jacobians(edge: Edges, nodes):
     return edge.whitener[0] @ r[0], jacs
 
 
-def robust_cost(graph: PoseGraph, poses=None) -> float:
+def robust_cost(graph: PoseGraph) -> float:
     """Sum of kernel-reshaped whitened residual norms over all edges."""
-    problem = _Problem(graph.poses() if poses is None else poses, graph.edges)
+    problem = _Problem(graph.poses(), graph.edges)
     return problem.cost(problem.q, problem.t)[0]
 
 

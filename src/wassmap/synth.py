@@ -188,27 +188,21 @@ def simulate_scan(scene: Scene, pose: Pose, spec: ScanSpec,
 # ---------------------------------------------------------------------------
 # Nominal paths
 
-def corridor_path(length: float = 40.0, n_frames: int = 40, height: float = 1.5,
-                  margin: float = 2.0) -> list[Pose]:
-    """Straight walk along the corridor axis, sensor facing +x."""
-    xs = np.linspace(margin, length - margin, n_frames)
+def corridor_path(length: float = 40.0, n_frames: int = 40, height: float = 1.5) -> list[Pose]:
+    """Straight walk along the corridor axis, 2 m from either end, sensor facing +x."""
+    xs = np.linspace(2.0, length - 2.0, n_frames)
     return [Pose(Rotation.identity(), (float(x), 0.0, height)) for x in xs]
 
 
-def loop_path(side: float = 30.0, width: float = 4.0, n_frames: int = 60,
-              height: float = 1.5, laps: int = 1, offset: float = 0.0) -> list[Pose]:
-    """Centerline circuit of the loop course, yaw following travel direction.
-
-    `offset` shifts the start point along the perimeter, which is how a
-    second session gets poses interleaved with (but overlapping) the first.
-    """
-    half = width / 2.0
-    lo, hi = half, side - half
+def loop_path(n_frames: int = 60, laps: int = 1) -> list[Pose]:
+    """Centerline circuit of the default loop course (30 m side, 4 m wide)
+    at 1.5 m height, yaw following travel direction."""
+    lo, hi = 2.0, 28.0
     seg = hi - lo
     perimeter = 4.0 * seg
     poses = []
     for k in range(n_frames * laps):
-        s = (offset + perimeter * k / float(n_frames)) % perimeter
+        s = (perimeter * k / float(n_frames)) % perimeter
         leg, r = int(s // seg), s % seg
         if leg == 0:
             xy, yaw = (lo + r, lo), 0.0
@@ -219,7 +213,7 @@ def loop_path(side: float = 30.0, width: float = 4.0, n_frames: int = 60,
         else:
             xy, yaw = (lo, hi - r), -math.pi / 2.0
         rotation = Rotation.from_rotvec((0.0, 0.0, yaw))
-        poses.append(Pose(rotation, (xy[0], xy[1], height)))
+        poses.append(Pose(rotation, (xy[0], xy[1], 1.5)))
     return poses
 
 
@@ -327,11 +321,10 @@ def compose_odometry(initial: Pose, odometry: Edges) -> list[Pose]:
     return poses
 
 
-def build_session_graph(poses, odometry: Edges, session: int = 1,
-                        fix_first: bool = False) -> PoseGraph:
+def build_session_graph(poses, odometry: Edges, session: int = 1) -> PoseGraph:
     """Nodes 0..n-1 at the given poses, joined by the odometry table."""
     graph = PoseGraph()
     for k, pose in enumerate(poses):
-        graph.add_node(k, pose, session=session, fixed=(fix_first and k == 0))
+        graph.add_node(k, pose, session=session)
     graph.edges = odometry
     return graph

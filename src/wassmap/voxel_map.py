@@ -199,15 +199,11 @@ class GmmMap:
     def __len__(self) -> int:
         return len(self._keys)
 
-    @property
-    def total_points(self) -> int:
-        return int(self.sums[:, 0].sum())
-
-    def cells(self, rows=None) -> np.ndarray:
-        """(M,3) float array of each row's cell index (i, j, k), or of ``rows``."""
+    def cells(self) -> np.ndarray:
+        """(M,3) float array of each row's cell index (i, j, k)."""
         if self.origin is None:
             return np.empty((0, 3))
-        keys = self._keys if rows is None else self._keys[rows]
+        keys = self._keys
         b = np.stack([keys >> (2 * _AXIS_BITS), (keys >> _AXIS_BITS) & _AXIS_MASK,
                       keys & _AXIS_MASK], axis=1)
         return (b - _KEY_BIAS) + self.origin

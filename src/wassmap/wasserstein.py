@@ -19,8 +19,8 @@ are checked against that floor by the same Cholesky, shifted by half the
 tolerance; only the rows it cannot certify go to `eigvalsh`, so accept/reject
 and the message are those of a full `eigvalsh` check. When the two
 covariances are bitwise equal the trace term vanishes identically and the
-distance is returned as the plain mean offset, which keeps d(g, g) exactly
-zero instead of sqrt(rounding noise).
+distance is set to the plain mean offset, which keeps d(g, g) exactly zero
+instead of sqrt(rounding noise).
 
 Map-level dissimilarity compares a staged frame against its base map voxel by
 voxel, with sample covariances on both sides, and takes the mean over the
@@ -49,8 +49,7 @@ class InvalidCovarianceError(ValueError):
 @dataclass
 class DissimilarityReport:
     value: float                # NaN when no voxel compares
-    rows: np.ndarray            # (K,) compared base rows
-    cell_distances: np.ndarray  # (K,) their W2
+    cell_distances: np.ndarray  # (K,) W2 of each compared voxel, in key order
     affected_count: int         # voxels that entered the average
     new_count: int              # frame voxels absent from the base map
     skipped_count: int          # shared voxels under the point-count floor
@@ -173,10 +172,6 @@ def w2_batch(mu1, cov1, mu2, cov2) -> np.ndarray:
 
     dmu = mu1 - mu2
     mean_sq = (dmu * dmu).sum(axis=-1)
-    same_cov = np.all(cov1 == cov2, axis=-1)
-    if same_cov.all():
-        # the trace term vanishes identically, skip the factorizations
-        return np.sqrt(mean_sq)
 
     low, certified = _cholesky(cov1)
     with np.errstate(all="ignore"):  # uncertified rows are replaced below
@@ -198,6 +193,7 @@ def w2_batch(mu1, cov1, mu2, cov2) -> np.ndarray:
     if np.any(total < floor):
         raise InvalidCovarianceError("Wasserstein inner value strongly negative")
     out = np.sqrt(np.clip(total, 0.0, None))
+    same_cov = np.all(cov1 == cov2, axis=-1)  # the trace term vanishes identically
     out[same_cov] = np.sqrt(mean_sq[same_cov])
     return out
 
@@ -232,7 +228,6 @@ def map_dissimilarity(stage: StagedUpdate, min_points: int = 2) -> Dissimilarity
 
     return DissimilarityReport(
         value=float(dists.mean()) if len(rows) else math.nan,
-        rows=rows,
         cell_distances=dists,
         affected_count=len(rows),
         new_count=len(stage.keys) - len(shared),

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wassmap.geometry import _skew, compose_batch, se3_exp
+from wassmap.geometry import _skew, adjoint, compose_batch, se3_exp, se3_log, stack_poses
 from wassmap.pose_graph import _Problem, _residuals
 from wassmap.synth import CloudFrame
 from wassmap.voxel_map import GmmMap
@@ -17,6 +17,29 @@ def build_map(points, voxel_size: float = 4.0) -> GmmMap:
     grid = GmmMap(voxel_size)
     grid.insert_points(points)
     return grid
+
+
+def total_points(grid: GmmMap) -> int:
+    """Points the map holds: the sum of its voxel counts."""
+    return int(grid.sums[:, 0].sum())
+
+
+def pose_matrix(pose) -> np.ndarray:
+    """The 4x4 homogeneous matrix of a `Pose`."""
+    m = np.eye(4)
+    m[:3, :3] = pose.rotation.as_matrix()
+    m[:3, 3] = pose.translation
+    return m
+
+
+def log_pose(pose) -> np.ndarray:
+    """`se3_log` of one `Pose`, a (6,) twist."""
+    return se3_log(stack_poses([pose]))[0]
+
+
+def one_adjoint(pose) -> np.ndarray:
+    """`adjoint` of one `Pose`, a 6x6 matrix."""
+    return adjoint(stack_poses([pose]))[0]
 
 
 def assert_maps_identical(a: GmmMap, b: GmmMap) -> None:

@@ -25,7 +25,8 @@ from wassmap.synth import NoiseModel, ScanSpec, build_session_graph, compose_odo
 from wassmap.voxel_map import GmmMap, moments
 from wassmap.wasserstein import w2_batch
 
-from helpers import build_map, central_differences, evaluate_ate, pack, write_ascii_pcd
+from helpers import (build_map, central_differences, evaluate_ate, pack, pose_matrix,
+                     write_ascii_pcd)
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,7 @@ def test_ac3_selector_bootstrap_replay_and_stationary_floor():
 
 def test_ac4_revisit_coverage_has_no_new_voxels():
     scene = generate_scene("loop_course", (30.0, 4.0, 3.0), density=100.0)
-    poses = loop_path(side=30.0, width=4.0, n_frames=30, laps=2)
+    poses = loop_path(n_frames=30, laps=2)
     config = SelectorConfig(tau=0.05, voxel_size=2.0, radius=1000.0,
                             commit="always")
     selector = KeyframeSelector(config)
@@ -346,11 +347,11 @@ def test_ac7_realtime_benchmark_soft_target():
     # then 50k-point frames that each stage, score, commit and prune.
     rng = np.random.default_rng(7)
     base_cloud = rng.uniform([0.0, 0.0, 0.0], [160.0, 160.0, 40.0], size=(300_000, 3))
-    frames = [(base_cloud, Pose.identity())]
+    frames = [(base_cloud, Pose.identity(), 0.0)]
     for k in range(5):
         lo = np.array([10.0 + 3.0 * k, 50.0, 0.0])
         frames.append((rng.uniform(lo, lo + [50.0, 50.0, 40.0], size=(50_000, 3)),
-                       Pose.identity()))
+                       Pose.identity(), 0.1 * (k + 1)))
     selector = KeyframeSelector(SelectorConfig(tau=0.5, voxel_size=4.0, radius=1000.0,
                                                commit="always"))
     decisions = selector.run_sequence(frames)
@@ -359,7 +360,7 @@ def test_ac7_realtime_benchmark_soft_target():
     map_voxels = decisions[0].new_count
     if map_voxels < 10_000:
         failures.append(f"map holds {map_voxels} voxels, below 10k")
-    if any(len(points) != 50_000 for points, _ in frames[1:]):
+    if any(len(points) != 50_000 for points, _, _ in frames[1:]):
         failures.append("frame size drifted from 50k points")
     flags = [d.flag for d in decisions[1:]]
     if flags != ["scored"] * 5:
@@ -398,7 +399,7 @@ def test_ac8_io_round_trips_and_fuzzed_parsers(tmp_path):
     worst = 0.0
     for got, ref in zip(read_tum(traj), entries):
         worst = max(worst, float(np.max(np.abs(
-            got.pose.as_matrix() - ref.pose.as_matrix()))))
+            pose_matrix(got.pose) - pose_matrix(ref.pose)))))
     if worst > 1e-12:
         failures.append(f"trajectory round trip error {worst:.3g} exceeds 1e-12")
 

@@ -15,7 +15,7 @@ from wassmap.keyframe import (
 )
 from wassmap.synth import ScanSpec, generate_scene, loop_path, simulate_scan
 
-from helpers import assert_maps_identical, build_map
+from helpers import assert_maps_identical, build_map, total_points
 
 
 def keys(grid) -> list[tuple[int, int, int]]:
@@ -150,15 +150,15 @@ def test_commit_policies():
 
     keep = KeyframeSelector(base_config(tau=math.inf))
     keep.bootstrap(pts, Pose.identity())
-    before = keep.map.total_points
+    before = total_points(keep.map)
     keep.process_frame(noisy, Pose.identity())
-    assert keep.map.total_points == before  # non-keyframe stage discarded
+    assert total_points(keep.map) == before  # non-keyframe stage discarded
 
     always = KeyframeSelector(base_config(tau=math.inf, commit="always"))
     always.bootstrap(pts, Pose.identity())
-    before = always.map.total_points
+    before = total_points(always.map)
     always.process_frame(noisy, Pose.identity())
-    assert always.map.total_points == before + len(noisy)
+    assert total_points(always.map) == before + len(noisy)
 
 
 def test_pruning_follows_the_pose():
@@ -189,9 +189,9 @@ def test_run_sequence_skips_bad_frames():
     rng = np.random.default_rng(13)
     pts = make_frame(rng)
     frames = [
-        (pts, Pose.identity()),
-        (np.empty((0, 3)), Pose.identity()),          # error row
-        (pts, Pose(Rotation.identity(), (np.nan, 0, 0))),  # error row
+        (pts, Pose.identity(), None),
+        (np.empty((0, 3)), Pose.identity(), None),          # error row
+        (pts, Pose(Rotation.identity(), (np.nan, 0, 0)), None),  # error row
         (pts + 0.05, Pose.identity(), 12.5),
     ]
     selector = KeyframeSelector(base_config())
@@ -219,9 +219,9 @@ def test_unpaired_and_unread_frames_get_rows_and_leave_the_map():
     assert [d.frame_index for d in decisions] == [1, 2, 3]
     assert [d.timestamp for d in decisions] == [0.5, 1.0, 1.5]
     version = selector.map.version
-    later = selector.run_sequence([(pts, None)])
+    later = selector.run_sequence([(pts, None, None)])
     assert (later[0].frame_index, later[0].flag, later[0].keyframe) == (4, "unpaired", False)
-    assert math.isnan(later[0].dw) and later[0].pose is None
+    assert math.isnan(later[0].dw) and later[0].timestamp is None
     assert selector.map.version == version
     assert keyframe_indices(replay_decisions(decisions + later, 0.0)) == [3]
 
@@ -230,8 +230,8 @@ def test_failed_bootstrap_frame_gets_error_row_and_next_frame_bootstraps():
     selector = KeyframeSelector(base_config())
     pts = make_frame(np.random.default_rng(14))
     decisions = selector.run_sequence([
-        (np.full((10, 3), np.nan), Pose.identity()),
-        (pts, Pose.identity()),
+        (np.full((10, 3), np.nan), Pose.identity(), None),
+        (pts, Pose.identity(), None),
     ])
     assert [d.flag for d in decisions] == ["error", "bootstrap"]
     assert [d.frame_index for d in decisions] == [1, 2]
@@ -249,8 +249,8 @@ def test_frame_of_the_wrong_shape_is_an_error_row():
     with pytest.raises(EmptyFrameError):
         selector.bootstrap(np.empty((0, 4)), Pose.identity())
 
-    decisions = selector.run_sequence([(make_frame(rng), Pose.identity()),
-                                       (xyzi, Pose.identity())])
+    decisions = selector.run_sequence([(make_frame(rng), Pose.identity(), None),
+                                       (xyzi, Pose.identity(), None)])
     assert [d.flag for d in decisions] == ["bootstrap", "error"]
     assert not decisions[1].keyframe and math.isnan(decisions[1].dw)
 
@@ -263,7 +263,7 @@ def test_all_nan_frame_after_bootstrap_is_an_error_not_a_keyframe():
     with pytest.raises(EmptyFrameError):
         selector.process_frame(np.full((100, 3), np.nan), Pose.identity())
 
-    decisions = selector.run_sequence([(np.full((100, 3), np.nan), Pose.identity())])
+    decisions = selector.run_sequence([(np.full((100, 3), np.nan), Pose.identity(), None)])
     assert [d.flag for d in decisions] == ["error"]
     assert not decisions[0].keyframe and math.isnan(decisions[0].dw)
     assert decisions[0].frame_index == 3
@@ -280,7 +280,7 @@ def test_georeferenced_poses_score_like_local_ones():
     runs = []
     for offset in (np.zeros(3), shift):
         selector = KeyframeSelector(SelectorConfig(tau=0.1, voxel_size=1.0))
-        frames = [(pts, Pose(pose.rotation, pose.translation + offset))
+        frames = [(pts, Pose(pose.rotation, pose.translation + offset), None)
                   for pts, pose in zip(clouds, poses)]
         runs.append(selector.run_sequence(frames))
     local, shifted = runs
@@ -293,19 +293,19 @@ def test_georeferenced_poses_score_like_local_ones():
 
 def test_single_frame_sequence():
     selector = KeyframeSelector(base_config())
-    decisions = selector.run_sequence([(np.zeros((10, 3)), Pose.identity())])
+    decisions = selector.run_sequence([(np.zeros((10, 3)), Pose.identity(), None)])
     assert len(decisions) == 1 and decisions[0].keyframe
 
 
 def test_replay_threshold_subsets():
     rng = np.random.default_rng(17)
     decisions = [
-        FrameDecision(1, Pose.identity(), math.inf, True, "bootstrap"),
+        FrameDecision(1, math.inf, True, "bootstrap"),
     ]
     for i in range(2, 60):
         dw = float(rng.uniform(0.0, 1.0))
-        decisions.append(FrameDecision(i, Pose.identity(), dw, dw > 0.5, "scored"))
-    decisions.append(FrameDecision(60, Pose.identity(), math.nan, True, "no_comparable"))
+        decisions.append(FrameDecision(i, dw, dw > 0.5, "scored"))
+    decisions.append(FrameDecision(60, math.nan, True, "no_comparable"))
 
     taus = np.linspace(0.0, 1.0, 10)
     sets = [set(keyframe_indices(replay_decisions(decisions, t))) for t in taus]
@@ -327,7 +327,7 @@ def test_deterministic_reruns():
     cloud = make_frame(rng)
     for i in range(8):
         noise = np.random.default_rng([19, i]).normal(scale=0.01, size=cloud.shape)
-        frames.append((cloud + noise, pose))
+        frames.append((cloud + noise, pose, 0.1 * i))
         pose = pose * step
 
     runs = []

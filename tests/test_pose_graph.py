@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wassmap
-from wassmap.geometry import Pose, Rotation, se3_exp, se3_log, stack_poses
+from wassmap.geometry import Pose, Rotation, se3_exp, stack_poses
 from wassmap.pose_graph import (
     EdgeError,
     Edges,
@@ -25,7 +25,7 @@ from wassmap.pose_graph import (
     _robust,
 )
 
-from helpers import central_differences, evaluate_ate, session_ids
+from helpers import central_differences, evaluate_ate, log_pose, pose_matrix, session_ids
 
 
 def random_pose(rng, rot_scale=0.8, trans_scale=2.0) -> Pose:
@@ -41,7 +41,7 @@ def random_info(rng) -> np.ndarray:
 
 
 def poses_close(a: Pose, b: Pose, tol=1e-6) -> bool:
-    return np.abs(a.as_matrix() - b.as_matrix()).max() < tol
+    return np.abs(pose_matrix(a) - pose_matrix(b)).max() < tol
 
 
 def edge(kind, i, j, measurement, information=np.eye(6), kernel=None, delta=1.0) -> Edges:
@@ -145,10 +145,11 @@ def test_residual_zero_for_consistent_measurements():
     graph.add_node(1, t1)
     # identity information: the whitened residual is the residual itself
     np.testing.assert_allclose(
-        whitened_residual_and_jacobians(edge("odometry", 0, 1, t0.inverse() * t1), graph)[0],
+        whitened_residual_and_jacobians(edge("odometry", 0, 1, t0.inverse() * t1),
+                                        graph.poses())[0],
         np.zeros(6), atol=1e-12)
     np.testing.assert_allclose(
-        whitened_residual_and_jacobians(edge("prior", 0, None, t0), graph)[0],
+        whitened_residual_and_jacobians(edge("prior", 0, None, t0), graph.poses())[0],
         np.zeros(6), atol=1e-12)
     np.testing.assert_allclose(
         whitened_residual_and_jacobians(edge("prior", 1, None, Pose.identity()),
@@ -219,13 +220,13 @@ def test_optimize_already_at_minimum():
     rng = np.random.default_rng(9)
     graph, truth = _chain_graph(rng, perturb=0.0)
     graph.nodes[0].fixed = True
-    before = [n.pose.as_matrix() for n in graph.nodes.values()]
+    before = [pose_matrix(n.pose) for n in graph.nodes.values()]
     report = optimize(graph)
     assert report.iterations <= 1
     assert report.reason == "gradient tolerance"
     assert report.initial_cost == report.final_cost
     for node, mat in zip(graph.nodes.values(), before):
-        np.testing.assert_array_equal(node.pose.as_matrix(), mat)
+        np.testing.assert_array_equal(pose_matrix(node.pose), mat)
 
 
 def test_optimize_three_node_chain_converges():
@@ -244,11 +245,11 @@ def test_negative_iteration_budget_rejected():
     rng = np.random.default_rng(12)
     graph, _ = _chain_graph(rng, n=3, perturb=0.05)
     graph.nodes[0].fixed = True
-    before = [n.pose.as_matrix() for n in graph.nodes.values()]
+    before = [pose_matrix(n.pose) for n in graph.nodes.values()]
     with pytest.raises(ValueError, match="^negative max_iterations: -1$"):
         optimize(graph, max_iterations=-1)
     for node, mat in zip(graph.nodes.values(), before):
-        np.testing.assert_array_equal(node.pose.as_matrix(), mat)
+        np.testing.assert_array_equal(pose_matrix(node.pose), mat)
     assert optimize(graph, max_iterations=0).iterations == 0
 
 
@@ -257,12 +258,12 @@ def test_optimize_with_every_node_fixed_has_nothing_to_optimize():
     graph, _ = _chain_graph(rng, n=3, perturb=0.05)
     for node in graph.nodes.values():
         node.fixed = True
-    before = [n.pose.as_matrix() for n in graph.nodes.values()]
+    before = [pose_matrix(n.pose) for n in graph.nodes.values()]
     report = optimize(graph)
     assert (report.reason, report.iterations) == ("nothing to optimize", 0)
     assert report.initial_cost == report.final_cost > 0.0
     for node, mat in zip(graph.nodes.values(), before):
-        np.testing.assert_array_equal(node.pose.as_matrix(), mat)
+        np.testing.assert_array_equal(pose_matrix(node.pose), mat)
 
 
 def test_optimize_stops_at_the_damping_limit():
@@ -520,7 +521,7 @@ def _oracle_left_jacobian(xi):
 
 
 def _oracle_adjoint(pose):
-    m = pose.as_matrix()
+    m = pose_matrix(pose)
     out = np.zeros((6, 6))
     out[:3, :3] = out[3:, 3:] = m[:3, :3]
     out[3:, :3] = _oracle_skew(m[:3, 3]) @ m[:3, :3]
@@ -537,11 +538,11 @@ def _oracle_normal_equations(graph, free_ids):
     for kind, i, j, measurement, info, huber, delta in zip(
             e.kind, e.i, e.j, e.measurement, e.information, e.huber, e.delta):
         if kind == "prior":
-            r = se3_log(measurement.inverse() * poses[i])
+            r = log_pose(measurement.inverse() * poses[i])
             jacs = {i: np.linalg.inv(_oracle_left_jacobian(-r))}
         else:
             rel = poses[i].inverse() * poses[j]
-            r = se3_log(measurement.inverse() * rel)
+            r = log_pose(measurement.inverse() * rel)
             jacs = {i: -np.linalg.inv(_oracle_left_jacobian(r))
                     @ _oracle_adjoint(measurement.inverse()),
                     j: np.linalg.inv(_oracle_left_jacobian(-r))}

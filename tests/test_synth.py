@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wassmap.synth
-from wassmap.geometry import Pose, Rotation, se3_exp, se3_log
+from wassmap.geometry import Pose, Rotation, se3_exp
 from wassmap.keyframe import KeyframeSelector, SelectorConfig
 from wassmap.synth import (
     NoiseModel,
@@ -20,7 +20,7 @@ from wassmap.synth import (
     simulate_scan,
 )
 
-from helpers import reference_scan
+from helpers import log_pose, pose_matrix, reference_scan
 
 
 def perturb_pose(pose: Pose, sigma_t: float, sigma_r: float, rng) -> Pose:
@@ -32,7 +32,7 @@ def perturb_pose(pose: Pose, sigma_t: float, sigma_r: float, rng) -> Pose:
 
 def relative_noise(true_a: Pose, true_b: Pose, measurement: Pose) -> np.ndarray:
     """Tangent-space discrepancy between a measurement and the true relative."""
-    return se3_log((true_a.inverse() * true_b).inverse() * measurement)
+    return log_pose((true_a.inverse() * true_b).inverse() * measurement)
 
 
 class TestScenes:
@@ -227,14 +227,14 @@ class TestSimulateScan:
 
 class TestPaths:
     def test_corridor_path(self):
-        poses = corridor_path(40.0, 11, height=1.5, margin=2.0)
+        poses = corridor_path(40.0, 11, height=1.5)
         xs = [p.translation[0] for p in poses]
         assert xs[0] == pytest.approx(2.0)
         assert xs[-1] == pytest.approx(38.0)
         assert all(p.translation[2] == 1.5 for p in poses)
 
     def test_loop_path_stays_on_centerline(self):
-        poses = loop_path(side=30.0, width=4.0, n_frames=24, laps=2)
+        poses = loop_path(n_frames=24, laps=2)
         assert len(poses) == 48
         for pose in poses:
             x, y, _ = pose.translation
@@ -258,7 +258,7 @@ class TestTwoSession:
                                 (data.truth2, data.odometry2)):
             poses = compose_odometry(truth[0].pose, odometry)
             for entry, pose in zip(truth, poses):
-                gap = np.abs(entry.pose.as_matrix() - pose.as_matrix()).max()
+                gap = np.abs(pose_matrix(entry.pose) - pose_matrix(pose)).max()
                 assert gap < 1e-10
 
     def test_fixed_seed_reproducible(self):
@@ -270,12 +270,12 @@ class TestTwoSession:
             ea, eb = getattr(a, name), getattr(b, name)
             assert len(ea) == len(eb)
             for ma, mb in zip(ea.measurement, eb.measurement):
-                assert np.array_equal(ma.as_matrix(), mb.as_matrix())
+                assert np.array_equal(pose_matrix(ma), pose_matrix(mb))
         for sa, sb in zip(a.scans1 + a.scans2, b.scans1 + b.scans2):
             assert np.array_equal(sa.points, sb.points)
         c = generate_two_session(scene, self._paths(10, 10), seed=43, scan_spec=spec)
-        assert not np.array_equal(a.odometry1.measurement[0].as_matrix(),
-                                  c.odometry1.measurement[0].as_matrix())
+        assert not np.array_equal(pose_matrix(a.odometry1.measurement[0]),
+                                  pose_matrix(c.odometry1.measurement[0]))
 
     def test_translation_noise_statistics(self):
         # >= 500 edges, empirical sigma within 20% of the requested one
@@ -315,10 +315,10 @@ class TestTwoSession:
     def test_session_graph_helper(self):
         data = generate_two_session(None, self._paths(8, 8), seed=5)
         poses = compose_odometry(data.truth1[0].pose, data.odometry1)
-        graph = build_session_graph(poses, data.odometry1, session=1, fix_first=True)
+        graph = build_session_graph(poses, data.odometry1, session=1)
         assert len(graph.nodes) == 8
         assert len(graph.edges) == 7
-        assert graph.nodes[0].fixed and not graph.nodes[3].fixed
+        assert not any(n.fixed for n in graph.nodes.values())
         assert all(n.session == 1 for n in graph.nodes.values())
 
     def test_perturb_pose_moves(self):
@@ -349,7 +349,7 @@ class TestCoverage:
         # already mapped; voxel size divides the course dimensions so every
         # populated cell has a broad surface intersection
         scene = generate_scene("loop_course", (30.0, 4.0, 3.0), density=100.0)
-        poses = loop_path(side=30.0, width=4.0, n_frames=30, laps=2)
+        poses = loop_path(n_frames=30, laps=2)
         spec = ScanSpec(max_range=100.0, sigma=0.0, points_per_frame=4000, seed=21)
         config = SelectorConfig(tau=0.05, voxel_size=2.0, radius=1000.0,
                                 commit="always")

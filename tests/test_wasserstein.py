@@ -6,7 +6,7 @@ import pytest
 
 import wassmap.wasserstein
 from wassmap.geometry import Rotation
-from wassmap.voxel_map import GmmMap, StaleStageError
+from wassmap.voxel_map import StaleStageError
 from wassmap.wasserstein import (
     _CERT_TRACE,
     DissimilarityReport,
@@ -33,13 +33,6 @@ def w2(g1: GaussianComponent, g2: GaussianComponent) -> float:
     """Wasserstein distance between two Gaussian components, in meters."""
     return float(w2_batch(g1.mu[None], pack(g1.sigma[None]), g2.mu[None],
                           pack(g2.sigma[None]))[0])
-
-
-def distances(report: DissimilarityReport, grid: GmmMap) -> dict:
-    """Per-voxel distance keyed by cell index; call before ``grid`` changes,
-    since a commit or prune moves the rows the report names."""
-    cells = map(tuple, grid.cells(report.rows).astype(np.int64).tolist())
-    return dict(zip(cells, report.cell_distances.tolist()))
 
 
 def random_psd(rng, size=None):
@@ -452,7 +445,8 @@ def test_map_dissimilarity_matches_per_voxel_oracle():
     assert report.new_count == 0 and report.skipped_count == 0
     assert abs(report.value - 0.5 * (d_a + d_b)) < 1e-9
     assert report.value >= 0.0
-    assert set(distances(report, grid)) == {(0, 0, 0), (2, 0, 0)}
+    # in key order: cell (0, 0, 0), then (2, 0, 0)
+    np.testing.assert_allclose(report.cell_distances, [d_a, d_b], rtol=0.0, atol=1e-9)
 
 
 def test_affected_mean_ignores_untouched_voxels():
@@ -484,7 +478,8 @@ def test_new_and_skipped_voxels_are_counted_not_averaged():
     assert report.affected_count == 1
     assert report.skipped_count == 1
     assert report.new_count == 1
-    assert list(distances(report, grid)) == [(0, 0, 0)]
+    np.testing.assert_allclose(report.cell_distances,
+                               [_expected_voxel_distance(dense, frame[:10])], rtol=0.0, atol=1e-9)
 
     only_compared = map_dissimilarity(grid.stage_frame(frame[:10]), min_points=5)
     assert report.value == only_compared.value
@@ -496,7 +491,7 @@ def test_no_comparable_voxels_signal():
     assert isinstance(report, DissimilarityReport)
     assert report.affected_count == 0
     assert math.isnan(report.value)
-    assert len(report.rows) == len(report.cell_distances) == 0
+    assert len(report.cell_distances) == 0
 
     # a frame that only opens new voxels has no comparison either
     report = map_dissimilarity(grid.stage_frame(np.zeros((5, 3)) + 30.5))
