@@ -234,13 +234,15 @@ def cmd_merge(args) -> int:
     )
     report = optimize(merged, max_iterations=args.max_iterations)
 
+    # the label `merge_sessions` gives the new session
+    label = max(node.session for node in graph1.nodes.values()) + 1
+    new = sorted((node for node in merged.nodes.values() if node.session == label),
+                 key=lambda node: node.id)
     out = _out_dir(args)
     write_graph(out / "merged.g2o", merged)
-    session2 = [node for node in merged.nodes.values() if node.session == 2]
-    session2.sort(key=lambda node: node.id)
-    write_tum(out / "session2.tum",
+    write_tum(out / f"session{label}.tum",
               [TrajectoryEntry(entry.timestamp, node.pose)
-               for entry, node in zip(trajectory2, session2)])
+               for entry, node in zip(trajectory2, new)])
     lines = [
         f"iterations={report.iterations}",
         "initial_cost=%.9g" % report.initial_cost,
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_selector_flags(cal, threshold=False)
     cal.set_defaults(func=cmd_calibrate)
 
-    mg = commands.add_parser("merge", help="merge a second session into a graph")
+    mg = commands.add_parser("merge", help="merge a new session into a graph")
     mg.add_argument("--graph", required=True, help="session-1 graph file")
     mg.add_argument("--trajectory", required=True, help="session-2 estimate, TUM")
     mg.add_argument("--odometry", required=True, help="session-2 odometry edges")

@@ -478,7 +478,9 @@ def merge_sessions(
     t_init: Pose,
     t_init_prior: bool = False,
 ) -> PoseGraph:
-    """Combine an anchored session-1 graph with a new session's trajectory.
+    """Combine an anchored graph of one or more sessions with a new session's
+    trajectory; the new session is labelled one more than the largest label
+    in ``graph1``, so a merged graph takes a third session, and so on.
 
     ``trajectory2`` holds session-2 poses in the session-2 frame; they enter
     the merged graph as t_init * pose. ``odometry2`` rows join session-2
@@ -512,8 +514,9 @@ def merge_sessions(
     merged = PoseGraph()
     for node in graph1.nodes.values():
         merged.add_node(node.id, node.pose, node.session, fixed=True)
+    label = max(node.session for node in graph1.nodes.values()) + 1
     for idx, pose in enumerate(trajectory2):
-        merged.add_node(offset + idx, t_init * pose, session=2)
+        merged.add_node(offset + idx, t_init * pose, session=label)
 
     n_odometry, n_loops = len(odometry2), len(loops12)
     tables = [graph1.edges,

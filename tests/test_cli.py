@@ -20,7 +20,7 @@ from wassmap.geometry import Pose
 from wassmap.io import TrajectoryEntry, read_graph, read_pcd, read_tum, write_pcd, write_tum
 from wassmap.wasserstein import InvalidCovarianceError
 
-from helpers import write_padded_pcd
+from helpers import session_ids, write_padded_pcd
 
 
 def run(*argv):
@@ -564,6 +564,39 @@ class TestMergeCommand:
         assert "final_cost=" in report and "cost_trace=" in report
         trace = [float(v) for v in report.splitlines()[-1].split("=")[1].split()]
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+
+    def test_third_session_merges_into_a_merged_graph(self, two_session_dataset, tmp_path):
+        def merge(graph, data, out):
+            return run("merge", "--graph", graph,
+                       "--trajectory", data / "session2_estimate.tum",
+                       "--odometry", data / "session2_odometry.txt",
+                       "--loops", data / "loops.txt", "--out", out)
+
+        third = tmp_path / "third"  # its loops name session-1 node ids
+        assert run("synth", "--kind", "two_session", "--frames", "25", "--seed", "8",
+                   "--noise", "0.005", "--loops", "8", "--out", third) == 0
+        assert merge(two_session_dataset / "session1.g2o", two_session_dataset,
+                     tmp_path / "m1") == 0
+        assert merge(tmp_path / "m1" / "merged.g2o", third, tmp_path / "m2") == 0
+
+        def same(a, b):
+            return a.rotation == b.rotation and np.array_equal(a.translation, b.translation)
+
+        before = read_graph(tmp_path / "m1" / "merged.g2o")
+        after = read_graph(tmp_path / "m2" / "merged.g2o")
+        ids = {k: session_ids(after, k) for k in (1, 2, 3)}
+        assert ids == {1: list(range(25)), 2: list(range(25, 50)), 3: list(range(50, 75))}
+        for node_id, node in before.nodes.items():  # the earlier sessions stay fixed
+            kept = after.nodes[node_id]
+            assert kept.session == node.session and same(kept.pose, node.pose)
+
+        assert not (tmp_path / "m2" / "session2.tum").exists()
+        session3 = read_tum(tmp_path / "m2" / "session3.tum")
+        estimate = read_tum(third / "session2_estimate.tum")
+        assert [e.timestamp for e in session3] == [e.timestamp for e in estimate]
+        for entry, node_id in zip(session3, ids[3], strict=True):
+            assert same(entry.pose, after.nodes[node_id].pose)
+        assert not same(entry.pose, estimate[-1].pose)  # optimized, not the estimate
 
     def test_config_records_merge_options(self, two_session_dataset, tmp_path):
         out = tmp_path / "merge"
