@@ -9,6 +9,7 @@ is a pure function of its arguments plus an explicit seed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -230,6 +231,9 @@ class NoiseModel:
             raise ValueError("noise sigmas must be >= 0")
         if not max(self.sigma_t, self.sigma_r) < math.inf:
             raise ValueError("noise sigmas must be finite")
+        # `information` takes 1 / sigma^2, which is positive only while the square is finite
+        if not max(self.sigma_t, self.sigma_r) < math.sqrt(sys.float_info.max):
+            raise ValueError("noise sigmas must be below %.3g" % math.sqrt(sys.float_info.max))
 
     def information(self) -> np.ndarray:
         # rotation block first, matching the residual tangent ordering;

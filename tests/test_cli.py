@@ -242,6 +242,18 @@ class TestSynthCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
+        (("--kind", "two_session", "--noise", "1e300"), "noise sigmas must be below 1.34e+154"),
+        (("--kind", "corridor", "--noise", "1e308", "--frames", "2", "--points", "50"),
+         "--noise must be below 5.32e+36 m"),
+    ], ids=["odometry-information-overflows", "points-overflow-float32"])
+    def test_overflowing_noise_exits_one_and_writes_nothing(self, flags, message, tmp_path,
+                                                            capsys):
+        out = tmp_path / "overflow"
+        assert run("synth", *flags, "--out", out) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
         (("--kind", "corridor", "--frames", "0"), "--frames must be >= 1"),
         (("--kind", "loop_course", "--frames", "-3"), "--frames must be >= 1"),
         (("--kind", "two_session", "--frames", "5", "--loops", "-1"), "--loops must be >= 0"),

@@ -341,6 +341,11 @@ class TestTwoSession:
         for sigmas in ((np.inf, 0.0), (0.01, np.inf)):
             with pytest.raises(ValueError, match="^noise sigmas must be finite$"):
                 NoiseModel(*sigmas)
+        for sigmas in ((1e300, 0.0), (0.01, 1.35e154)):
+            with pytest.raises(ValueError, match="^noise sigmas must be below 1.34e"):
+                NoiseModel(*sigmas)
+        largest = NoiseModel(1.34e154, 1.34e154).information()
+        assert np.all((np.diag(largest) > 0.0) & np.isfinite(np.diag(largest)))
 
 
 class TestCoverage:
