@@ -39,12 +39,18 @@ arrays, and the Hessian is a sparse matrix of 6x6 blocks J_k^T J_m. Its
 structure does not change between iterations, so, as in g2o (Kuemmerle et
 al., ICRA 2011), it is built once per optimization: the CSC pattern, the
 stored position of each entry of each block and the diagonal positions. An
-iteration then refills the values with one `np.bincount`, and a damping
-trial adds lambda to the diagonal of a copy. Each trial is one sparse LU
-solve with diagonal pivots (SuperLU's symmetric mode): H + lambda I is
-symmetric positive definite, so under a symmetric fill-reducing permutation
-every diagonal pivot is positive and the LU is the LDL^T factorization,
-which is stable without row interchanges.
+iteration then refills the values with one `np.bincount`. The route of the
+damping trials is chosen once per optimization from the edges between free
+nodes: a reverse Cuthill-McKee order of the free nodes gives the Hessian's
+bandwidth, and when the band's lower triangle holds at most twice H's
+stored entries (a chain, such as a new session joined only by odometry),
+each trial scatters H into LAPACK band storage, adds lambda to its diagonal
+and solves by banded Cholesky, O(n w^2); a band that LAPACK finds not
+positive definite is a rejected trial. Other graphs, such as one with a hub
+node, factor a copy of H + lambda I by sparse LU with diagonal pivots
+(SuperLU's symmetric mode): H + lambda I is symmetric positive definite, so
+under a symmetric fill-reducing permutation every diagonal pivot is positive
+and the LU is the LDL^T factorization, stable without row interchanges.
 
 Before the first iteration a connected-component pass over the edges finds
 free nodes that no fixed node or prior reaches; the Hessian would be
@@ -91,6 +97,10 @@ _LAMBDA_FACTOR = 10.0
 _LAMBDA_MAX = 1e10
 _COST_TOLERANCE = 1e-6   # relative change of the robust cost
 _GRADIENT_TOLERANCE = 1e-8
+
+# a damping trial factors the Hessian as a band when the band's lower triangle
+# holds at most this many times the Hessian's stored entries
+_BAND_FILL = 2
 
 
 class GaugeUnderdeterminedError(RuntimeError):
@@ -338,6 +348,41 @@ class _Problem:
         diagonal = position[column == row][:, a, a].ravel()
         return e, k, m, position[where], indices, indptr, diagonal
 
+    @cached_property
+    def band(self):
+        """LAPACK lower-band layout of the free-row Hessian in reverse
+        Cuthill-McKee node order, or None when that band is wide.
+
+        The order and the bandwidth come from the edges joining two free
+        rows, which are `pattern`'s off-diagonal blocks, so the choice costs
+        O(blocks). The band is used when its lower triangle, (width + 1) 6F
+        entries, holds at most `_BAND_FILL` times the stored entries of
+        `pattern`. Returns ``(order, width, source, target)``: the 6F rows in
+        band order, the lower bandwidth, and for each stored entry on or
+        below the diagonal in that order its position in the CSC data and in
+        the flattened (width + 1, 6F) band, whose row 0 is the diagonal.
+        """
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        n, (a, b) = self.n_free, self.slots[(self.slots >= 0).all(axis=1)].T
+        ends = np.concatenate([a, b]), np.concatenate([b, a])
+        links = coo_matrix((np.ones(2 * len(a)), ends), shape=(n, n)).tocsr()
+        nodes = reverse_cuthill_mckee(links, symmetric_mode=True)
+        rank = np.empty(n, dtype=np.int64)
+        rank[nodes] = np.arange(n)
+        width = 6 * int(np.abs(rank[a] - rank[b]).max(initial=0)) + 5
+        *_, indices, indptr, _ = self.pattern
+        dim = 6 * n
+        if (width + 1) * dim > _BAND_FILL * len(indices):
+            return None
+        order = (6 * nodes[:, None] + np.arange(6)).ravel()
+        at = np.empty(dim, dtype=np.int64)
+        at[order] = np.arange(dim)
+        row, column = at[indices], at[np.repeat(np.arange(dim), np.diff(indptr))]
+        source = np.flatnonzero(row >= column)
+        return order, width, source, (row - column)[source] * dim + column[source]
+
     def normal_equations(self, linearization):
         """IRLS-weighted gradient (6F,) and sparse Hessian (6F, 6F) over free rows.
 
@@ -395,19 +440,52 @@ class OptimizationReport:
     rejected_steps: int = 0
 
 
+def _damped_step(problem: _Problem, grad: np.ndarray, hess, lam: float):
+    """The step solving (H + lam I) step = -grad, or None when LAPACK finds
+    the damped band not positive definite.
+
+    On `_Problem.band`'s route the stored entries are scattered into the band
+    and factored by banded Cholesky; otherwise a copy of H is factored by
+    SuperLU with diagonal pivots.
+    """
+    if problem.band is None:
+        from scipy.sparse.linalg import splu
+
+        damped = hess.copy()
+        damped.data[problem.pattern[-1]] += lam
+        return splu(damped, diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True}).solve(-grad)
+    from scipy.linalg import solveh_banded
+
+    order, width, source, target = problem.band
+    band = np.zeros((width + 1) * len(order))
+    band[target] = hess.data[source]
+    band = band.reshape(width + 1, -1)
+    band[0] += lam
+    try:
+        permuted = solveh_banded(band, -grad[order], overwrite_ab=True, lower=True,
+                                 check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    step = np.empty_like(permuted)
+    step[order] = permuted
+    return step
+
+
 def optimize(graph: PoseGraph, max_iterations: int = 100) -> OptimizationReport:
     """Levenberg-Marquardt over the nodes not marked `GraphNode.fixed`;
     updates poses in place.
 
     Every iteration runs over arrays: one batched residual for all edges,
-    Jacobians for the edges with a free endpoint, a sparse Hessian on the
-    pattern built before the first iteration and one sparse LU factorization
-    with diagonal pivots per damping trial.
+    Jacobians for the edges with a free endpoint and a sparse Hessian on the
+    pattern built before the first iteration. Each damping trial factors
+    H + lambda I once: as a band by Cholesky when `_Problem.band` finds the
+    Hessian narrow in reverse Cuthill-McKee order, otherwise by sparse LU
+    with diagonal pivots. A band that is not positive definite counts as a
+    rejected trial.
     """
     if max_iterations < 0:
         raise ValueError(f"negative max_iterations: {max_iterations}")
-    from scipy.sparse.linalg import splu
-
     problem = _Problem(graph.poses(), graph.edges,
                        {n.id for n in graph.nodes.values() if n.fixed})
     loose = problem.unanchored()
@@ -423,7 +501,6 @@ def optimize(graph: PoseGraph, max_iterations: int = 100) -> OptimizationReport:
     if not problem.n_free:
         report.reason = "nothing to optimize"
         return report
-    *_, diagonal = problem.pattern
 
     lam = _LAMBDA0
     for iteration in range(max_iterations):
@@ -436,17 +513,15 @@ def optimize(graph: PoseGraph, max_iterations: int = 100) -> OptimizationReport:
 
         accepted = False
         while lam <= _LAMBDA_MAX:
-            damped = hess.copy()
-            damped.data[diagonal] += lam
-            step = splu(damped, diag_pivot_thresh=0.0,
-                        options={"SymmetricMode": True}).solve(-grad)
-            trial_q, trial_t = q.copy(), t.copy()
-            trial_q[free], trial_t[free] = compose_batch((q[free], t[free]),
-                                                         se3_exp(step.reshape(-1, 6)))
-            trial_cost, trial_point = problem.cost(trial_q, trial_t)
-            if trial_cost < cost:
-                accepted = True
-                break
+            step = _damped_step(problem, grad, hess, lam)
+            if step is not None:
+                trial_q, trial_t = q.copy(), t.copy()
+                trial_q[free], trial_t[free] = compose_batch((q[free], t[free]),
+                                                             se3_exp(step.reshape(-1, 6)))
+                trial_cost, trial_point = problem.cost(trial_q, trial_t)
+                if trial_cost < cost:
+                    accepted = True
+                    break
             lam *= _LAMBDA_FACTOR
             report.rejected_steps += 1
         if not accepted:

@@ -245,7 +245,10 @@ class TestSynthCommand:
         (("--kind", "two_session", "--noise", "1e300"), "noise sigmas must be below 1.34e+154"),
         (("--kind", "corridor", "--noise", "1e308", "--frames", "2", "--points", "50"),
          "--noise must be below 5.32e+36 m"),
-    ], ids=["odometry-information-overflows", "points-overflow-float32"])
+        (("--kind", "two_session", "--noise", "1.3e154"),
+         "rotation noise sigma must be below 2.33e+101 rad"),
+    ], ids=["odometry-information-overflows", "points-overflow-float32",
+            "rotation-draws-overflow-se3-exp"])
     def test_overflowing_noise_exits_one_and_writes_nothing(self, flags, message, tmp_path,
                                                             capsys):
         out = tmp_path / "overflow"
@@ -576,6 +579,26 @@ class TestMergeCommand:
         assert "final_cost=" in report and "cost_trace=" in report
         trace = [float(v) for v in report.splitlines()[-1].split("=")[1].split()]
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+
+    def test_merge_factors_a_band(self, two_session_dataset, tmp_path, monkeypatch):
+        # only odometry joins the free session-2 nodes, a chain, so every damping
+        # trial factors the band and none calls SuperLU
+        import scipy.linalg
+        import scipy.sparse.linalg
+
+        calls = []
+        for module, name in ((scipy.linalg, "solveh_banded"), (scipy.sparse.linalg, "splu")):
+            def recording(*args, real=getattr(module, name), name=name, **options):
+                calls.append(name)
+                return real(*args, **options)
+            monkeypatch.setattr(module, name, recording)
+        assert run("merge", "--graph", two_session_dataset / "session1.g2o",
+                   "--trajectory", two_session_dataset / "session2_estimate.tum",
+                   "--odometry", two_session_dataset / "session2_odometry.txt",
+                   "--loops", two_session_dataset / "loops.txt", "--out", tmp_path / "m") == 0
+        steps = (tmp_path / "m" / "report.txt").read_text().splitlines()[4]
+        trials = sum(int(field.split("=")[1]) for field in steps.split())
+        assert calls == ["solveh_banded"] * trials and trials > 0
 
     def test_third_session_merges_into_a_merged_graph(self, two_session_dataset, tmp_path):
         def merge(graph, data, out):

@@ -1,3 +1,4 @@
+import copy
 import logging
 import math
 import os
@@ -609,17 +610,35 @@ def test_measurement_inverses_match_pose_inverse_bit_for_bit():
     np.testing.assert_array_equal(problem.z_inv[1], expected[1])
 
 
-def _ring_graph(rng, n=6):
-    """A ring of odometry edges whose free nodes start far (about 1 rad, 1 m) from the truth."""
+def _ring_graph(rng, n=6, hub=False):
+    """A ring of odometry edges whose free nodes start far (about 1 rad, 1 m) from the
+    truth; with ``hub``, one more node at the centre is joined to every ring node."""
     angles = 2.0 * np.pi * np.arange(n) / n
     truth = [Pose(Rotation.from_rotvec([0.0, 0.0, a]), (3.0 * np.cos(a), 3.0 * np.sin(a), 0.0))
-             for a in angles]
+             for a in angles] + [Pose.identity()] * hub
     graph = PoseGraph()
     for k, pose in enumerate(truth):
         graph.add_node(k, pose * random_pose(rng, rot_scale=1.0, trans_scale=1.0),
                        fixed=k == 0)
-    graph.edges = Edges("odometry", range(n), [(k + 1) % n for k in range(n)],
-                        [truth[k].inverse() * truth[(k + 1) % n] for k in range(n)], np.eye(6))
+    ends = [(k, (k + 1) % n) for k in range(n)] + [(n, k) for k in range(n)] * hub
+    graph.edges = Edges("odometry", *zip(*ends),
+                        [truth[i].inverse() * truth[j] for i, j in ends], np.eye(6))
+    return graph
+
+
+def _shuffled_chain_graph(rng, n=12):
+    """An odometry chain whose node ids are shuffled, so that id order is not chain
+    order; the first node is fixed and the others start far from the truth."""
+    ids = [int(k) for k in rng.permutation(n)]
+    assert np.abs(np.diff(ids[1:])).max() > 1  # free neighbours are apart in id order
+    truth = [Pose(Rotation.from_rotvec([0.0, 0.0, 0.3 * k]), (k, math.sin(k), 0.0))
+             for k in range(n)]
+    graph = PoseGraph()
+    for k, (nid, pose) in enumerate(zip(ids, truth)):
+        start = pose * random_pose(rng, rot_scale=1.0, trans_scale=1.0) if k else pose
+        graph.add_node(nid, start, fixed=k == 0)
+    graph.edges = Edges("odometry", ids[:-1], ids[1:],
+                        [a.inverse() * b for a, b in zip(truth, truth[1:])], np.eye(6))
     return graph
 
 
@@ -636,15 +655,33 @@ def test_hessian_pattern_holds_every_diagonal_entry():
     np.testing.assert_array_equal(hess.data[diagonal], hess.diagonal())
 
 
-def test_each_damped_solve_matches_a_dense_solve(monkeypatch):
+def _band_to_node_order(band, order):
+    """The symmetric matrix whose lower band, in the row order ``order``, is ``band``."""
+    dim = band.shape[1]
+    permuted = np.zeros((dim, dim))
+    for d, values in enumerate(band):
+        k = np.arange(dim - d)
+        permuted[k + d, k] = permuted[k, k + d] = values[:dim - d]
+        assert not values[dim - d:].any()  # the padding LAPACK does not read
+    matrix = np.empty_like(permuted)
+    matrix[np.ix_(order, order)] = permuted
+    return matrix
+
+
+def _record_damped_solves(monkeypatch):
+    """Record every normal equation and damped solve of `optimize`, in call order:
+    ("normal", grad, hess, band layout) and (route, matrix, rhs, step) with the
+    matrix, rhs and step in node order, whichever route solves."""
+    import scipy.linalg
     import scipy.sparse.linalg
 
-    events = []  # ("normal", grad, hess) and ("solve", matrix, rhs, step), in call order
-    normal_equations, splu = _Problem.normal_equations, scipy.sparse.linalg.splu
+    events = []
+    normal_equations = _Problem.normal_equations
+    splu, solveh_banded = scipy.sparse.linalg.splu, scipy.linalg.solveh_banded
 
     def recording_normal_equations(self, r):
         grad, hess = normal_equations(self, r)
-        events.append(("normal", grad.copy(), hess.toarray()))
+        events.append(("normal", grad.copy(), hess.toarray(), self.band))
         return grad, hess
 
     class RecordingFactor:
@@ -653,20 +690,44 @@ def test_each_damped_solve_matches_a_dense_solve(monkeypatch):
 
         def solve(self, rhs):
             step = self.factor.solve(rhs)
-            events.append(("solve", self.matrix, rhs.copy(), step))
+            events.append(("splu", self.matrix, rhs.copy(), step))
             return step
+
+    def recording_solveh_banded(band, rhs, **options):
+        matrix, permuted_rhs = band.copy(), rhs.copy()
+        permuted = solveh_banded(band, rhs, **options)
+        order = next(e for e in reversed(events) if e[0] == "normal")[3][0]
+        node_rhs, step = np.empty_like(permuted_rhs), np.empty_like(permuted)
+        node_rhs[order], step[order] = permuted_rhs, permuted
+        events.append(("band", _band_to_node_order(matrix, order), node_rhs, step))
+        return permuted
 
     monkeypatch.setattr(_Problem, "normal_equations", recording_normal_equations)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", RecordingFactor)
-    graph = _ring_graph(np.random.default_rng(1))
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", recording_solveh_banded)
+    return events
+
+
+@pytest.mark.parametrize("build, seed, route", [
+    (_ring_graph, 1, "band"),
+    (_shuffled_chain_graph, 2, "band"),
+    (lambda rng: _ring_graph(rng, n=24, hub=True), 4, "splu"),
+], ids=["ring", "shuffled-chain", "hub"])
+def test_each_damped_solve_matches_a_dense_solve(monkeypatch, build, seed, route):
+    # the seeds start each graph where LM rejects at least one trial
+    events = _record_damped_solves(monkeypatch)
+    graph = build(np.random.default_rng(seed))
     report = optimize(graph, max_iterations=20)
     assert report.rejected_steps >= 1
+    assert {event[0] for event in events} == {"normal", route}
 
     # replay the damping schedule: a trial followed by another trial was rejected
     lam, lams = 1e-4, []
     for event, after in zip(events, events[1:] + [("end",)]):
         if event[0] == "normal":
-            _, grad, hess = event
+            _, grad, hess, band = event
+            np.testing.assert_array_equal(hess, hess.T)  # the band holds all of H
+            assert route == "splu" or band[1] == 11  # one block off the diagonal
             continue
         _, matrix, rhs, step = event
         damped = hess + lam * np.eye(len(hess))
@@ -675,6 +736,26 @@ def test_each_damped_solve_matches_a_dense_solve(monkeypatch):
         expected = np.linalg.solve(damped, -grad)
         assert np.abs(step - expected).max() <= 1e-10 * np.abs(expected).max()
         lams.append(lam)
-        lam = lam * 10.0 if after[0] == "solve" else max(lam / 10.0, 1e-15)
+        lam = lam * 10.0 if after[0] == route else max(lam / 10.0, 1e-15)
     assert len(lams) == report.accepted_steps + report.rejected_steps
     assert max(lams) > lams[0]
+
+
+def test_a_band_that_is_not_positive_definite_is_a_rejected_trial(monkeypatch):
+    import scipy.linalg
+
+    solveh_banded, diagonals = scipy.linalg.solveh_banded, []
+
+    def negate_the_first_band(band, rhs, **options):
+        diagonals.append(band[0].copy())
+        return solveh_banded(-band if len(diagonals) == 1 else band, rhs, **options)
+
+    graph = _shuffled_chain_graph(np.random.default_rng(0))
+    assert optimize(copy.deepcopy(graph), max_iterations=20).rejected_steps == 0
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", negate_the_first_band)
+    report = optimize(graph, max_iterations=20)
+    assert (report.rejected_steps, report.reason) == (1, "gradient tolerance")
+    # the failed trial damped by 1e-4, the next one by 1e-3
+    np.testing.assert_allclose(diagonals[1] - diagonals[0], 9e-4, rtol=0.0, atol=1e-12)
+    assert all(b < a for a, b in zip(report.cost_trace, report.cost_trace[1:]))
+    assert report.final_cost < 1e-12 * report.initial_cost
