@@ -221,6 +221,13 @@ def loop_path(n_frames: int = 60, laps: int = 1) -> list[Pose]:
 # ---------------------------------------------------------------------------
 # Two-session dataset
 
+# numpy's normal draws stay below 13.71 (its ziggurat's tail ends at
+# r + 53 ln 2 / r, r = 3.654), so with 14 sigma per axis a rotation-vector
+# draw is shorter than 14 sqrt(3) sigma_r, and `se3_exp`, which divides by the
+# cube of that length, stays finite below this sigma_r
+ROTATION_SIGMA_LIMIT = float(np.cbrt(sys.float_info.max)) / (14.0 * math.sqrt(3.0))
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     sigma_t: float = 0.01                      # odometry translation noise, m
@@ -234,6 +241,8 @@ class NoiseModel:
         # `information` takes 1 / sigma^2, which is positive only while the square is finite
         if not max(self.sigma_t, self.sigma_r) < math.sqrt(sys.float_info.max):
             raise ValueError("noise sigmas must be below %.3g" % math.sqrt(sys.float_info.max))
+        if not self.sigma_r < ROTATION_SIGMA_LIMIT:
+            raise ValueError("rotation noise sigma must be below %.3g rad" % ROTATION_SIGMA_LIMIT)
 
     def information(self) -> np.ndarray:
         # rotation block first, matching the residual tangent ordering;

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import wassmap.synth
-from wassmap.geometry import Pose, Rotation, se3_exp
+from wassmap.geometry import Pose, Rotation, se3_exp, stack_poses
 from wassmap.keyframe import KeyframeSelector, SelectorConfig
 from wassmap.synth import (
+    ROTATION_SIGMA_LIMIT,
     NoiseModel,
     Patch,
     ScanSpec,
@@ -344,8 +346,21 @@ class TestTwoSession:
         for sigmas in ((1e300, 0.0), (0.01, 1.35e154)):
             with pytest.raises(ValueError, match="^noise sigmas must be below 1.34e"):
                 NoiseModel(*sigmas)
-        largest = NoiseModel(1.34e154, 1.34e154).information()
+        with pytest.raises(ValueError, match=r"^rotation noise sigma must be below 2.33e\+101"):
+            NoiseModel(0.01, ROTATION_SIGMA_LIMIT)
+        largest = NoiseModel(1.34e154, np.nextafter(ROTATION_SIGMA_LIMIT, 0.0)).information()
         assert np.all((np.diag(largest) > 0.0) & np.isfinite(np.diag(largest)))
+
+    def test_largest_sigmas_draw_without_overflow(self):
+        noise = NoiseModel(1.34e154, np.nextafter(ROTATION_SIGMA_LIMIT, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the longest draw numpy's normal sampler can make, 13.71 sigma on every axis
+            worst = se3_exp(13.71 * np.repeat([noise.sigma_r, noise.sigma_t], 3))
+            data = generate_two_session(None, self._paths(), noise, seed=1)
+        assert np.isfinite(worst.translation).all()
+        measured = stack_poses([*data.odometry1.measurement, *data.odometry2.measurement])
+        assert all(np.isfinite(column).all() for column in measured)
 
 
 class TestCoverage:
