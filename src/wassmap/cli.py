@@ -273,7 +273,7 @@ def cmd_synth(args) -> int:
         else:
             path = corridor_path(40.0, args.frames)
         spec = ScanSpec(args.max_range, args.noise, args.points, seed=args.seed)
-        # numpy's normal draws stay below 13.7 and a rotation puts at most
+        # numpy's normal draws stay below 13.71 and a rotation puts at most
         # sqrt(3) of an offset on one axis, so 64 sigma bounds every coordinate
         bound = float(np.finfo(np.float32).max) / 64.0
         if not args.noise < bound:

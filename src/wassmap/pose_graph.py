@@ -39,15 +39,12 @@ arrays, and the Hessian is a sparse matrix of 6x6 blocks J_k^T J_m. Its
 structure does not change between iterations, so, as in g2o (Kuemmerle et
 al., ICRA 2011), it is built once per optimization: the CSC pattern, the
 stored position of each entry of each block and the diagonal positions. An
-iteration then refills the values with one `np.bincount`. The route of the
-damping trials is chosen once per optimization from the edges between free
-nodes: a reverse Cuthill-McKee order of the free nodes gives the Hessian's
-bandwidth, and when the band's lower triangle holds at most twice H's
-stored entries (a chain, such as a new session joined only by odometry),
-each trial scatters H into LAPACK band storage, adds lambda to its diagonal
-and solves by banded Cholesky, O(n w^2); a band that LAPACK finds not
-positive definite is a rejected trial. Other graphs, such as one with a hub
-node, factor a copy of H + lambda I by sparse LU with diagonal pivots
+iteration then refills the values with one `np.bincount`. Each damping
+trial factors H + lambda I by one of two routes, chosen once per
+optimization. When the Hessian is a narrow band in reverse Cuthill-McKee
+order, as for a new session joined only by odometry, it is scattered into
+LAPACK band storage and solved by banded Cholesky, O(n w^2). Other graphs,
+such as one with a hub node, take a sparse LU with diagonal pivots
 (SuperLU's symmetric mode): H + lambda I is symmetric positive definite, so
 under a symmetric fill-reducing permutation every diagonal pivot is positive
 and the LU is the LDL^T factorization, stable without row interchanges.
